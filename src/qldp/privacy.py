@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qops
-from .channels import QuantumChannel, apply
+from .channels import QuantumChannel, apply, batch_outputs
 from .errors import InvalidInputError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
@@ -129,16 +129,6 @@ def refine_extremum(value_fn, dim: int, ncols: int, config: SearchConfig, maximi
     return float(vals[i]), pts[i]
 
 
-def _batch_outputs(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    """Channel outputs for a (B, d) stack of pure states, via the superoperator."""
-    b, d = states.shape
-    rho = states[:, :, None] * states.conj()[:, None, :]
-    v = rho.transpose(0, 2, 1).reshape(b, d * d)  # column-stacked
-    out = v @ ch.superoperator.T
-    do = ch.dim_out
-    return out.reshape(b, do, do).transpose(0, 2, 1)
-
-
 def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
                  search: SearchConfig = SearchConfig()) -> CertificationResult:
     """Estimate the worst-case hockey-stick divergence of a channel.
@@ -150,8 +140,8 @@ def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
     gamma = budget.gamma
 
     def value(pairs: np.ndarray) -> np.ndarray:
-        out1 = _batch_outputs(ch, pairs[:, :, 0])
-        out2 = _batch_outputs(ch, pairs[:, :, 1])
+        out1 = batch_outputs(ch, pairs[:, :, 0])
+        out2 = batch_outputs(ch, pairs[:, :, 1])
         w = np.linalg.eigvalsh(out1 - gamma * out2)
         return np.where(w > 0, w, 0.0).sum(axis=1)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply
+from .channels import QuantumChannel, apply, batch_outputs
 from .errors import InvalidInputError
 from .privacy import PrivacyBudget, SearchConfig, optimal_depolarizing_p, refine_extremum
 
@@ -31,21 +31,14 @@ def _square(ch: QuantumChannel) -> int:
     return ch.dim_in
 
 
-def _batch_out(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    b, d = states.shape
-    rho = states[:, :, None] * states.conj()[:, None, :]
-    v = rho.transpose(0, 2, 1).reshape(b, d * d)
-    return (v @ ch.superoperator.T).reshape(b, d, d).transpose(0, 2, 1)
-
-
 def _fidelity_values(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
     # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi
-    out = _batch_out(ch, states)
+    out = batch_outputs(ch, states)
     return np.einsum("bi,bij,bj->b", states.conj(), out, states).real
 
 
 def _trace_values(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    out = _batch_out(ch, states)
+    out = batch_outputs(ch, states)
     proj = states[:, :, None] * states.conj()[:, None, :]
     w = np.linalg.eigvalsh(out - proj)
     return np.abs(w).sum(axis=1) / 2

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import qldp
 from qldp import channels as ch
-from qldp import qops
+from qldp import privacy, qops, utility
 from qldp.errors import InvalidInputError
 from qldp.pauli import enumerate_cliffords, pauli_matrix
 
@@ -236,3 +237,74 @@ def test_superoperator_composition_identity():
     b = ch.random_channel(2, 3, rng)
     composed = ch.compose(a, b)
     assert np.abs(composed.superoperator - a.superoperator @ b.superoperator).max() < 1e-12
+
+
+# --- superoperator kernel against the kron-sum oracle ------------------------
+
+def kron_superoperator(kraus: np.ndarray) -> np.ndarray:
+    """Reference superoperator sum_k conj(K_k) kron K_k, one kron per Kraus operator."""
+    s = np.zeros((kraus.shape[1] ** 2, kraus.shape[2] ** 2), dtype=complex)
+    for k in kraus:
+        s += np.kron(k.conj(), k)
+    return s
+
+
+def test_superoperator_matches_kron_oracle():
+    rng = np.random.default_rng(14)
+    cases = [ch.random_channel(d, r, rng) for d, r in [(2, 1), (2, 3), (3, 2), (3, 5), (5, 4)]]
+    cases += [
+        ch.pauli_measurement_channel(pauli_matrix("XZ")),  # 4 -> 2
+        ch.replacement_channel(qops.random_density(3, 2, rng)),
+        ch.compose(ch.random_channel(3, 2, rng), ch.random_channel(3, 3, rng)),
+        ch.twirl(ch.random_channel(2, 3, rng), qubit_clifford_group()),
+    ]
+    for channel in cases:
+        s = channel.superoperator
+        assert s.shape == (channel.dim_out**2, channel.dim_in**2)
+        assert np.abs(s - kron_superoperator(channel.kraus)).max() < 1e-12
+
+
+def test_depolarizing_closed_form_matches_kron_oracle():
+    for d in (2, 3, 8):
+        for p in (0.0, 0.3, 1.0):
+            dep = ch.depolarizing(d, p)
+            assert np.abs(dep.superoperator - kron_superoperator(dep.kraus)).max() < 1e-12
+
+
+def test_fit_depolarizing_recovers_p_at_d32():
+    for p in (0.0, 0.4, 1.0):
+        fitted, residual = ch.fit_depolarizing(ch.depolarizing(32, p))
+        assert abs(fitted - p) < 1e-12
+        assert residual <= 1e-12
+
+
+def test_apply_kraus_vs_superop_paths_at_d32():
+    rng = np.random.default_rng(15)
+    for channel in (ch.depolarizing(32, 0.4), ch.random_channel(32, 4, rng)):
+        rho = qops.random_density(32, 32, rng)
+        assert np.abs(ch.apply(channel, rho) - ch.apply_superop(channel, rho)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_channel_rejects_non_finite_kraus(bad):
+    with pytest.raises(InvalidInputError):
+        ch.QuantumChannel(np.full((2, 2, 2), bad, dtype=complex))
+    k = ch.depolarizing(2, 0.5).kraus.copy()
+    k[1, 0, 0] = bad
+    with pytest.raises(InvalidInputError):
+        ch.QuantumChannel(k)
+
+
+def test_batch_outputs_matches_per_state_apply():
+    rng = np.random.default_rng(16)
+    for channel in (ch.random_channel(3, 2, rng), ch.pauli_measurement_channel(pauli_matrix("XZ"))):
+        psis = np.stack([qops.random_pure(channel.dim_in, rng) for _ in range(6)])
+        out = ch.batch_outputs(channel, psis)
+        assert out.shape == (6, channel.dim_out, channel.dim_out)
+        for psi, o in zip(psis, out):
+            assert np.abs(o - ch.apply(channel, qops.projector(psi))).max() < 1e-12
+    # one kernel: both objectives use it, and it stays out of the package API
+    assert privacy.batch_outputs is ch.batch_outputs
+    assert utility.batch_outputs is ch.batch_outputs
+    assert not hasattr(privacy, "_batch_outputs") and not hasattr(utility, "_batch_out")
+    assert not hasattr(qldp, "batch_outputs")
