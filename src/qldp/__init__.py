@@ -83,7 +83,6 @@ from .utility import (
     fidelity_utility,
     optimal_fidelity_utility,
     optimal_trace_utility,
-    postprocessed_fidelity_utility,
     trace_utility,
     utility_curve,
     utility_report,

@@ -222,6 +222,8 @@ def parse_observable(spec: str):
         except OSError as exc:
             raise InvalidInputError(f"cannot read {path}: {exc}") from exc
         rows = [ln for ln in raw if ln.split("#", 1)[0].strip()]
+        if not rows:
+            raise InvalidInputError(f"observable file {path} has no matrix rows")
         d = len(rows[0].split())
         mat = parse_complex_matrix(rows, path, 1, d)
         m = int(round(math.log2(d)))
@@ -273,6 +275,11 @@ def _prepare_outdir(path: str) -> Path:
 
 def _coverage_sigma(eta: float, trials: int) -> float:
     return math.sqrt(eta * (1.0 - eta) / trials)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
 
 
 def cmd_utility_curve(opts: dict) -> int:
@@ -336,6 +343,7 @@ def cmd_certify(opts: dict) -> int:
 
 
 def cmd_estimate(opts: dict) -> int:
+    _check_trials(opts["trials"])
     decomp, obs = parse_observable(opts["observable"])
     d = 2**decomp.m
     rng = np.random.default_rng(opts["seed"])
@@ -349,6 +357,8 @@ def cmd_estimate(opts: dict) -> int:
     except (OutOfRegimeError, QldpError) as exc:
         n_lower_note = f"unavailable ({exc})"
     n = opts["n"] if opts["n"] is not None else n_upper
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
     true_value = float(np.trace(obs @ rho).real)
     out = _prepare_outdir(opts["output_dir"])
     estimates = est.run_estimation_trials(rho, decomp, budget, demand,
@@ -370,6 +380,7 @@ def cmd_shadows(opts: dict) -> int:
     m = opts["m"]
     if not 1 <= m <= 4:
         raise InvalidInputError(f"m must be in [1, 4], got {m}")
+    _check_trials(opts["trials"])
     decomp, obs = parse_observable(opts["observable"])
     if decomp.m != m:
         raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
@@ -385,15 +396,12 @@ def cmd_shadows(opts: dict) -> int:
     n = shadows.shadow_required_samples(tr_sq, d, budget, demand)
     if opts["ell"] is not None:
         ell = opts["ell"]
-        if n % ell != 0:
+        if ell < 1 or n % ell != 0:
             raise InvalidInputError(f"ell={ell} does not divide N={n}")
     else:
         ell = n // shadows.default_batch_count(n, demand.eta)
     true_value = float(np.trace(obs @ rho).real)
-    if m <= 2:
-        estimates = shadows.run_shadow_trials(rho, obs, p_hat, n, ell, opts["trials"], opts["seed"])
-    else:
-        estimates = _slow_shadow_trials(rho, obs, p_hat, n, ell, opts["trials"], opts["seed"])
+    estimates = shadows.run_shadow_trials(rho, obs, p_hat, n, ell, opts["trials"], opts["seed"])
     errors = np.abs(estimates - true_value)
     coverage = float(np.mean(errors <= demand.beta))
     out = _prepare_outdir(opts["output_dir"])
@@ -406,18 +414,6 @@ def cmd_shadows(opts: dict) -> int:
     print(f"coverage = {coverage:.4f}  (target >= {threshold:.4f})")
     print(f"wrote {out / 'shadow_trials.csv'}")
     return EXIT_OK if coverage >= threshold else EXIT_VIOLATED
-
-
-def _slow_shadow_trials(rho, obs, p_hat, n, ell, trials, seed):
-    d = rho.shape[0]
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    out = np.empty(trials)
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        snaps = [shadows.snapshot_inverse(shadows.shadow_sample(rho, p_hat, rng), p_hat, d)
-                 for _ in range(n)]
-        out[i] = shadows.median_of_means_estimate(snaps, obs, ell)
-    return out
 
 
 def cmd_cost_report(opts: dict) -> int:

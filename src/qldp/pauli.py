@@ -1,10 +1,12 @@
 """Pauli strings, observable decompositions, and Clifford group access.
 
 Pauli labels are plain strings over {I, X, Y, Z} ("XZ" means X tensor Z).
-Clifford elements are dense unitaries; groups for one and two qubits are
-enumerated exhaustively up to global phase, larger ones are sampled by
-composing random generators (approximately uniform, see
-:func:`random_clifford`).
+Clifford elements are dense unitaries.  :func:`clifford_orbit` closes a
+Clifford matrix or a stabilizer state under the generators {H_i, S_i, CZ_ij},
+deduplicating by an exact per-entry phase code; from the identity it
+enumerates the group up to global phase (m in {1, 2}, where
+:func:`random_clifford` draws uniformly from it), and from |0...0> it
+enumerates the 2^m prod_k (2^k + 1) stabilizer states for any m.
 """
 
 from __future__ import annotations
@@ -144,15 +146,58 @@ class CliffordElement:
             raise InvalidInputError(f"matrix shape {self.matrix.shape} does not match m={self.m}")
 
 
-def _canonical_phase(u: np.ndarray) -> np.ndarray:
-    flat = u.ravel()
-    idx = int(np.argmax(np.abs(flat) > 1e-8))
-    z = flat[idx]
-    return u * (z.conjugate() / abs(z))
+_UNIT = np.array([0, 1, 1j, -1, -1j])
 
 
-def _key(u: np.ndarray) -> bytes:
-    return (np.round(_canonical_phase(u), 8) + 0.0).tobytes()
+def _phase_codes(batch: np.ndarray) -> np.ndarray:
+    """One int8 row per element of a (k, d, c) stack, fixing each global phase in place.
+
+    After the first nonzero entry is rotated to the positive reals, every nonzero
+    entry of a Clifford matrix or stabilizer state is c * i^j with one common
+    c > 0.  Entry codes are 0 for zero and 1 + j otherwise, so a row determines
+    its element exactly.
+    """
+    tol = 1e-6  # far below the smallest nonzero modulus, 2^(-m/2)
+    flat = batch.reshape(len(batch), -1)
+    first = flat[np.arange(len(flat)), (np.abs(flat) > tol).argmax(axis=1)]
+    flat *= (first.conj() / np.abs(first))[:, None]
+    codes = np.zeros(flat.shape, dtype=np.int8)
+    for code, mask in enumerate((flat.real > tol, flat.imag > tol,
+                                 flat.real < -tol, flat.imag < -tol), start=1):
+        codes[mask] = code
+    return codes
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """Each code row as one opaque, sortable value."""
+    return codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+
+
+def clifford_orbit(start: np.ndarray):
+    """Breadth-first closure of a (d, c) Clifford matrix or stabilizer state under {H_i, S_i, CZ_ij}.
+
+    Yields the orbit level by level, each level a (k, d, c) stack of
+    phase-canonical elements not seen before (the first level is ``start``).
+    Each level costs one batched product per generator; elements are rebuilt
+    exactly from their codes, so rounding does not accumulate.
+    """
+    d, cols = start.shape
+    gens = _generators(d.bit_length() - 1)
+    codes = _phase_codes(start[None].astype(complex))
+    seen = _row_keys(codes)  # keys of every element found so far, kept sorted
+    while len(codes):
+        level = _UNIT[codes].reshape(-1, d, cols)
+        level *= np.sqrt(cols / np.count_nonzero(codes, axis=1))[:, None, None]
+        yield level
+        fresh = []
+        for g in gens:
+            cand = _phase_codes(g @ level)
+            keys, first = np.unique(_row_keys(cand), return_index=True)
+            pos = np.searchsorted(seen, keys)
+            new = seen[np.minimum(pos, len(seen) - 1)] != keys
+            seen = np.insert(seen, pos[new], keys[new])
+            fresh.append(cand[np.sort(first[new])])
+        codes = np.concatenate(fresh)
 
 
 def _generators(m: int) -> list[np.ndarray]:
@@ -185,46 +230,18 @@ def _embed_cz(m: int, i: int, j: int) -> np.ndarray:
 def enumerate_cliffords(m: int = 1) -> tuple[CliffordElement, ...]:
     """Exhaustive Clifford group up to global phase; 24 elements at m=1, 11520 at m=2.
 
-    Breadth-first closure of the generator set {H_i, S_i, CZ_ij}, deduplicated
-    by phase-canonical matrices.
+    The :func:`clifford_orbit` of the identity, in breadth-first order.
     """
     if m not in (1, 2):
         raise InvalidInputError(f"enumeration supports m in {{1, 2}}, got {m}")
-    gens = _generators(m)
-    d = 2**m
-    start = _canonical_phase(np.eye(d, dtype=complex))
-    seen = {_key(start): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                v = _canonical_phase(g @ u)
-                k = _key(v)
-                if k not in seen:
-                    seen[k] = v
-                    nxt.append(v)
-        frontier = nxt
-    return tuple(CliffordElement(m=m, matrix=u) for u in seen.values())
+    orbit = clifford_orbit(np.eye(2**m, dtype=complex))
+    return tuple(CliffordElement(m=m, matrix=u) for level in orbit for u in level)
 
 
-def random_clifford(m: int, rng: np.random.Generator, depth: int = 50) -> CliffordElement:
-    """Uniform draw for m in {1, 2} (by index into the enumeration).
-
-    For m in {3, 4} the element is a composition of ``depth`` uniformly chosen
-    generators: a rapidly mixing random walk, approximately uniform but with
-    no exact-uniformity guarantee.
-    """
-    if m in (1, 2):
-        group = enumerate_cliffords(m)
-        return group[int(rng.integers(len(group)))]
-    if m in (3, 4):
-        gens = _generators(m)
-        u = np.eye(2**m, dtype=complex)
-        for _ in range(depth):
-            u = gens[int(rng.integers(len(gens)))] @ u
-        return CliffordElement(m=m, matrix=u)
-    raise InvalidInputError(f"random_clifford supports m <= 4, got {m}")
+def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
+    """Uniform draw for m in {1, 2}, by index into the enumeration."""
+    group = enumerate_cliffords(m)
+    return group[int(rng.integers(len(group)))]
 
 
 def conjugate_pauli(u: np.ndarray, label: str) -> tuple[complex, str]:

@@ -31,8 +31,8 @@ class PrivacyBudget:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise InvalidInputError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise InvalidInputError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise InvalidInputError(f"delta must be in [0, 1], got {self.delta}")
         object.__setattr__(self, "gamma", math.exp(self.epsilon))

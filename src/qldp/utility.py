@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import QuantumChannel, apply, batch_outputs
 from .errors import InvalidInputError
-from .privacy import PrivacyBudget, SearchConfig, optimal_depolarizing_p, refine_extremum
+from .privacy import PrivacyBudget, SearchConfig, refine_extremum
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,6 @@ def optimal_trace_utility(d: int, budget: PrivacyBudget) -> float:
     return (d - 1.0) * (1.0 - budget.delta) / (budget.gamma + d - 1.0)
 
 
-def postprocessed_fidelity_utility(d: int, budget: PrivacyBudget) -> float:
-    """Optimum when an arbitrary recovery channel may post-process the output.
-
-    Post-processing does not improve the optimum: the value coincides with
-    :func:`optimal_fidelity_utility` (identity recovery on the calibrated
-    depolarizing channel attains it).
-    """
-    return optimal_fidelity_utility(d, budget)
-
-
 def depolarizing_fidelity_utility(d: int, p: float) -> float:
     """Closed-form worst-case fidelity of the depolarizing channel: 1 - p(d-1)/d."""
     return 1.0 - p * (d - 1.0) / d
@@ -166,8 +156,3 @@ def curve_to_csv(rows) -> str:
     for eps, delta, f, t in rows:
         lines.append(f"{eps:.12g},{delta:.12g},{f:.12g},{t:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def calibrated_depolarizing_p(d: int, budget: PrivacyBudget) -> float:
-    """Noise level whose depolarizing channel attains the optimal utilities."""
-    return optimal_depolarizing_p(d, budget)

@@ -173,6 +173,42 @@ def test_shadows_infeasible_exits_3(tmp_path):
     assert rc == EXIT_REGIME
 
 
+@pytest.mark.parametrize("m, label, beta", [(3, "ZIZ:-1", "9"), (4, "XIZY", "17")])
+def test_shadows_command_runs_at_three_and_four_qubits(tmp_path, capsys, m, label, beta):
+    out = tmp_path / f"m{m}"
+    rc = main(["shadows", "--m", str(m), "--observable", label, "--state", "random-pure",
+               "--beta", beta, "--eta", "0.5", "--trials", "30", "--seed", "5",
+               "--output-dir", str(out)])
+    assert rc == EXIT_OK
+    header, rows = read_csv(out / "shadow_trials.csv")
+    assert len(rows) == 30
+    assert "coverage = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag", [("estimate", "--trials"), ("shadows", "--trials"),
+                                           ("estimate", "--n"), ("shadows", "--ell")])
+def test_zero_count_is_a_usage_error(tmp_path, command, flag):
+    rc = main([command, flag, "0", "--output-dir", str(tmp_path / "t")])
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_observable_file_without_rows_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "obs.txt"
+    path.write_text(text)
+    rc = main(["estimate", "--observable", f"file:{path}", "--output-dir", str(tmp_path / "e")])
+    assert rc == EXIT_USAGE
+    assert "no matrix rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_certify_rejects_non_finite_epsilon(capsys, epsilon):
+    rc = main(["certify", "--epsilon", epsilon])
+    assert rc == EXIT_USAGE
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_cost_report_values(capsys, tmp_path):
     rc = main(["cost-report", "--m-list", "1,3", "--output-dir", str(tmp_path / "cost")])
     assert rc == EXIT_OK

@@ -7,6 +7,7 @@ from qldp import qops
 from qldp.errors import DegenerateObservableError, InvalidInputError
 from qldp.pauli import (
     CliffordElement,
+    clifford_orbit,
     conjugate_pauli,
     decompose,
     enumerate_cliffords,
@@ -153,13 +154,28 @@ def test_random_clifford_uniform_modes():
     assert isinstance(c1, CliffordElement) and c1.matrix.shape == (2, 2)
     c2 = random_clifford(2, rng)
     assert c2.matrix.shape == (4, 4)
-    c3 = random_clifford(3, rng)
-    assert c3.matrix.shape == (8, 8)
-    assert is_clifford(c3.matrix, 3)
-    with pytest.raises(InvalidInputError):
-        random_clifford(5, rng)
+    for m in (3, 5):
+        with pytest.raises(InvalidInputError):
+            random_clifford(m, rng)
 
 
 def test_enumeration_rejects_large_m():
     with pytest.raises(InvalidInputError):
         enumerate_cliffords(3)
+
+
+@pytest.mark.parametrize("m, count", [(1, 6), (2, 60), (3, 1080), (4, 36720)])
+def test_stabilizer_state_orbit(m, count):
+    # 2^m prod_k (2^k + 1) states, and their projectors sum to (count / d) I
+    d = 2**m
+    zero = np.zeros((d, 1), dtype=complex)
+    zero[0, 0] = 1.0
+    states = np.concatenate([level[:, :, 0] for level in clifford_orbit(zero)])
+    assert states.shape == (count, d)
+    assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
+    frame = states.T @ states.conj()
+    assert np.abs(frame - count / d * np.eye(d)).max() < 1e-9
+    # phase-canonical (first nonzero amplitude real positive) and pairwise distinct
+    first = states[np.arange(count), (np.abs(states) > 1e-9).argmax(axis=1)]
+    assert np.abs(first - np.abs(first)).max() < 1e-12
+    assert len(np.unique(np.round(states, 9), axis=0)) == count

@@ -33,6 +33,12 @@ def test_budget_gamma_derivation():
         PrivacyBudget(1.0, 1.5)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_budget_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(InvalidInputError):
+        PrivacyBudget(epsilon)
+
+
 def test_optimal_p_examples():
     assert optimal_depolarizing_p(2, PrivacyBudget(0.0, 0.0)) == 1.0
     assert abs(optimal_depolarizing_p(2, PrivacyBudget(math.log(3), 0.0)) - 0.5) < 1e-12

@@ -10,6 +10,7 @@ from qldp.estimate import AccuracyDemand
 from qldp.pauli import enumerate_cliffords, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
+    _snapshot_tables,
     ShadowSample,
     clifford_unitary_group,
     composite_shadow_channel,
@@ -19,12 +20,9 @@ from qldp.shadows import (
     naive_shadow_required_samples,
     private_shadow_p_hat,
     run_shadow_trials,
-    samples_from_csv,
-    samples_to_csv,
     shadow_required_samples,
     shadow_sample,
     snapshot_inverse,
-    snapshots_to_csv,
 )
 
 Z = pauli_matrix("Z")
@@ -229,26 +227,69 @@ def test_run_shadow_trials_deterministic_and_accurate():
 def test_run_shadow_trials_validation():
     with pytest.raises(InvalidInputError):
         run_shadow_trials(ZERO, Z, 0.3, 100, 33, 2, seed=0)
+    with pytest.raises(InvalidInputError):
+        run_shadow_trials(np.eye(32) / 32, np.eye(32), 0.3, 100, 10, 2, seed=0)
     with pytest.raises(NoninvertibleError):
         run_shadow_trials(ZERO, Z, 1.0, 100, 10, 2, seed=0)
 
 
-def test_sample_serialization_roundtrip():
-    rng = np.random.default_rng(8)
-    samples = [shadow_sample(ZERO, 0.2, rng) for _ in range(6)]
-    text = samples_to_csv(samples)
-    back = samples_from_csv(text, 1)
-    for s, t in zip(samples, back):
-        assert s.index == t.index and s.bits == t.bits
-        assert np.array_equal(s.clifford.matrix, t.clifford.matrix)
+def joint_snapshot_table(rho, obs, p_hat, m):
+    """Oracle: (Clifford, outcome) probabilities and Tr[O rho_hat] over the enumerated group."""
+    d = 2**m
+    us = np.stack([c.matrix for c in enumerate_cliffords(m)])
+    rot = np.einsum("gij,jk,glk->gil", us, rho, us.conj())
+    probs = ((1.0 - p_hat) * np.einsum("gii->gi", rot).real + p_hat / d) / len(us)
+    x = (d + 1.0) / (1.0 - p_hat)
+    rot_obs = np.einsum("gij,jk,gik->gi", us, obs, us.conj()).real
+    vals = x * rot_obs - (x - 1.0) * np.trace(obs).real / d
+    return probs.ravel(), vals.ravel()
 
 
-def test_snapshot_csv_export():
-    snap = snapshot_inverse(ShadowSample(clifford=enumerate_cliffords(1)[0], bits="0"), 0.0, 2)
-    text = snapshots_to_csv([snap])
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("re_00,im_00")
-    assert len(lines) == 2
+def value_distribution(probs, vals):
+    """Distinct snapshot values (to 1e-9) and the probability mass on each."""
+    keys, inverse = np.unique(np.round(vals, 9), return_inverse=True)
+    return keys, np.bincount(inverse, weights=probs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_snapshot_table_matches_joint_clifford_table(m):
+    rng = np.random.default_rng(10 + m)
+    d = 2**m
+    for p_hat in (0.0, 0.4, 0.9):
+        rho = qops.random_density(d, 2, rng)
+        obs = qops.hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        for o in (obs, pauli_matrix("Z" * m)):
+            want = value_distribution(*joint_snapshot_table(rho, o, p_hat, m))
+            got = value_distribution(*_snapshot_tables(rho, o, p_hat, m))
+            assert np.array_equal(got[0], want[0])
+            assert np.abs(got[1] - want[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_snapshot_table_pauli_values_are_exact(m):
+    # A uniform Clifford maps a traceless Pauli P to a Z-type string with probability
+    # 1/(d+1); then the inverted value is +-x with P(+) = (1 + (1-p_hat) Tr[P rho])/2.
+    rng = np.random.default_rng(20 + m)
+    d = 2**m
+    rho = qops.random_density(d, d, rng)
+    p_hat = 0.35
+    x = (d + 1.0) / (1.0 - p_hat)
+    for label in ("X" * m, "Z" + "I" * (m - 1), ("YZ" * m)[:m]):
+        pauli = pauli_matrix(label)
+        probs, vals = _snapshot_tables(rho, pauli, p_hat, m)
+        assert abs(probs.sum() - 1.0) < 1e-12
+        assert np.abs(np.abs(vals) * (np.abs(vals) - x)).max() < 1e-9
+        t = (1.0 - p_hat) * np.trace(pauli @ rho).real
+        assert abs(probs[vals > x / 2].sum() - (1 + t) / (2 * (d + 1))) < 1e-12
+        assert abs(probs[vals < -x / 2].sum() - (1 - t) / (2 * (d + 1))) < 1e-12
+        assert abs(probs[np.abs(vals) < x / 2].sum() - d / (d + 1)) < 1e-12
+
+
+def test_run_shadow_trials_at_three_qubits():
+    rho = np.diag([0.5, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05]).astype(complex)
+    obs = pauli_matrix("ZII")
+    est = run_shadow_trials(rho, obs, 0.2, 6000, 1000, 4, seed=12)
+    assert np.abs(est - np.trace(obs @ rho).real).max() < 0.25
 
 
 def test_clifford_unitary_group_wrapper():

@@ -14,7 +14,6 @@ from qldp.utility import (
     fidelity_utility,
     optimal_fidelity_utility,
     optimal_trace_utility,
-    postprocessed_fidelity_utility,
     trace_utility,
     utility_curve,
     utility_report,
@@ -104,14 +103,6 @@ def test_optimum_attained_by_calibrated_depolarizing():
         p_star = optimal_depolarizing_p(d, b)
         assert abs(depolarizing_fidelity_utility(d, p_star) - optimal_fidelity_utility(d, b)) < 1e-12
         assert abs(depolarizing_trace_utility(d, p_star) - optimal_trace_utility(d, b)) < 1e-12
-
-
-def test_postprocessed_equals_plain_optimum():
-    for d in (2, 7):
-        for eps in (0.0, 1.0, 50.0):
-            for delta in (0.0, 0.3):
-                b = PrivacyBudget(eps, delta)
-                assert postprocessed_fidelity_utility(d, b) == optimal_fidelity_utility(d, b)
 
 
 def test_private_channels_respect_the_ceiling():
