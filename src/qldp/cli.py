@@ -3,7 +3,7 @@
 Subcommands: utility-curve, certify, estimate, shadows, cost-report, bounds.
 Options resolve as CLI flag > config file ("key = value" lines) > default.
 Exit codes: 0 success/satisfied, 1 violated/failed coverage, 2 usage error,
-3 out-of-regime parameters.
+3 out-of-regime parameters or too few trials for a coverage verdict.
 """
 
 from __future__ import annotations
@@ -152,28 +152,33 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     return out
 
 
-def parse_complex_matrix(lines, path: str, start_line: int, d: int) -> np.ndarray:
-    rows = []
-    for off, raw in enumerate(lines):
-        lineno = start_line + off
-        toks = raw.split()
+def _content_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line left nonblank once its '#' comment is cut."""
+    try:
+        raw = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(raw, start=1)]
+    return [(no, ln) for no, ln in lines if ln]
+
+
+def parse_complex_matrix(rows, d: int) -> np.ndarray:
+    """Matrix from (line number, text) rows of d complex literals; errors name the line."""
+    out = []
+    for lineno, text in rows:
+        toks = text.split()
         if len(toks) != d:
             raise ChannelParseError(lineno, f"expected {d} entries, got {len(toks)}")
         try:
-            rows.append([complex(t) for t in toks])
+            out.append([complex(t) for t in toks])
         except ValueError as exc:
             raise ChannelParseError(lineno, f"bad complex literal: {exc}") from exc
-    return np.array(rows, dtype=complex)
+    return np.array(out, dtype=complex)
 
 
 def load_kraus_file(path: str) -> QuantumChannel:
     """Text format: 'dims D_OUT D_IN' then blocks of 'kraus' + D_OUT rows of D_IN entries."""
-    try:
-        raw_lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    lines = [(i + 1, ln.split("#", 1)[0].strip()) for i, ln in enumerate(raw_lines)]
-    lines = [(no, ln) for no, ln in lines if ln]
+    lines = _content_lines(path)
     if not lines:
         raise ChannelParseError(1, "empty channel file")
     no, head = lines[0]
@@ -193,8 +198,7 @@ def load_kraus_file(path: str) -> QuantumChannel:
         block = lines[i + 1:i + 1 + d_out]
         if len(block) < d_out:
             raise ChannelParseError(no, f"kraus block needs {d_out} rows")
-        mat = parse_complex_matrix([b for _, b in block], path, block[0][0], d_in)
-        ops.append(mat)
+        ops.append(parse_complex_matrix(block, d_in))
         i += 1 + d_out
     if not ops:
         raise ChannelParseError(lines[-1][0], "no kraus blocks found")
@@ -217,19 +221,18 @@ def parse_observable(spec: str):
     """Returns (decomposition, matrix)."""
     if spec.startswith("file:"):
         path = spec[5:]
-        try:
-            raw = Path(path).read_text().splitlines()
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-        rows = [ln for ln in raw if ln.split("#", 1)[0].strip()]
+        rows = _content_lines(path)
         if not rows:
             raise InvalidInputError(f"observable file {path} has no matrix rows")
-        d = len(rows[0].split())
-        mat = parse_complex_matrix(rows, path, 1, d)
+        d = len(rows[0][1].split())
+        mat = parse_complex_matrix(rows, d)
         m = int(round(math.log2(d)))
         if 2**m != d:
             raise InvalidInputError(f"observable dimension {d} is not a power of two")
-        return decompose(mat, m), mat
+        try:
+            return decompose(mat, m), mat
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"observable file {path}: {exc}") from exc
     coeffs = {}
     for part in spec.split(","):
         part = part.strip()
@@ -273,8 +276,17 @@ def _prepare_outdir(path: str) -> Path:
     return out
 
 
-def _coverage_sigma(eta: float, trials: int) -> float:
-    return math.sqrt(eta * (1.0 - eta) / trials)
+def _coverage_verdict(coverage: float, eta: float, trials: int) -> tuple[str, int]:
+    """Coverage line and exit code from the 3-sigma gate 1 - eta - 3 sqrt(eta (1-eta)/trials).
+
+    A gate at or below 0 passes every run, so it gives no verdict.
+    """
+    threshold = 1.0 - eta - 3.0 * math.sqrt(eta * (1.0 - eta) / trials)
+    if threshold <= 0.0:
+        return (f"coverage = {coverage:.4f}  (insufficient trials for a coverage verdict)",
+                EXIT_REGIME)
+    code = EXIT_OK if coverage >= threshold else EXIT_VIOLATED
+    return f"coverage = {coverage:.4f}  (target >= {threshold:.4f})", code
 
 
 def _check_trials(trials: int) -> None:
@@ -367,13 +379,13 @@ def cmd_estimate(opts: dict) -> int:
     coverage = float(np.mean(errors <= demand.beta))
     (out / "estimate_trials.csv").write_text(
         est.trials_to_csv(estimates, n, true_value, demand.beta))
-    threshold = 1.0 - demand.eta - 3.0 * _coverage_sigma(demand.eta, opts["trials"])
+    verdict, code = _coverage_verdict(coverage, demand.eta, opts["trials"])
     print(f"n_upper = {n_upper}   n_lower = {n_lower_note}   n_used = {n}")
     print(f"true value = {true_value:.12g}")
-    print(f"coverage = {coverage:.4f}  (target >= {threshold:.4f})")
+    print(verdict)
     print(f"mean abs error = {errors.mean():.12g}")
     print(f"wrote {out / 'estimate_trials.csv'}")
-    return EXIT_OK if coverage >= threshold else EXIT_VIOLATED
+    return code
 
 
 def cmd_shadows(opts: dict) -> int:
@@ -407,13 +419,13 @@ def cmd_shadows(opts: dict) -> int:
     out = _prepare_outdir(opts["output_dir"])
     (out / "shadow_trials.csv").write_text(
         est.trials_to_csv(estimates, n, true_value, demand.beta))
-    threshold = 1.0 - demand.eta - 3.0 * _coverage_sigma(demand.eta, opts["trials"])
+    verdict, code = _coverage_verdict(coverage, demand.eta, opts["trials"])
     print(f"N = {n}   ell = {ell}   batches = {n // ell}")
     print(f"p_hat = {p_hat:.12g}   effective q = {shadows.effective_depolarizing_q(p_hat, d):.12g}")
     print(f"true value = {true_value:.12g}")
-    print(f"coverage = {coverage:.4f}  (target >= {threshold:.4f})")
+    print(verdict)
     print(f"wrote {out / 'shadow_trials.csv'}")
-    return EXIT_OK if coverage >= threshold else EXIT_VIOLATED
+    return code
 
 
 def cmd_cost_report(opts: dict) -> int:

@@ -2,7 +2,10 @@
 
 The mechanism releases, per input copy, a Pauli label drawn proportionally to
 the observable's coefficient magnitudes and one depolarized measurement bit.
-The estimator consumes those released records only; it never sees the state.
+The estimator consumes those released records only; it never sees the state,
+and it reads them only through the count in each (Pauli label, bit) cell, so
+Monte Carlo trials draw those counts from one multinomial instead of the
+records (:func:`_trial_estimates`, shared with the shadow trials).
 Sample-size calculators cover the achievable Hoeffding bound, the
 hypothesis-testing lower bound, its privacy-independent fidelity variant, and
 the generic private-testing bounds they derive from.  Out-of-regime
@@ -25,7 +28,7 @@ from .errors import (
     NoninvertibleError,
     OutOfRegimeError,
 )
-from .pauli import PauliDecomposition, sampling_distribution
+from .pauli import PauliDecomposition, pauli_matrix, sampling_distribution
 from .privacy import PrivacyBudget, qubit_depolarizing_q
 
 H0 = "H0"
@@ -40,9 +43,9 @@ class AccuracyDemand:
     eta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise InvalidInputError(f"beta must be > 0, got {self.beta}")
-        if not 0.0 < self.eta < 1.0:
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise InvalidInputError(f"beta must be finite and > 0, got {self.beta}")
+        if not (math.isfinite(self.eta) and 0.0 < self.eta < 1.0):
             raise InvalidInputError(f"eta must be in (0, 1), got {self.eta}")
 
 
@@ -86,8 +89,6 @@ def privatize_sample(rho: np.ndarray, decomp: PauliDecomposition, q: float,
     if rho.shape != (d, d):
         raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
     label = labels[rng.choice(len(labels), p=probs)]
-    from .pauli import pauli_matrix
-
     t = (1.0 + np.trace(pauli_matrix(label) @ rho).real) / 2.0  # Pr[outcome 0]
     y = 0 if rng.random() < t else 1
     if rng.random() < q / 2.0:
@@ -122,8 +123,6 @@ def simulate_privatized_batch(rho: np.ndarray, decomp: PauliDecomposition, q: fl
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"q must be in [0, 1], got {q}")
     labels, probs = sampling_distribution(decomp)
-    from .pauli import pauli_matrix
-
     t = np.array([0.5 + (1.0 - q) / 2.0 * np.trace(pauli_matrix(lab) @ rho).real
                   for lab in labels])
     idx = rng.choice(len(labels), size=n, p=probs)
@@ -151,8 +150,10 @@ def required_samples_upper(s_weight: float, budget: PrivacyBudget,
     denom = budget.gamma - 1.0 + 2.0 * budget.delta
     if denom <= 0:
         raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
-    v = 2.0 * s_weight**2 * (budget.gamma + 1.0) ** 2 / (demand.beta**2 * denom**2) \
-        * math.log(2.0 / demand.eta)
+    r = s_weight * (budget.gamma + 1.0) / (demand.beta * denom)
+    v = 2.0 * r * r * math.log(2.0 / demand.eta)
+    if not math.isfinite(v):
+        raise OutOfRegimeError(f"the Hoeffding sample size overflows a float (S = {s_weight:g})")
     return math.ceil(v)
 
 
@@ -287,24 +288,68 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
     return float((f0 - q / 2.0) / (1.0 - q)), n
 
 
+def _trial_estimates(cell_probs: np.ndarray, cell_vals: np.ndarray, n: int, ell: int,
+                     trials: int, seed: int) -> np.ndarray:
+    """Median-of-means estimates, one per trial, drawn exactly from per-cell laws.
+
+    A trial's n records fall in n // ell batches of ell, each record in cell c
+    with probability cell_probs[c] and value cell_vals[c]; a trial returns the
+    median over batches of the batch means.  A batch with at least as many
+    records as cells draws its per-cell counts from one multinomial (O(cells));
+    a smaller one draws its records' cells by inverse CDF (O(ell log cells)).
+    Both give the same law, so a trial costs O(n/ell * min(ell, cells)) time
+    and memory: never more than the n records, and independent of n when ell
+    is.  Each trial owns an RNG stream spawned from the master seed, so trials
+    are order-independent.
+    """
+    if n > np.iinfo(np.int64).max:
+        raise OutOfRegimeError(f"n = {n} records exceed the 2**63 - 1 a trial can count")
+    batches = n // ell
+    cum = np.cumsum(cell_probs)
+    cum[-1] = 1.0
+    out = np.empty(trials)
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(ss)
+        if ell < len(cell_probs):
+            idx = np.searchsorted(cum, rng.random((batches, ell)), side="right")
+            sums = cell_vals[idx].sum(axis=1)
+        else:
+            sums = rng.multinomial(ell, cell_probs, size=batches) @ cell_vals
+        sums.sort()  # median by hand: np.median costs ~20 us a call, most of a trial
+        out[i] = (sums[(batches - 1) // 2] + sums[batches // 2]) / 2.0 / ell
+    return out
+
+
 def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
                           budget: PrivacyBudget, demand: AccuracyDemand,
                           trials: int, seed: int, n: int | None = None) -> np.ndarray:
-    """Monte Carlo estimates, one per trial, each from a fresh record batch.
+    """Monte Carlo estimates, one per trial, each from n privatized records.
 
-    Each trial owns an RNG stream spawned from the master seed, so trials are
-    order-independent and safe to parallelize.
+    The estimate depends on the records only through the count in each of the
+    2k (Pauli label, bit) cells, so a trial draws those counts exactly from one
+    multinomial, in O(k) time and memory whatever n is; the record-level
+    :func:`simulate_privatized_batch` and :func:`estimate_from_batch` sample
+    the same law one record at a time.
     """
     if n is None:
         n = required_samples_upper(decomp.weight, budget, demand)
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
     q = qubit_depolarizing_q(budget)
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    out = np.empty(trials)
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        y, idx = simulate_privatized_batch(rho, decomp, q, n, rng)
-        out[i] = estimate_from_batch(y, idx, decomp, q)
-    return out
+    if q >= 1.0:
+        raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
+    d = 2**decomp.m
+    if rho.shape != (d, d):
+        raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
+    labels, probs = sampling_distribution(decomp)
+    # Pr[bit 0] = 1/2 + (1-q)/2 Tr[P rho]; the clip absorbs |Tr[P rho]| rounding
+    # just past 1, which would leave a cell with a probability of -1e-17.
+    t = np.clip([0.5 + (1.0 - q) / 2.0 * np.trace(pauli_matrix(lab) @ rho).real
+                 for lab in labels], 0.0, 1.0)
+    vals = decomp.weight / (1.0 - q) * np.array([math.copysign(1.0, decomp.coeffs[lab])
+                                                 for lab in labels])
+    cell_probs = np.concatenate([probs * t, probs * (1.0 - t)])
+    return _trial_estimates(cell_probs, np.concatenate([vals, -vals]), n, n, trials, seed)
 
 
 def trials_to_csv(estimates: np.ndarray, n: int, true_value: float, beta: float) -> str:

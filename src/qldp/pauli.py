@@ -106,6 +106,8 @@ def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
         if lab not in full:
             raise InvalidInputError(f"invalid Pauli label {lab!r}")
         full[lab] = float(a)
+        if not np.isfinite(full[lab]):
+            raise InvalidInputError(f"coefficient of {lab!r} is not finite: {a!r}")
     obs = np.zeros((2**m, 2**m), dtype=complex)
     for lab, a in full.items():
         if a != 0.0:

@@ -32,8 +32,10 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError("matrix has non-finite (NaN or inf) entries")
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
+    if not dev <= tol:
         raise InvalidInputError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return hermitize(a)
 

@@ -7,11 +7,15 @@ channel with q = 1 - (1 - p_hat)/(d + 1), which is what makes the linear
 snapshot inversion unbiased and pins the privacy calibration.
 
 The inverted snapshot depends on the Clifford U and outcome b only through
-the stabilizer state s = U^dag|b>, so :func:`run_shadow_trials` samples s
-from its exact distribution over the 2^m prod_k (2^k + 1) stabilizer states
-(6 / 60 / 1080 / 36720 for m = 1..4).  :func:`shadow_sample` and
-:func:`snapshot_inverse` draw and invert one (Clifford, outcome) record at
-a time for m <= 2, an independent path that tests compare against.
+the stabilizer state s = U^dag|b>, whose exact distribution over the
+2^m prod_k (2^k + 1) stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4)
+gives the law of the snapshot value Tr[O rho_hat].  A median-of-means batch
+reads its snapshots only through the count of each distinct value, so
+:func:`run_shadow_trials` draws those counts from one multinomial per batch
+(or, for a batch smaller than the number of values, its snapshots' values),
+in O(batches * min(ell, values)) time and memory.  :func:`shadow_sample`
+and :func:`snapshot_inverse` draw and invert one (Clifford, outcome) record
+at a time for m <= 2, an independent path that tests compare against.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from . import qops
 from .channels import FiniteUnitaryGroup, QuantumChannel, depolarizing
 from .errors import InfeasibleError, InvalidInputError, NoninvertibleError
-from .estimate import AccuracyDemand
+from .estimate import AccuracyDemand, _trial_estimates
 from .pauli import CliffordElement, clifford_orbit, enumerate_cliffords, random_clifford
 from .privacy import PrivacyBudget
 
@@ -166,18 +170,16 @@ def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudge
 
 
 def default_batch_count(n: int, eta: float) -> int:
-    """Divisor of n closest to max(1, floor(2 ln(2/eta))); ties take the smaller."""
+    """Divisor of n closest to max(1, floor(2 ln(2/eta))); ties take the smaller.
+
+    1 divides n and lies target - 1 away, so no divisor from 2 target on can
+    win: the search costs O(target), not O(sqrt(n)).
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     target = max(1, math.floor(2.0 * math.log(2.0 / eta)))
-    divisors = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            divisors.add(i)
-            divisors.add(n // i)
-        i += 1
-    return min(sorted(divisors), key=lambda k: (abs(k - target), k))
+    return min((k for k in range(1, 2 * target) if n % k == 0),
+               key=lambda k: (abs(k - target), k))
 
 
 def composite_shadow_channel(p_hat: float, m: int = 1) -> QuantumChannel:
@@ -230,8 +232,10 @@ def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
                       ell: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo median-of-means estimates, one per trial (m <= 4).
 
-    Samples stabilizer states from the exact snapshot distribution and
-    aggregates Tr[O rho_hat]; per-trial RNG streams spawn from the seed.
+    Merges the stabilizer states with bit-equal values Tr[O rho_hat] into
+    one cell each and draws every batch exactly from that cell law
+    (:func:`qldp.estimate._trial_estimates`), in O(n/ell * min(ell, cells))
+    time and memory.  Per-trial RNG streams spawn from the seed.
     """
     if p_hat >= 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")
@@ -239,16 +243,8 @@ def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
     m = int(round(math.log2(d)))
     if 2**m != d or not 1 <= m <= 4:
         raise InvalidInputError(f"shadow trials support m in 1..4, got dimension {d}")
-    if n % ell != 0:
+    if n < 1 or ell < 1 or n % ell != 0:
         raise InvalidInputError(f"batch size {ell} does not divide n={n}")
     probs, vals = _snapshot_tables(rho, obs, p_hat, m)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    out = np.empty(trials)
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        batches = vals[idx].reshape(n // ell, ell).mean(axis=1)
-        out[i] = np.median(batches)
-    return out
+    vals, cell = np.unique(vals, return_inverse=True)
+    return _trial_estimates(np.bincount(cell, weights=probs), vals, n, ell, trials, seed)

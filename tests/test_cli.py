@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qldp
 from qldp.cli import (
     EXIT_OK,
     EXIT_REGIME,
@@ -297,3 +302,86 @@ def test_seed_env_default(tmp_path, monkeypatch, capsys):
     assert main(base + ["--output-dir", str(out1)]) == EXIT_OK
     assert main(base + ["--output-dir", str(out2)]) == EXIT_OK
     assert (out1 / "estimate_trials.csv").read_bytes() == (out2 / "estimate_trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--observable", "Z:inf"], "coefficient of 'Z' is not finite"),
+    (["--observable", "Z:nan"], "coefficient of 'Z' is not finite"),
+    (["--observable", "Z:1,X:-inf"], "coefficient of 'X' is not finite"),
+    (["--beta", "nan"], "beta must be finite"),
+    (["--beta", "inf"], "beta must be finite"),
+    (["--eta", "nan"], "eta must be in (0, 1)"),
+])
+def test_estimate_rejects_non_finite_inputs(tmp_path, capsys, flags, message):
+    rc = main(["estimate", *flags, "--trials", "3", "--output-dir", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--observable", "Z:1e200"], "sample size overflows a float"),
+    (["estimate", "--observable", "Z:1e10", "--beta", "0.01"], "exceed the 2**63 - 1"),
+    (["shadows", "--m", "1", "--observable", "Z:1e10", "--beta", "0.0001"],
+     "exceed the 2**63 - 1"),
+])
+def test_sample_sizes_beyond_int64_are_out_of_regime(tmp_path, capsys, argv, message):
+    rc = main([*argv, "--trials", "3", "--output-dir", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "nan+1j"])
+def test_estimate_rejects_non_finite_observable_file(tmp_path, capsys, entry):
+    path = tmp_path / "obs.txt"
+    path.write_text(f"1 0\n0 {entry}\n")
+    rc = main(["estimate", "--observable", f"file:{path}", "--trials", "3",
+               "--output-dir", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert str(path) in err and "non-finite" in err and "Traceback" not in err
+
+
+def test_observable_file_comments_and_line_numbers(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_text("# Pauli Z\n1 0  # first row\n\n0 -1  # second row\n")
+    dec, obs = parse_observable(f"file:{path}")
+    assert np.array_equal(obs, np.diag([1.0, -1.0]).astype(complex))
+    assert dec.coeffs["Z"] == 1.0
+    path.write_text("# header\n\n1 0\n0 oops\n")
+    with pytest.raises(ChannelParseError, match="line 4"):
+        parse_observable(f"file:{path}")
+    path.write_text("# header\n1 0\n0 1 1\n")
+    with pytest.raises(ChannelParseError, match="line 3"):
+        parse_observable(f"file:{path}")
+
+
+def test_kraus_file_comments_inside_a_block(tmp_path):
+    path = tmp_path / "ch.txt"
+    path.write_text("dims 2 2\nkraus  # identity\n1 0  # row 0\n# row 1 follows\n0 1\n")
+    ch = load_kraus_file(str(path))
+    assert np.array_equal(ch.kraus[0], np.eye(2))
+    path.write_text("dims 2 2\nkraus\n1 0\n# row 1 follows\n0 oops\n")
+    with pytest.raises(ChannelParseError, match="line 5"):
+        load_kraus_file(str(path))
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--eta", "0.5"], ["shadows"]])
+def test_too_few_trials_give_no_coverage_verdict(tmp_path, capsys, argv):
+    # one trial: 1 - eta - 3 sqrt(eta (1 - eta)) <= 0 at eta = 0.5 and at the shadows default 0.1
+    rc = main([*argv, "--trials", "1", "--output-dir", str(tmp_path / "t")])
+    out = capsys.readouterr().out
+    assert rc == EXIT_REGIME
+    assert "insufficient trials for a coverage verdict" in out
+    assert "target" not in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(qldp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qldp", "estimate", "--epsilon", "0",
+                           "--output-dir", str(tmp_path / "e")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_REGIME
+    assert "out of regime" in proc.stderr and "Traceback" not in proc.stderr

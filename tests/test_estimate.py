@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qldp.estimate import (
     H1,
     AccuracyDemand,
     PrivatizedSample,
+    _trial_estimates,
     build_qht_reduction,
     estimate_expectation,
     estimate_from_batch,
@@ -37,24 +40,27 @@ Z = pauli_matrix("Z")
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 
 
-def exact_estimator_expectation(rho, decomp, q):
-    """Oracle: enumerate every (Pauli, bit) outcome with its exact probability.
+def record_cells(rho, decomp, q):
+    """Oracle: probability and estimator value of each (Pauli, bit) record.
 
     Uses the measure-then-flip formulation, independent of the sampler's
     folded outcome probabilities.
     """
     s = decomp.weight
-    total = 0.0
+    cells = []
     for lab, a in decomp.coeffs.items():
         if a == 0.0:
             continue
-        p_label = abs(a) / s
         t = (1.0 + np.trace(pauli_matrix(lab) @ rho).real) / 2.0
         pr0 = t * (1.0 - q / 2.0) + (1.0 - t) * (q / 2.0)
         for y, pry in ((0, pr0), (1, 1.0 - pr0)):
-            z = s / (1.0 - q) * math.copysign(1.0, a) * (1.0 - 2.0 * y)
-            total += p_label * pry * z
-    return total
+            cells.append((abs(a) / s * pry, s / (1.0 - q) * math.copysign(1.0, a) * (1.0 - 2.0 * y)))
+    return cells
+
+
+def exact_estimator_expectation(rho, decomp, q):
+    """Oracle: the estimator's mean, enumerating every (Pauli, bit) outcome."""
+    return sum(p * z for p, z in record_cells(rho, decomp, q))
 
 
 def test_privatize_noiseless_z_on_zero_state():
@@ -322,6 +328,18 @@ def test_trials_are_seed_deterministic():
     assert np.array_equal(a, bb)
 
 
+def test_trials_reject_bad_record_count_and_state():
+    dec = decompose(Z, 1)
+    b = PrivacyBudget(1.0, 0.0)
+    dem = AccuracyDemand(0.1, 0.05)
+    with pytest.raises(InvalidInputError):
+        run_estimation_trials(ZERO, dec, b, dem, 2, seed=0, n=0)
+    with pytest.raises(InvalidInputError):
+        run_estimation_trials(np.eye(4) / 4, dec, b, dem, 2, seed=0, n=10)
+    with pytest.raises(NoninvertibleError):
+        run_estimation_trials(ZERO, dec, PrivacyBudget(0.0, 0.0), dem, 2, seed=0, n=10)
+
+
 def test_trials_csv_schema():
     text = trials_to_csv(np.array([0.95, 1.2]), 100, 1.0, 0.1)
     lines = text.strip().splitlines()
@@ -335,3 +353,96 @@ def test_accuracy_demand_validation():
         AccuracyDemand(0.0, 0.1)
     with pytest.raises(InvalidInputError):
         AccuracyDemand(0.1, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="beta"):
+            AccuracyDemand(bad, 0.1)
+        with pytest.raises(InvalidInputError, match="eta"):
+            AccuracyDemand(0.1, bad)
+
+
+def test_trial_law_is_exact_at_two_records():
+    # n = 2: the estimate is the mean of two independent records, so its law is
+    # the sum over ordered record pairs, i.e. the multinomial(2) pmf over cells.
+    dec = from_coeffs({"X": 1.0, "Z": -0.5})
+    rho = qops.random_density(2, 2, np.random.default_rng(31))
+    b = PrivacyBudget(1.0, 0.0)
+    q = 2.0 / (math.e + 1.0)
+    law = {}
+    for (p1, z1), (p2, z2) in itertools.product(record_cells(rho, dec, q), repeat=2):
+        key = round((z1 + z2) / 2.0, 9)
+        law[key] = law.get(key, 0.0) + p1 * p2
+    trials = 20_000
+    ests = run_estimation_trials(rho, dec, b, AccuracyDemand(0.1, 0.05), trials, seed=32, n=2)
+    keys, counts = np.unique(np.round(ests, 9), return_counts=True)
+    assert set(keys) <= set(law)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    for key, p in law.items():
+        freq = counts[keys == key].sum() / trials
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / trials) + 1e-12
+
+
+def test_count_kernel_matches_record_oracle_in_mean_and_variance():
+    dec = from_coeffs({"XZ": 0.7, "ZI": -0.4, "YY": 0.2})
+    rho = qops.random_density(4, 4, np.random.default_rng(33))
+    b = PrivacyBudget(0.8, 0.0)
+    q = 2.0 / (math.exp(0.8) + 1.0)
+    n, trials = 40, 4000
+    fast = run_estimation_trials(rho, dec, b, AccuracyDemand(0.1, 0.05), trials, seed=34, n=n)
+    rng = np.random.default_rng(35)
+    slow = np.array([estimate_from_batch(*simulate_privatized_batch(rho, dec, q, n, rng), dec, q)
+                     for _ in range(trials)])
+    v_fast, v_slow = fast.var(ddof=1), slow.var(ddof=1)
+    z = (fast.mean() - slow.mean()) / math.sqrt((v_fast + v_slow) / trials)
+    assert abs(z) < 4.5
+    # log of the variance ratio has standard deviation close to sqrt(4/(trials-1))
+    assert abs(math.log(v_fast / v_slow)) < 5 * math.sqrt(4.0 / (trials - 1))
+
+
+def traced_peak_mb(fn):
+    """(fn(), peak bytes allocated while it ran, in MB), numpy buffers included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_trials_at_a_billion_records_cost_no_memory_in_n():
+    dec = from_coeffs({"Z": 1.0, "X": 0.5})
+    rho = np.diag([0.8, 0.2]).astype(complex)
+    ests, peak = traced_peak_mb(lambda: run_estimation_trials(
+        rho, dec, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.05), 3, seed=36, n=10**9))
+    assert peak < 32.0  # n records as float64 would take 8000 MB
+    assert np.all(np.isfinite(ests)) and np.abs(ests - 0.6).max() < 1e-3
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_kernel_law_is_exact_on_both_sides_of_the_cell_count(ell):
+    # One batch of ell records over 4 cells (one of them empty): ell = 3 draws
+    # the records' cells, ell = 4 draws the per-cell counts; both must give the
+    # law of the mean of ell independent records.
+    probs = np.array([0.5, 0.0, 0.3, 0.2])
+    vals = np.array([1.0, 100.0, 2.0, 4.0])
+    law = {}
+    for cells in itertools.product([0, 2, 3], repeat=ell):
+        key = round(sum(vals[c] for c in cells) / ell, 9)
+        law[key] = law.get(key, 0.0) + math.prod(probs[c] for c in cells)
+    trials = 20_000
+    ests = _trial_estimates(probs, vals, ell, ell, trials, seed=38)
+    keys, counts = np.unique(np.round(ests, 9), return_counts=True)
+    assert set(keys) <= set(law)
+    for key, p in law.items():
+        freq = counts[keys == key].sum() / trials
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / trials) + 1e-12
+
+
+@pytest.mark.parametrize("rho", [ZERO, np.diag([1.0 + 1e-12, 0.0]).astype(complex)])
+def test_trials_at_unit_expectation_without_noise(rho):
+    # delta = 1 gives q = 0, so Pr[bit 0] = 1/2 + Tr[P rho]/2 reaches 1, and passes
+    # it for a state whose trace is off by rounding (the CLI admits 1e-9); no cell
+    # may get a negative probability.
+    b = PrivacyBudget(1.0, 1.0)
+    for obs in ({"Z": 1.0}, {"Z": -1.0}):
+        ests = run_estimation_trials(rho, from_coeffs(obs), b, AccuracyDemand(0.1, 0.05),
+                                     5, seed=37, n=100)
+        assert np.all(ests == obs["Z"])

@@ -79,6 +79,12 @@ def test_from_coeffs_matches_decompose():
         assert abs(dec.coeffs[lab] - redec.coeffs[lab]) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_from_coeffs_rejects_non_finite_coefficients(bad):
+    with pytest.raises(InvalidInputError, match="'ZZ' is not finite"):
+        from_coeffs({"XI": 0.5, "ZZ": bad})
+
+
 def test_decompose_rejects_wrong_shape():
     with pytest.raises(InvalidInputError):
         decompose(np.eye(3, dtype=complex), 1)

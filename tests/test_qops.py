@@ -35,6 +35,15 @@ def test_positive_part_rejects_non_hermitian():
         qops.positive_part(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_check_hermitian_rejects_non_finite_entries(bad):
+    for i, j in ((0, 0), (0, 1)):
+        a = np.eye(2, dtype=complex)
+        a[i, j] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            qops.check_hermitian(a)
+
+
 def test_trace_distance_basics():
     rng = np.random.default_rng(2)
     rho = qops.random_density(3, 2, rng)

@@ -7,6 +7,7 @@ from qldp import qops
 from qldp.channels import depolarizing
 from qldp.errors import InfeasibleError, InvalidInputError, NoninvertibleError
 from qldp.estimate import AccuracyDemand
+from test_estimate import traced_peak_mb
 from qldp.pauli import enumerate_cliffords, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
@@ -215,6 +216,18 @@ def test_default_batch_count():
     assert default_batch_count(1, 0.5) == 1
 
 
+def test_default_batch_count_matches_all_divisors_and_ignores_n_size():
+    for eta in (0.5, 0.1, 0.01, 1e-6):
+        target = max(1, math.floor(2.0 * math.log(2.0 / eta)))
+        for n in range(1, 600):
+            divisors = [k for k in range(1, n + 1) if n % k == 0]
+            want = min(divisors, key=lambda k: (abs(k - target), k))
+            assert default_batch_count(n, eta) == want
+    # trial division up to sqrt(n) would not finish on these
+    assert default_batch_count(2**61 - 1, 0.05) == 1  # a Mersenne prime
+    assert default_batch_count(10**30, 0.05) == 8
+
+
 def test_run_shadow_trials_deterministic_and_accurate():
     p_hat = 0.3
     a = run_shadow_trials(ZERO, Z, p_hat, 1200, 300, 8, seed=6)
@@ -227,6 +240,9 @@ def test_run_shadow_trials_deterministic_and_accurate():
 def test_run_shadow_trials_validation():
     with pytest.raises(InvalidInputError):
         run_shadow_trials(ZERO, Z, 0.3, 100, 33, 2, seed=0)
+    for n, ell in ((100, 0), (0, 1)):
+        with pytest.raises(InvalidInputError):
+            run_shadow_trials(ZERO, Z, 0.3, n, ell, 2, seed=0)
     with pytest.raises(InvalidInputError):
         run_shadow_trials(np.eye(32) / 32, np.eye(32), 0.3, 100, 10, 2, seed=0)
     with pytest.raises(NoninvertibleError):
@@ -306,3 +322,37 @@ def test_shadow_config_validation():
         ShadowConfig(p_hat=1.0, ell=1, n_batches=1)
     with pytest.raises(InvalidInputError):
         ShadowConfig(p_hat=0.5, ell=0, n_batches=1)
+
+
+def test_single_snapshot_trials_follow_the_grouped_table():
+    # ell = n = 1: each trial is one snapshot value, drawn from the merged cells.
+    rng = np.random.default_rng(40)
+    rho = qops.random_density(4, 2, rng)
+    obs = qops.hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    keys, mass = value_distribution(*_snapshot_tables(rho, obs, 0.3, 2))
+    trials = 20_000
+    ests = run_shadow_trials(rho, obs, 0.3, 1, 1, trials, seed=41)
+    got, counts = np.unique(np.round(ests, 9), return_counts=True)
+    assert set(got) <= set(keys)
+    for key, p in zip(keys, mass):
+        freq = counts[got == key].sum() / trials
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / trials) + 1e-12
+
+
+def test_shadow_trials_at_a_billion_snapshots_cost_no_memory_in_n():
+    ests, peak = traced_peak_mb(lambda: run_shadow_trials(ZERO, Z, 0.3, 10**9, 10**8, 3, seed=42))
+    assert peak < 32.0  # n records as float64 would take 8000 MB
+    assert np.all(np.isfinite(ests)) and np.abs(ests - 1.0).max() < 1e-2
+
+
+def test_single_snapshot_batches_cost_no_more_than_the_snapshots():
+    # ell = 1 with a dense 3-qubit observable: 20 000 batches over 1080 distinct
+    # values.  Per-batch counts would take 20 000 x 1080 x 8 B = 173 MB; drawing
+    # the snapshots' values takes O(N).
+    rng = np.random.default_rng(43)
+    rho = qops.random_density(8, 8, rng)
+    obs = qops.hermitize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    assert len(np.unique(_snapshot_tables(rho, obs, 0.3, 3)[1])) == 1080
+    ests, peak = traced_peak_mb(lambda: run_shadow_trials(rho, obs, 0.3, 20_000, 1, 3, seed=44))
+    assert peak < 32.0
+    assert np.all(np.isfinite(ests))
