@@ -69,7 +69,6 @@ from .qops import (
     trace_distance,
 )
 from .shadows import (
-    ShadowConfig,
     ShadowSample,
     effective_depolarizing_q,
     median_of_means_estimate,
@@ -80,10 +79,8 @@ from .shadows import (
 )
 from .utility import (
     UtilityReport,
-    fidelity_utility,
     optimal_fidelity_utility,
     optimal_trace_utility,
-    trace_utility,
     utility_curve,
     utility_report,
 )

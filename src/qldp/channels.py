@@ -73,17 +73,25 @@ class QuantumChannel:
         return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, n_kraus={len(self.kraus)})"
 
 
+def _check_unitary(u) -> np.ndarray:
+    """Validate a finite square unitary (U^dag U = I within UNITARY_TOL) and return it."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidInputError("matrix has non-finite (NaN or inf) entries")
+    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if not dev <= UNITARY_TOL:
+        raise InvalidInputError(f"matrix is not unitary (max deviation {dev:.3e})")
+    return u
+
+
 @dataclass(frozen=True)
 class FiniteUnitaryGroup:
-    """A finite set of unitaries used for exact twirling.
-
-    ``exact`` flags sets that are verified closed under multiplication up to
-    global phase (e.g. enumerated Clifford groups).
-    """
+    """A finite set of unitaries used for exact twirling."""
 
     dim: int
     elements: list = field(repr=False)
-    exact: bool = False
 
     def __post_init__(self):
         if not self.elements:
@@ -91,9 +99,7 @@ class FiniteUnitaryGroup:
         for u in self.elements:
             if u.shape != (self.dim, self.dim):
                 raise InvalidInputError(f"element shape {u.shape} does not match dim {self.dim}")
-            dev = np.abs(u.conj().T @ u - np.eye(self.dim)).max()
-            if dev > UNITARY_TOL:
-                raise InvalidInputError(f"group element is not unitary (max deviation {dev:.3e})")
+            _check_unitary(u)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -177,21 +183,14 @@ def replacement_channel(sigma: np.ndarray) -> QuantumChannel:
 
 def unitary_conjugate(u: np.ndarray) -> QuantumChannel:
     """The unitary channel rho -> U rho U^dag."""
-    u = np.asarray(u, dtype=complex)
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > UNITARY_TOL:
-        raise InvalidInputError(f"matrix is not unitary (max deviation {dev:.3e})")
-    return QuantumChannel(u[None, :, :])
+    return QuantumChannel(_check_unitary(u)[None, :, :])
 
 
 def conjugated_channel(ch: QuantumChannel, u: np.ndarray) -> QuantumChannel:
     """Frame change rho -> U^dag N(U rho U^dag) U; Kraus operators U^dag K_k U."""
-    u = np.asarray(u, dtype=complex)
+    u = _check_unitary(u)
     if ch.dim_in != ch.dim_out or u.shape != (ch.dim_in, ch.dim_in):
         raise InvalidInputError("conjugation needs a square channel and a matching unitary")
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > UNITARY_TOL:
-        raise InvalidInputError(f"matrix is not unitary (max deviation {dev:.3e})")
     return QuantumChannel(np.einsum("ij,kjl,lm->kim", u.conj().T, ch.kraus, u))
 
 

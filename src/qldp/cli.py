@@ -247,6 +247,11 @@ def parse_observable(spec: str):
     return decomp, decomp.reconstruct()
 
 
+def _trace_square(decomp) -> float:
+    """Tr[O^2] = 2^m sum_P alpha_P^2; past the float range it is inf, with no warning."""
+    return 2**decomp.m * sum(a * a for a in decomp.coeffs.values())
+
+
 def parse_state(spec: str, d: int, rng: np.random.Generator) -> np.ndarray:
     if spec == "zero":
         rho = np.zeros((d, d), dtype=complex)
@@ -404,7 +409,7 @@ def cmd_shadows(opts: dict) -> int:
     p_hat = shadows.private_shadow_p_hat(d, budget)
     if p_hat >= 1.0:
         raise InfeasibleError("epsilon = 0 and delta = 0 force p_hat = 1; snapshots carry no signal")
-    tr_sq = float(np.trace(obs @ obs).real)
+    tr_sq = _trace_square(decomp)
     n = shadows.shadow_required_samples(tr_sq, d, budget, demand)
     if opts["ell"] is not None:
         ell = opts["ell"]
@@ -451,9 +456,9 @@ def cmd_cost_report(opts: dict) -> int:
 
 
 def cmd_bounds(opts: dict) -> int:
-    decomp, obs = parse_observable(opts["observable"])
+    decomp, _ = parse_observable(opts["observable"])
     d = 2**decomp.m
-    tr_sq = float(np.trace(obs @ obs).real)
+    tr_sq = _trace_square(decomp)
     eta = opts["eta"]
     delta = opts["delta"]
     rows = []

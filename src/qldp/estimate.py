@@ -28,7 +28,13 @@ from .errors import (
     NoninvertibleError,
     OutOfRegimeError,
 )
-from .pauli import PauliDecomposition, pauli_matrix, sampling_distribution
+from .pauli import (
+    PauliDecomposition,
+    pauli_coefficients,
+    pauli_labels,
+    pauli_matrix,
+    sampling_distribution,
+)
 from .privacy import PrivacyBudget, qubit_depolarizing_q
 
 H0 = "H0"
@@ -141,6 +147,13 @@ def estimate_from_batch(y: np.ndarray, idx: np.ndarray, decomp: PauliDecompositi
     return float(scale * np.mean(signs[idx] * (1.0 - 2.0 * y)))
 
 
+def sample_count(v: float, source: str) -> int:
+    """ceil(v) for a sample-size formula; a size that overflows a float is out of regime."""
+    if not math.isfinite(v):
+        raise OutOfRegimeError(f"the sample size overflows a float ({source})")
+    return math.ceil(v)
+
+
 def required_samples_upper(s_weight: float, budget: PrivacyBudget,
                            demand: AccuracyDemand) -> int:
     """Hoeffding sample size sufficient for the Pauli-sampling mechanism.
@@ -152,9 +165,7 @@ def required_samples_upper(s_weight: float, budget: PrivacyBudget,
         raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
     r = s_weight * (budget.gamma + 1.0) / (demand.beta * denom)
     v = 2.0 * r * r * math.log(2.0 / demand.eta)
-    if not math.isfinite(v):
-        raise OutOfRegimeError(f"the Hoeffding sample size overflows a float (S = {s_weight:g})")
-    return math.ceil(v)
+    return sample_count(v, f"Hoeffding bound, S = {s_weight:g}")
 
 
 def required_samples_lower(lmax: float, lmin: float, budget: PrivacyBudget,
@@ -178,7 +189,7 @@ def required_samples_lower(lmax: float, lmin: float, budget: PrivacyBudget,
     e = budget.gamma
     v = math.log(1.0 / (4.0 * demand.eta * (1.0 - demand.eta))) * e * gap**2 \
         / (32.0 * (e - 1.0) ** 2 * demand.beta**2)
-    return math.ceil(v)
+    return sample_count(v, "testing lower bound")
 
 
 def fidelity_lower_bound(lmax: float, lmin: float, demand: AccuracyDemand) -> int:
@@ -195,8 +206,10 @@ def fidelity_lower_bound(lmax: float, lmin: float, demand: AccuracyDemand) -> in
             f"beta must be < (lambda_max - lambda_min)/2; alpha' = {alpha_prime} makes the states distinguishable")
     if not 0.0 < demand.eta < 0.25:
         raise OutOfRegimeError(f"eta must lie in (0, 1/4), got {demand.eta}")
-    v = math.log(4.0 * demand.eta * (1.0 - demand.eta)) / math.log(1.0 - 4.0 * alpha_prime**2)
-    return math.ceil(v)
+    # log1p: at alpha' below ~1e-8, 1 - 4 alpha'^2 rounds to 1 and log() would return 0
+    den = math.log1p(-4.0 * alpha_prime**2)
+    v = math.log(4.0 * demand.eta * (1.0 - demand.eta)) / den if den else math.inf
+    return sample_count(v, "fidelity lower bound")
 
 
 def qht_sample_bounds(trace_dist: float, eps: float, p: float, alpha: float) -> QhtBounds:
@@ -224,7 +237,8 @@ def qht_sample_bounds(trace_dist: float, eps: float, p: float, alpha: float) -> 
         (1.0 - alpha * (1.0 - alpha) / (p * q)) * (e + 1.0) / (2.0 * (math.exp(eps / 2.0) - 1.0) ** 2),
     )
     lower = max(c_const / t, log_ratio * e / (2.0 * (e - 1.0) ** 2 * t**2))
-    upper = float(math.ceil(2.0 * math.log(math.sqrt(p * q) / alpha) * ((e + 1.0) / ((e - 1.0) * t)) ** 2))
+    upper = float(sample_count(2.0 * math.log(math.sqrt(p * q) / alpha)
+                               * ((e + 1.0) / ((e - 1.0) * t)) ** 2, "private-testing upper bound"))
     return QhtBounds(lower=lower, upper=upper, c_const=c_const)
 
 
@@ -279,8 +293,8 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
     denom = budget.gamma - 1.0 + 2.0 * budget.delta
     if denom <= 0:
         raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
-    n = math.ceil(2.0 * (budget.gamma + 1.0) ** 2 / (demand.beta**2 * denom**2)
-                  * math.log(2.0 / demand.eta))
+    n = sample_count(2.0 * (budget.gamma + 1.0) ** 2 / (demand.beta**2 * denom**2)
+                     * math.log(2.0 / demand.eta), "measurement-operator bound")
     q = qubit_depolarizing_q(budget)
     t = float(np.trace(obs @ rho).real)
     p0 = q / 2.0 + t * (1.0 - q)
@@ -342,10 +356,10 @@ def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
     if rho.shape != (d, d):
         raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
     labels, probs = sampling_distribution(decomp)
+    tr = dict(zip(pauli_labels(decomp.m), d * pauli_coefficients(rho, decomp.m).real))
     # Pr[bit 0] = 1/2 + (1-q)/2 Tr[P rho]; the clip absorbs |Tr[P rho]| rounding
     # just past 1, which would leave a cell with a probability of -1e-17.
-    t = np.clip([0.5 + (1.0 - q) / 2.0 * np.trace(pauli_matrix(lab) @ rho).real
-                 for lab in labels], 0.0, 1.0)
+    t = np.clip([0.5 + (1.0 - q) / 2.0 * tr[lab] for lab in labels], 0.0, 1.0)
     vals = decomp.weight / (1.0 - q) * np.array([math.copysign(1.0, decomp.coeffs[lab])
                                                  for lab in labels])
     cell_probs = np.concatenate([probs * t, probs * (1.0 - t)])

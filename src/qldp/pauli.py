@@ -1,12 +1,14 @@
 """Pauli strings, observable decompositions, and Clifford group access.
 
 Pauli labels are plain strings over {I, X, Y, Z} ("XZ" means X tensor Z).
-Clifford elements are dense unitaries.  :func:`clifford_orbit` closes a
-Clifford matrix or a stabilizer state under the generators {H_i, S_i, CZ_ij},
-deduplicating by an exact per-entry phase code; from the identity it
-enumerates the group up to global phase (m in {1, 2}, where
-:func:`random_clifford` draws uniformly from it), and from |0...0> it
-enumerates the 2^m prod_k (2^k + 1) stabilizer states for any m.
+A matrix converts to its 4^m coefficients Tr[P A]/2^m and back through one
+transform pair, :func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4
+product per qubit.  Clifford elements are dense unitaries.
+:func:`clifford_orbit` closes a Clifford matrix or a stabilizer state under
+the generators {H_i, S_i, CZ_ij}, deduplicating by an exact per-entry phase
+code; from the identity it enumerates the group up to global phase (m in
+{1, 2}, where :func:`random_clifford` draws uniformly from it), and from
+|0...0> it enumerates the 2^m prod_k (2^k + 1) stabilizer states for any m.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ PAULI_1Q = {
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def pauli_labels(m: int) -> list[str]:
@@ -43,10 +44,47 @@ def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Pauli matrices for a label like "XZI"."""
     if not label or any(c not in PAULI_1Q for c in label):
         raise InvalidInputError(f"invalid Pauli label {label!r}")
-    out = PAULI_1Q[label[0]]
-    for c in label[1:]:
-        out = np.kron(out, PAULI_1Q[c])
-    return out
+    return functools.reduce(np.kron, [PAULI_1Q[c] for c in label])
+
+
+# One qubit's (row bit i, column bit j) pair is the base-4 digit 2i + j.  Row p
+# of _TO_PAULI holds P_p[j, i] / 2, so it maps a digit's entries to Tr[P_p A]/2;
+# column p of _FROM_PAULI holds P_p[i, j], so it maps coefficients back.
+_PAULI_STACK = np.stack([PAULI_1Q[c] for c in "IXYZ"])
+_TO_PAULI = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4) / 2
+_FROM_PAULI = _PAULI_STACK.reshape(4, 4).T
+
+
+def _per_qubit(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """Apply the 4x4 matrix t to each of the m base-4 digits of x's index.
+
+    Each product acts on the leading digit and the transpose moves it last,
+    so after m products the digits are back in order: O(m 4^m) in all.
+    """
+    for _ in range(m):
+        x = (t @ x.reshape(4, -1)).T
+    return x.ravel()
+
+
+def pauli_coefficients(a: np.ndarray, m: int) -> np.ndarray:
+    """Tr[P A] / 2^m for every P in :func:`pauli_labels` order, any 2^m x 2^m A.
+
+    Reorders A's indices to one (row bit, column bit) digit per qubit and
+    applies one 4x4 product per qubit, O(m 4^m) instead of 4^m dense products.
+    """
+    a = np.asarray(a, dtype=complex)
+    d = 2**m
+    if a.shape != (d, d):
+        raise InvalidInputError(f"matrix shape {a.shape} does not match m={m} (need {d}x{d})")
+    digits = np.arange(2 * m).reshape(2, m).T.ravel()  # (i_1, j_1, i_2, j_2, ...)
+    return _per_qubit(_TO_PAULI, a.reshape((2,) * (2 * m)).transpose(digits), m)
+
+
+def pauli_sum(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """sum_P coeffs[P] P over :func:`pauli_labels` order; inverse of :func:`pauli_coefficients`."""
+    x = _per_qubit(_FROM_PAULI, np.asarray(coeffs, dtype=complex), m)
+    rows_then_cols = np.arange(2 * m).reshape(m, 2).T.ravel()
+    return x.reshape((2,) * (2 * m)).transpose(rows_then_cols).reshape(2**m, 2**m)
 
 
 @dataclass(frozen=True)
@@ -60,37 +98,29 @@ class PauliDecomposition:
     lambda_min: float
 
     def reconstruct(self) -> np.ndarray:
-        d = 2**self.m
-        out = np.zeros((d, d), dtype=complex)
-        for label, a in self.coeffs.items():
-            if a != 0.0:
-                out += a * pauli_matrix(label)
-        return out
+        return pauli_sum([self.coeffs.get(lab, 0.0) for lab in pauli_labels(self.m)], self.m)
 
     def support(self) -> list[str]:
         return [lab for lab, a in self.coeffs.items() if a != 0.0]
 
 
-def decompose(obs: np.ndarray, m: int) -> PauliDecomposition:
-    """Expand a Hermitian observable as sum_P alpha_P P with alpha_P = Tr[P O]/2^m."""
-    obs = qops.check_hermitian(obs)
-    d = 2**m
-    if obs.shape != (d, d):
-        raise InvalidInputError(f"observable shape {obs.shape} does not match m={m} (need {d}x{d})")
-    coeffs = {}
-    for label in pauli_labels(m):
-        a = np.trace(pauli_matrix(label) @ obs) / d
-        if abs(a.imag) > 1e-10:
-            raise InvalidInputError(f"coefficient of {label} is not real: {a!r}")
-        coeffs[label] = float(a.real)
+def _decomposition(m: int, coeffs: list[float], obs: np.ndarray) -> PauliDecomposition:
+    """Decomposition from all 4^m coefficients in label order and the matrix they sum to."""
     w = np.linalg.eigvalsh(obs)
     return PauliDecomposition(
         m=m,
-        coeffs=coeffs,
-        weight=float(sum(abs(a) for a in coeffs.values())),
+        coeffs=dict(zip(pauli_labels(m), coeffs)),
+        weight=float(sum(abs(a) for a in coeffs)),
         lambda_max=float(w[-1]),
         lambda_min=float(w[0]),
     )
+
+
+def decompose(obs: np.ndarray, m: int) -> PauliDecomposition:
+    """Expand a Hermitian observable as sum_P alpha_P P with alpha_P = Tr[P O]/2^m."""
+    obs = qops.check_hermitian(obs)
+    # obs is exactly Hermitian, so every Tr[P O] is real
+    return _decomposition(m, pauli_coefficients(obs, m).real.tolist(), obs)
 
 
 def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
@@ -108,18 +138,8 @@ def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
         full[lab] = float(a)
         if not np.isfinite(full[lab]):
             raise InvalidInputError(f"coefficient of {lab!r} is not finite: {a!r}")
-    obs = np.zeros((2**m, 2**m), dtype=complex)
-    for lab, a in full.items():
-        if a != 0.0:
-            obs += a * pauli_matrix(lab)
-    w = np.linalg.eigvalsh(obs)
-    return PauliDecomposition(
-        m=m,
-        coeffs=full,
-        weight=float(sum(abs(a) for a in full.values())),
-        lambda_max=float(w[-1]),
-        lambda_min=float(w[0]),
-    )
+    vals = list(full.values())
+    return _decomposition(m, vals, pauli_sum(vals, m))
 
 
 def sampling_distribution(decomp: PauliDecomposition) -> tuple[list[str], np.ndarray]:
@@ -208,10 +228,7 @@ def _generators(m: int) -> list[np.ndarray]:
         for g in (_HADAMARD, _PHASE):
             ops = [np.eye(2, dtype=complex)] * m
             ops[i] = g
-            full = ops[0]
-            for o in ops[1:]:
-                full = np.kron(full, o)
-            gens.append(full)
+            gens.append(functools.reduce(np.kron, ops))
     for i in range(m):
         for j in range(i + 1, m):
             gens.append(_embed_cz(m, i, j))
@@ -219,13 +236,9 @@ def _generators(m: int) -> list[np.ndarray]:
 
 
 def _embed_cz(m: int, i: int, j: int) -> np.ndarray:
-    d = 2**m
-    u = np.eye(d, dtype=complex)
-    for b in range(d):
-        bits = [(b >> (m - 1 - k)) & 1 for k in range(m)]
-        if bits[i] == 1 and bits[j] == 1:
-            u[b, b] = -1
-    return u
+    b = np.arange(2**m)
+    both = (b >> (m - 1 - i)) & (b >> (m - 1 - j)) & 1  # qubit 0 is the leading bit
+    return np.diag(1.0 - 2.0 * both).astype(complex)
 
 
 @functools.cache
@@ -249,16 +262,13 @@ def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
 def conjugate_pauli(u: np.ndarray, label: str) -> tuple[complex, str]:
     """Resolve U P U^dag as (phase, label); raises if the result is not a Pauli."""
     m = len(label)
-    conj = u @ pauli_matrix(label) @ u.conj().T
-    d = 2**m
-    for out in pauli_labels(m):
-        c = np.trace(pauli_matrix(out) @ conj) / d
-        if abs(c) > 0.5:
-            residual = np.abs(conj - c * pauli_matrix(out)).max()
-            if residual > 1e-9 or abs(abs(c) - 1.0) > 1e-9:
-                break
-            return complex(c), out
-    raise InvalidInputError("conjugation does not map the Pauli to a signed Pauli")
+    c = pauli_coefficients(u @ pauli_matrix(label) @ u.conj().T, m)
+    off = np.abs(c)
+    k = int(off.argmax())
+    off[k] -= 1.0  # a signed Pauli has one coefficient of modulus 1 and no others
+    if not np.abs(off).max() <= 1e-9:
+        raise InvalidInputError("conjugation does not map the Pauli to a signed Pauli")
+    return complex(c[k]), pauli_labels(m)[k]
 
 
 def is_clifford(u: np.ndarray, m: int, tol: float = 1e-9) -> bool:

@@ -15,16 +15,11 @@ from .errors import InvalidInputError
 # Tolerances, stated once and reused everywhere.
 TOL_HERM = 1e-10   # max-abs deviation from the conjugate transpose
 TOL_PSD = 1e-10    # eigenvalue floor for positivity checks
-TOL_ANALYTIC = 1e-9  # comparison tolerance for analytic identities
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a^dag)/2."""
     return (a + a.conj().T) / 2
-
-
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= tol)
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -50,17 +45,6 @@ def check_density(rho: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     if abs(tr - 1.0) > tol:
         raise InvalidInputError(f"trace is {tr!r}, expected 1")
     return rho
-
-
-def check_pure(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate that ``psi`` is a normalized state vector."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.size < 1:
-        raise InvalidInputError(f"expected a state vector, got shape {psi.shape}")
-    n = np.linalg.norm(psi)
-    if abs(n - 1.0) > tol:
-        raise InvalidInputError(f"state vector norm is {n!r}, expected 1")
-    return psi
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

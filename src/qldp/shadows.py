@@ -28,7 +28,7 @@ import numpy as np
 from . import qops
 from .channels import FiniteUnitaryGroup, QuantumChannel, depolarizing
 from .errors import InfeasibleError, InvalidInputError, NoninvertibleError
-from .estimate import AccuracyDemand, _trial_estimates
+from .estimate import AccuracyDemand, _trial_estimates, sample_count
 from .pauli import CliffordElement, clifford_orbit, enumerate_cliffords, random_clifford
 from .privacy import PrivacyBudget
 
@@ -43,23 +43,6 @@ class ShadowSample:
     def __post_init__(self):
         if len(self.bits) != self.clifford.m or any(c not in "01" for c in self.bits):
             raise InvalidInputError(f"bits {self.bits!r} do not match m={self.clifford.m}")
-
-
-@dataclass(frozen=True)
-class ShadowConfig:
-    p_hat: float
-    ell: int
-    n_batches: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_hat < 1.0:
-            raise InvalidInputError("p_hat must lie in [0, 1); inversion needs p_hat < 1")
-        if self.ell < 1 or self.n_batches < 1:
-            raise InvalidInputError("batch size and count must be >= 1")
-
-    @property
-    def n_samples(self) -> int:
-        return self.ell * self.n_batches
 
 
 def private_shadow_p_hat(d: int, budget: PrivacyBudget) -> float:
@@ -84,7 +67,7 @@ def effective_depolarizing_q(p_hat: float, d: int) -> float:
 def clifford_unitary_group(m: int) -> FiniteUnitaryGroup:
     """Enumerated Clifford group packaged for twirling (m in {1, 2})."""
     elems = [c.matrix for c in enumerate_cliffords(m)]
-    return FiniteUnitaryGroup(dim=2**m, elements=elems, exact=True)
+    return FiniteUnitaryGroup(dim=2**m, elements=elems)
 
 
 def _born_probs(rho: np.ndarray, u: np.ndarray, p_hat: float) -> np.ndarray:
@@ -151,7 +134,7 @@ def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
         raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
     ratio = (budget.gamma + d - 1.0) / (denom * (d + 1.0))
     v = 204.0 * tr_obs_sq / demand.beta**2 * max(1.0, ratio**2) * math.log(2.0 / demand.eta)
-    return math.ceil(v)
+    return sample_count(v, f"shadow bound, Tr[O^2] = {tr_obs_sq:g}")
 
 
 def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
@@ -166,7 +149,7 @@ def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudge
         raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
     ratio = (budget.gamma + d - 1.0) / denom
     v = 204.0 * tr_obs_sq / demand.beta**2 * ratio**2 * math.log(2.0 / demand.eta)
-    return math.ceil(v)
+    return sample_count(v, f"naive shadow bound, Tr[O^2] = {tr_obs_sq:g}")
 
 
 def default_batch_count(n: int, eta: float) -> int:

@@ -1,8 +1,9 @@
 """Worst-case channel utility: fidelity and trace-distance to the input.
 
-Optimization runs over pure states only; concavity of fidelity and convexity
-of the trace norm place the extremum at pure states, so the restriction is
-lossless.  A mixed-state parameterization exists behind a debug flag.
+:func:`utility_report` is the one search entry point: it runs both searches
+and returns both values with their witnesses.  Optimization runs over pure
+states only; concavity of fidelity and convexity of the trace norm place the
+extremum at pure states, so the restriction is lossless.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, batch_outputs
+from .channels import QuantumChannel, batch_outputs
 from .errors import InvalidInputError
 from .privacy import PrivacyBudget, SearchConfig, refine_extremum
 
@@ -44,68 +45,23 @@ def _trace_values(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
     return np.abs(w).sum(axis=1) / 2
 
 
-def _dominant_eigvec(frame: np.ndarray) -> np.ndarray:
-    rho = frame @ frame.conj().T
-    rho /= np.trace(rho).real
-    _, v = np.linalg.eigh(rho)
-    return v[:, -1].copy()
-
-
-def _mixed_value_fn(ch: QuantumChannel, metric):
-    from . import qops
-
-    def value(pts: np.ndarray) -> np.ndarray:
-        # pts columns span a frame; use the normalized Gram square as the state
-        vals = np.empty(pts.shape[0])
-        for i, a in enumerate(pts):
-            rho = a @ a.conj().T
-            rho = rho / np.trace(rho).real
-            vals[i] = metric(apply(ch, rho), rho)
-        return vals
-
-    return value
-
-
-def utility_report(ch: QuantumChannel, search: SearchConfig = SearchConfig(),
-                   mixed_debug: bool = False) -> UtilityReport:
+def utility_report(ch: QuantumChannel, search: SearchConfig = SearchConfig()) -> UtilityReport:
     """Run both utility searches and report values with their witnesses.
 
     The fidelity value is an upper bound on the true minimum and the
     trace-distance value a lower bound on the true maximum: every evaluated
-    state is feasible.  With ``mixed_debug`` the search runs over mixed
-    states (diagnostic only; by concavity/convexity it cannot beat the pure
-    search, and the witnesses are then the dominant eigenvectors of the best
-    mixed states rather than exact attainers).
+    state is feasible.
     """
-    from . import qops
-
     d = _square(ch)
-    if mixed_debug:
-        fval, fpt = refine_extremum(_mixed_value_fn(ch, qops.fidelity), d, d, search, maximize=False)
-        tval, tpt = refine_extremum(_mixed_value_fn(ch, qops.trace_distance), d, d, search, maximize=True)
-        fmin = _dominant_eigvec(fpt)
-        tmax = _dominant_eigvec(tpt)
-    else:
-        fval, fpt = refine_extremum(lambda s: _fidelity_values(ch, s[:, :, 0]), d, 1, search, maximize=False)
-        tval, tpt = refine_extremum(lambda s: _trace_values(ch, s[:, :, 0]), d, 1, search, maximize=True)
-        fmin, tmax = fpt[:, 0].copy(), tpt[:, 0].copy()
+    fval, fpt = refine_extremum(lambda s: _fidelity_values(ch, s[:, :, 0]), d, 1, search, maximize=False)
+    tval, tpt = refine_extremum(lambda s: _trace_values(ch, s[:, :, 0]), d, 1, search, maximize=True)
     return UtilityReport(
         fidelity_utility=float(np.clip(fval, 0.0, 1.0)),
         trace_utility=float(np.clip(tval, 0.0, 1.0)),
         anti_trace_utility=float(1.0 - np.clip(tval, 0.0, 1.0)),
-        minimizer=fmin,
-        maximizer=tmax,
+        minimizer=fpt[:, 0].copy(),
+        maximizer=tpt[:, 0].copy(),
     )
-
-
-def fidelity_utility(ch: QuantumChannel, search: SearchConfig = SearchConfig()) -> UtilityReport:
-    """Worst-case fidelity min_rho F(N(rho), rho), searched over pure states."""
-    return utility_report(ch, search)
-
-
-def trace_utility(ch: QuantumChannel, search: SearchConfig = SearchConfig()) -> UtilityReport:
-    """Worst-case trace distance max_rho T(N(rho), rho), searched over pure states."""
-    return utility_report(ch, search)
 
 
 def optimal_fidelity_utility(d: int, budget: PrivacyBudget) -> float:

@@ -10,7 +10,7 @@ from qldp.pauli import enumerate_cliffords, pauli_matrix
 
 def qubit_clifford_group():
     elems = [c.matrix for c in enumerate_cliffords(1)]
-    return ch.FiniteUnitaryGroup(dim=2, elements=elems, exact=True)
+    return ch.FiniteUnitaryGroup(dim=2, elements=elems)
 
 
 def test_depolarizing_action_matches_formula():
@@ -229,6 +229,22 @@ def test_channel_validation_rejects_non_trace_preserving():
 def test_group_validation_rejects_non_unitary():
     with pytest.raises(InvalidInputError):
         ch.FiniteUnitaryGroup(dim=2, elements=[np.array([[1, 1], [0, 1]], dtype=complex)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("build", [
+    lambda u: ch.FiniteUnitaryGroup(dim=2, elements=[u]),
+    ch.unitary_conjugate,
+    lambda u: ch.conjugated_channel(ch.depolarizing(2, 0.3), u),
+], ids=["group", "unitary_conjugate", "conjugated_channel"])
+def test_unitary_checks_reject_non_finite_entries(build, bad):
+    # max |U^dag U - I| is NaN here, and NaN > tol is False: the guard must not pass it
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        build(np.full((2, 2), bad, dtype=complex))
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        build(u)
 
 
 def test_superoperator_composition_identity():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qldp
 from qldp.cli import (
@@ -332,6 +336,14 @@ def test_sample_sizes_beyond_int64_are_out_of_regime(tmp_path, capsys, argv, mes
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "shadows", "bounds"])
+def test_overflowing_sample_size_exits_3_with_one_line(tmp_path, capsys, command):
+    rc = main([command, "--observable", "Z:1e200", "--output-dir", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and "sample size overflows a float" in err
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "nan+1j"])
 def test_estimate_rejects_non_finite_observable_file(tmp_path, capsys, entry):
     path = tmp_path / "obs.txt"
@@ -385,3 +397,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_REGIME
     assert "out of regime" in proc.stderr and "Traceback" not in proc.stderr
+
+
+_EDGE_FLOATS = [1e308, -1e308, 1e200, 1e154, 5e-324, -5e-324, 2.2250738585072014e-308,
+                0.0, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                       min_size=1, max_size=4),
+       two_qubits=st.booleans())
+@example(coeffs=[1e200], two_qubits=False)
+@example(coeffs=[1e308, 1e308, -1e308], two_qubits=True)
+def test_numeric_observable_specs_give_documented_exit_codes(tmp_path_factory, coeffs, two_qubits):
+    labels = ["ZI", "XY", "IZ", "YY"] if two_qubits else ["Z", "X", "Y", "I"]
+    spec = ",".join(f"{lab}:{a!r}" for lab, a in zip(labels, coeffs))
+    out = str(tmp_path_factory.mktemp("fuzz"))
+    m = "2" if two_qubits else "1"
+    for argv in (["estimate", "--observable", spec, "--trials", "1"],
+                 ["shadows", "--m", m, "--observable", spec, "--trials", "1"],
+                 ["bounds", "--observable", spec]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--output-dir", out])
+        assert rc in (EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_REGIME), (argv, rc)
+        assert "Traceback" not in err.getvalue()

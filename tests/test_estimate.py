@@ -35,6 +35,7 @@ from qldp.estimate import (
 )
 from qldp.pauli import decompose, from_coeffs, pauli_matrix
 from qldp.privacy import PrivacyBudget
+from qldp.shadows import naive_shadow_required_samples, shadow_required_samples
 
 Z = pauli_matrix("Z")
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -197,6 +198,29 @@ def test_lower_below_upper_with_matched_weight():
 
 def test_fidelity_lower_bound_frozen_value():
     assert fidelity_lower_bound(1.0, -1.0, AccuracyDemand(0.1, 0.1)) == 26
+
+
+def test_fidelity_lower_bound_at_a_tiny_alpha():
+    # alpha' = 5e-10: 1 - 4 alpha'^2 rounds to 1.0, so a plain log() would divide by 0
+    demand = AccuracyDemand(0.1, 0.1)
+    alpha_prime = 2 * 0.1 / 4e8
+    expected = math.log(1 / (4 * 0.1 * 0.9)) / (4 * alpha_prime**2)
+    assert abs(fidelity_lower_bound(2e8, -2e8, demand) / expected - 1.0) < 1e-9
+    with pytest.raises(OutOfRegimeError, match="overflows a float"):
+        fidelity_lower_bound(1e200, -1e200, demand)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda: required_samples_upper(1e200, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.1)),
+    lambda: required_samples_lower(1e153, -1e153, PrivacyBudget(1e-3, 0.0), AccuracyDemand(0.1, 0.1)),
+    lambda: shadow_required_samples(math.inf, 2, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.1)),
+    lambda: naive_shadow_required_samples(1e306, 2, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.1)),
+    lambda: measurement_operator_protocol(np.eye(2), ZERO, PrivacyBudget(1.0, 0.0),
+                                          AccuracyDemand(1e-155, 0.1), np.random.default_rng(0)),
+], ids=["upper", "lower", "shadow", "naive_shadow", "measurement_operator"])
+def test_every_sample_size_past_a_float_is_out_of_regime(bound):
+    with pytest.raises(OutOfRegimeError, match="sample size overflows a float"):
+        bound()
 
 
 def test_fidelity_lower_bound_regimes():

@@ -13,12 +13,24 @@ from qldp.pauli import (
     enumerate_cliffords,
     from_coeffs,
     is_clifford,
+    pauli_coefficients,
     pauli_labels,
     pauli_matrix,
+    pauli_sum,
     random_clifford,
     sample_pauli,
     sampling_distribution,
 )
+
+
+def per_label_coefficients(a, m):
+    """Oracle: Tr[P A] / 2^m one dense product per label, in pauli_labels order."""
+    return np.array([np.trace(pauli_matrix(lab) @ a) / 2**m for lab in pauli_labels(m)])
+
+
+def per_label_sum(coeffs):
+    """Oracle: sum_P c_P P from explicit Pauli matrices, for a label -> coefficient map."""
+    return sum(c * pauli_matrix(lab) for lab, c in coeffs.items())
 
 
 def test_pauli_matrix_generators():
@@ -63,7 +75,28 @@ def test_decompose_examples():
     assert di.lambda_max == di.lambda_min == 1.0
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_transform_matches_per_label_oracle(m):
+    # non-Hermitian input, so the coefficients are complex and no symmetry hides a slip
+    rng = np.random.default_rng(100 + m)
+    d = 2**m
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    c = pauli_coefficients(a, m)
+    assert c.shape == (4**m,)
+    assert np.abs(c - per_label_coefficients(a, m)).max() < 1e-12
+    assert np.abs(pauli_sum(c, m) - a).max() < 1e-12
+    coeffs = rng.standard_normal(4**m) + 1j * rng.standard_normal(4**m)
+    oracle = per_label_sum(dict(zip(pauli_labels(m), coeffs)))
+    assert np.abs(pauli_sum(coeffs, m) - oracle).max() < 1e-12
+    assert np.abs(pauli_coefficients(pauli_sum(coeffs, m), m) - coeffs).max() < 1e-12
+
+
+def test_transform_rejects_wrong_shape():
+    with pytest.raises(InvalidInputError):
+        pauli_coefficients(np.eye(4, dtype=complex), 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_decompose_reconstruct_roundtrip(m):
     rng = np.random.default_rng(m)
     g = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
@@ -77,6 +110,18 @@ def test_from_coeffs_matches_decompose():
     redec = decompose(dec.reconstruct(), 2)
     for lab in pauli_labels(2):
         assert abs(dec.coeffs[lab] - redec.coeffs[lab]) < 1e-12
+
+
+def test_from_coeffs_reconstructs_the_pauli_sum():
+    coeffs = {"XIZ": 0.5, "ZZY": -1.25, "III": 0.125, "YXI": 2.0}
+    dec = from_coeffs(coeffs)
+    obs = per_label_sum(coeffs)
+    assert np.abs(dec.reconstruct() - obs).max() < 1e-12
+    assert dec.weight == 3.875
+    w = np.linalg.eigvalsh(obs)
+    assert abs(dec.lambda_max - w[-1]) < 1e-12 and abs(dec.lambda_min - w[0]) < 1e-12
+    assert list(dec.coeffs) == pauli_labels(3)
+    assert dec.support() == [lab for lab in pauli_labels(3) if lab in coeffs]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -152,6 +197,20 @@ def test_clifford_conjugation_closure_m1():
             assert out in ("I", "X", "Y", "Z")
             near_unit = min(abs(phase - z) for z in (1, -1, 1j, -1j))
             assert near_unit < 1e-9
+
+
+@pytest.mark.parametrize("name", ["T", "haar"])
+def test_non_clifford_is_detected(name):
+    if name == "T":
+        u = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    else:
+        u = qops.random_unitary(2, np.random.default_rng(5))
+    # T maps X to (X + Y)/sqrt(2): no single Pauli carries the conjugate
+    with pytest.raises(InvalidInputError, match="signed Pauli"):
+        conjugate_pauli(u, "X")
+    assert not is_clifford(u, 1)
+    assert not is_clifford(np.kron(u, np.eye(2)), 2)
+    assert is_clifford(np.kron(pauli_matrix("X"), enumerate_cliffords(1)[7].matrix), 2)
 
 
 def test_random_clifford_uniform_modes():

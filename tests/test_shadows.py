@@ -310,18 +310,8 @@ def test_run_shadow_trials_at_three_qubits():
 
 def test_clifford_unitary_group_wrapper():
     g = clifford_unitary_group(1)
-    assert g.dim == 2 and len(g) == 24 and g.exact
-
-
-def test_shadow_config_validation():
-    from qldp.shadows import ShadowConfig
-
-    cfg = ShadowConfig(p_hat=0.2, ell=10, n_batches=5)
-    assert cfg.n_samples == 50
-    with pytest.raises(InvalidInputError):
-        ShadowConfig(p_hat=1.0, ell=1, n_batches=1)
-    with pytest.raises(InvalidInputError):
-        ShadowConfig(p_hat=0.5, ell=0, n_batches=1)
+    assert g.dim == 2 and len(g) == 24
+    assert np.array_equal(g.stack(), np.stack([c.matrix for c in enumerate_cliffords(1)]))
 
 
 def test_single_snapshot_trials_follow_the_grouped_table():

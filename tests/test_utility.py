@@ -11,10 +11,8 @@ from qldp.utility import (
     curve_to_csv,
     depolarizing_fidelity_utility,
     depolarizing_trace_utility,
-    fidelity_utility,
     optimal_fidelity_utility,
     optimal_trace_utility,
-    trace_utility,
     utility_curve,
     utility_report,
 )
@@ -61,12 +59,6 @@ def test_witnesses_reproduce_reported_values():
     rho_max = qops.projector(rep.maximizer)
     assert abs(qops.fidelity(ch.apply(n, rho_min), rho_min) - rep.fidelity_utility) < 1e-8
     assert abs(qops.trace_distance(ch.apply(n, rho_max), rho_max) - rep.trace_utility) < 1e-8
-
-
-def test_fidelity_and_trace_entry_points():
-    dep = ch.depolarizing(2, 0.5)
-    assert abs(fidelity_utility(dep, CFG).fidelity_utility - 0.75) < 1e-9
-    assert abs(trace_utility(dep, CFG).trace_utility - 0.25) < 1e-9
 
 
 def test_utility_requires_square_channel():
@@ -119,14 +111,6 @@ def test_private_channels_respect_the_ceiling():
         rep = utility_report(n, CFG)
         assert rep.fidelity_utility <= ceiling_f + 1e-6
         assert rep.trace_utility >= ceiling_t - 1e-6
-
-
-def test_mixed_state_debug_search_agrees_on_depolarizing():
-    dep = ch.depolarizing(2, 0.5)
-    rep = utility_report(dep, SearchConfig(restarts=24, local_steps=120, seed=3), mixed_debug=True)
-    # pure states are extremal; the mixed search cannot find anything better
-    assert rep.fidelity_utility >= 0.75 - 1e-6
-    assert rep.trace_utility <= 0.25 + 1e-6
 
 
 def test_utility_curve_rows_and_monotonicity():
