@@ -74,7 +74,6 @@ _OPTS = {
         "delta": (float, 0.0, "privacy delta"),
         "restarts": (int, 64, "search restarts"),
         "local_steps": (int, 200, "refinement steps per restart"),
-        "step_size": (float, 0.25, "initial refinement step"),
     },
     "estimate": {
         **_COMMON,
@@ -263,6 +262,8 @@ def parse_state(spec: str, d: int, rng: np.random.Generator) -> np.ndarray:
         return qops.projector(qops.random_pure(d, rng))
     if spec.startswith("diag:"):
         probs = _float_list(spec[5:])
+        if not all(math.isfinite(p) for p in probs):
+            raise InvalidInputError(f"state spec {spec!r} has a non-finite entry")
         if len(probs) != d or abs(sum(probs) - 1.0) > 1e-9 or min(probs) < 0:
             raise InvalidInputError(f"diag state needs {d} nonnegative entries summing to 1")
         return np.diag(np.array(probs, dtype=complex))
@@ -345,8 +346,7 @@ def cmd_certify(opts: dict) -> int:
     else:
         ch = parse_channel_spec(opts["channel"])
     budget = PrivacyBudget(opts["epsilon"], opts["delta"])
-    cfg = SearchConfig(restarts=opts["restarts"], local_steps=opts["local_steps"],
-                       step_size=opts["step_size"], seed=opts["seed"])
+    cfg = SearchConfig(restarts=opts["restarts"], local_steps=opts["local_steps"], seed=opts["seed"])
     res = certify_qldp(ch, budget, cfg)
     print(f"sup_estimate = {res.sup_estimate:.12g}  (delta = {budget.delta:.12g}, restarts = {res.restarts_used})")
     phi1, phi2 = res.witness_pair
@@ -541,10 +541,7 @@ def main(argv=None) -> int:
     except (InfeasibleError, OutOfRegimeError, NoninvertibleError) as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ChannelParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ChannelParseError, ValueError) as exc:  # InvalidInputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

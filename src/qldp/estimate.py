@@ -2,10 +2,9 @@
 
 The mechanism releases, per input copy, a Pauli label drawn proportionally to
 the observable's coefficient magnitudes and one depolarized measurement bit.
-The estimator consumes those released records only; it never sees the state,
-and it reads them only through the count in each (Pauli label, bit) cell, so
-Monte Carlo trials draw those counts from one multinomial instead of the
-records (:func:`_trial_estimates`, shared with the shadow trials).
+The estimator consumes those released records only; it never sees the state.
+Every record is worth +-S/(1-q), so Monte Carlo trials draw the count of
+positive records from one binomial instead of the records.
 Sample-size calculators cover the achievable Hoeffding bound, the
 hypothesis-testing lower bound, its privacy-independent fidelity variant, and
 the generic private-testing bounds they derive from.  Out-of-regime
@@ -51,6 +50,8 @@ class AccuracyDemand:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise InvalidInputError(f"beta must be finite and > 0, got {self.beta}")
+        if self.beta**2 == 0.0:  # the sample-size formulas divide by beta^2
+            raise OutOfRegimeError(f"beta^2 underflows to 0 at beta = {self.beta:g}")
         if not (math.isfinite(self.eta) and 0.0 < self.eta < 1.0):
             raise InvalidInputError(f"eta must be in (0, 1), got {self.eta}")
 
@@ -282,7 +283,7 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
     Simulates the two-outcome instrument {O, I - O}, depolarizes the outcome
     bit with q = 2(1-delta)/(e^eps + 1), and debiases the outcome-0 frequency
     as (f0 - q/2)/(1 - q).  Returns (estimate, n_used) with n_used the
-    Hoeffding-sufficient sample size.
+    Hoeffding-sufficient sample size, :func:`required_samples_upper` at S = 1.
     """
     obs = qops.check_hermitian(obs)
     w = np.linalg.eigvalsh(obs)
@@ -290,11 +291,7 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
         raise InvalidInputError("operator must satisfy 0 <= O <= I")
     if rho.shape != obs.shape:
         raise InvalidInputError(f"state shape {rho.shape} does not match operator {obs.shape}")
-    denom = budget.gamma - 1.0 + 2.0 * budget.delta
-    if denom <= 0:
-        raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
-    n = sample_count(2.0 * (budget.gamma + 1.0) ** 2 / (demand.beta**2 * denom**2)
-                     * math.log(2.0 / demand.eta), "measurement-operator bound")
+    n = required_samples_upper(1.0, budget, demand)
     q = qubit_depolarizing_q(budget)
     t = float(np.trace(obs @ rho).real)
     p0 = q / 2.0 + t * (1.0 - q)
@@ -302,68 +299,38 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
     return float((f0 - q / 2.0) / (1.0 - q)), n
 
 
-def _trial_estimates(cell_probs: np.ndarray, cell_vals: np.ndarray, n: int, ell: int,
-                     trials: int, seed: int) -> np.ndarray:
-    """Median-of-means estimates, one per trial, drawn exactly from per-cell laws.
-
-    A trial's n records fall in n // ell batches of ell, each record in cell c
-    with probability cell_probs[c] and value cell_vals[c]; a trial returns the
-    median over batches of the batch means.  A batch with at least as many
-    records as cells draws its per-cell counts from one multinomial (O(cells));
-    a smaller one draws its records' cells by inverse CDF (O(ell log cells)).
-    Both give the same law, so a trial costs O(n/ell * min(ell, cells)) time
-    and memory: never more than the n records, and independent of n when ell
-    is.  Each trial owns an RNG stream spawned from the master seed, so trials
-    are order-independent.
-    """
-    if n > np.iinfo(np.int64).max:
-        raise OutOfRegimeError(f"n = {n} records exceed the 2**63 - 1 a trial can count")
-    batches = n // ell
-    cum = np.cumsum(cell_probs)
-    cum[-1] = 1.0
-    out = np.empty(trials)
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(ss)
-        if ell < len(cell_probs):
-            idx = np.searchsorted(cum, rng.random((batches, ell)), side="right")
-            sums = cell_vals[idx].sum(axis=1)
-        else:
-            sums = rng.multinomial(ell, cell_probs, size=batches) @ cell_vals
-        sums.sort()  # median by hand: np.median costs ~20 us a call, most of a trial
-        out[i] = (sums[(batches - 1) // 2] + sums[batches // 2]) / 2.0 / ell
-    return out
-
-
 def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
                           budget: PrivacyBudget, demand: AccuracyDemand,
                           trials: int, seed: int, n: int | None = None) -> np.ndarray:
     """Monte Carlo estimates, one per trial, each from n privatized records.
 
-    The estimate depends on the records only through the count in each of the
-    2k (Pauli label, bit) cells, so a trial draws those counts exactly from one
-    multinomial, in O(k) time and memory whatever n is; the record-level
-    :func:`simulate_privatized_batch` and :func:`estimate_from_batch` sample
-    the same law one record at a time.
+    Every record is worth +-S/(1-q), positive with probability
+    p+ = 1/2 + (1-q) Tr[O rho]/(2S), so a trial is S/(1-q) (2K/n - 1) with
+    K ~ Binomial(n, p+): one draw for all trials, whatever n is.  The
+    record-level :func:`simulate_privatized_batch` and
+    :func:`estimate_from_batch` sample the same law one record at a time.
     """
     if n is None:
         n = required_samples_upper(decomp.weight, budget, demand)
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise OutOfRegimeError(f"n = {n} records exceed the 2**63 - 1 a trial can count")
     q = qubit_depolarizing_q(budget)
     if q >= 1.0:
         raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
     d = 2**decomp.m
     if rho.shape != (d, d):
         raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
-    labels, probs = sampling_distribution(decomp)
-    tr = dict(zip(pauli_labels(decomp.m), d * pauli_coefficients(rho, decomp.m).real))
-    # Pr[bit 0] = 1/2 + (1-q)/2 Tr[P rho]; the clip absorbs |Tr[P rho]| rounding
-    # just past 1, which would leave a cell with a probability of -1e-17.
-    t = np.clip([0.5 + (1.0 - q) / 2.0 * tr[lab] for lab in labels], 0.0, 1.0)
-    vals = decomp.weight / (1.0 - q) * np.array([math.copysign(1.0, decomp.coeffs[lab])
-                                                 for lab in labels])
-    cell_probs = np.concatenate([probs * t, probs * (1.0 - t)])
-    return _trial_estimates(cell_probs, np.concatenate([vals, -vals]), n, n, trials, seed)
+    if decomp.weight <= 0:
+        raise DegenerateObservableError("observable has zero Pauli weight")
+    alphas = [decomp.coeffs.get(lab, 0.0) for lab in pauli_labels(decomp.m)]
+    expectation = d * float(np.dot(alphas, pauli_coefficients(rho, decomp.m).real))
+    # the clip absorbs |Tr[O rho]| rounding just past S; unlike min/max it passes
+    # NaN on, so binomial() rejects it instead of drawing from p+ = 0
+    p_plus = np.clip(0.5 + (1.0 - q) * expectation / (2.0 * decomp.weight), 0.0, 1.0)
+    k = np.random.default_rng(seed).binomial(n, p_plus, size=trials)
+    return decomp.weight / (1.0 - q) * (2.0 * k / n - 1.0)
 
 
 def trials_to_csv(estimates: np.ndarray, n: int, true_value: float, beta: float) -> str:

@@ -82,7 +82,8 @@ def pauli_coefficients(a: np.ndarray, m: int) -> np.ndarray:
 
 def pauli_sum(coeffs: np.ndarray, m: int) -> np.ndarray:
     """sum_P coeffs[P] P over :func:`pauli_labels` order; inverse of :func:`pauli_coefficients`."""
-    x = _per_qubit(_FROM_PAULI, np.asarray(coeffs, dtype=complex), m)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients give inf/NaN entries
+        x = _per_qubit(_FROM_PAULI, np.asarray(coeffs, dtype=complex), m)
     rows_then_cols = np.arange(2 * m).reshape(m, 2).T.ravel()
     return x.reshape((2,) * (2 * m)).transpose(rows_then_cols).reshape(2**m, 2**m)
 

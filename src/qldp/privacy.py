@@ -17,9 +17,10 @@ import numpy as np
 
 from . import qops
 from .channels import QuantumChannel, apply, batch_outputs
-from .errors import InvalidInputError
+from .errors import InvalidInputError, OutOfRegimeError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
+STEP_SIZE = 0.25  # initial step of every restart in the refinement search
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,10 @@ class PrivacyBudget:
             raise InvalidInputError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise InvalidInputError(f"delta must be in [0, 1], got {self.delta}")
-        object.__setattr__(self, "gamma", math.exp(self.epsilon))
+        try:
+            object.__setattr__(self, "gamma", math.exp(self.epsilon))
+        except OverflowError:
+            raise OutOfRegimeError(f"e^epsilon overflows a float at epsilon = {self.epsilon}") from None
 
 
 @dataclass(frozen=True)
@@ -44,14 +48,13 @@ class SearchConfig:
 
     restarts: int = 64
     local_steps: int = 200
-    step_size: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
-        if self.local_steps < 0 or self.step_size <= 0:
-            raise InvalidInputError("local_steps must be >= 0 and step_size > 0")
+        if self.local_steps < 0:
+            raise InvalidInputError(f"local_steps must be >= 0, got {self.local_steps}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def refine_extremum(value_fn, dim: int, ncols: int, config: SearchConfig, maximi
     b = config.restarts
     pts = _orthonormalize(_complex_noise(rng, (b, dim, ncols)))
     vals = np.asarray(value_fn(pts), dtype=float)
-    steps = np.full(b, config.step_size)
+    steps = np.full(b, STEP_SIZE)
     sign = 1.0 if maximize else -1.0
     for _ in range(config.local_steps):
         noise = _complex_noise(rng, (b, dim, ncols)) * steps[:, None, None]

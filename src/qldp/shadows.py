@@ -11,7 +11,7 @@ the stabilizer state s = U^dag|b>, whose exact distribution over the
 2^m prod_k (2^k + 1) stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4)
 gives the law of the snapshot value Tr[O rho_hat].  A median-of-means batch
 reads its snapshots only through the count of each distinct value, so
-:func:`run_shadow_trials` draws those counts from one multinomial per batch
+:func:`_trial_estimates` draws those counts from one multinomial per batch
 (or, for a batch smaller than the number of values, its snapshots' values),
 in O(batches * min(ell, values)) time and memory.  :func:`shadow_sample`
 and :func:`snapshot_inverse` draw and invert one (Clifford, outcome) record
@@ -27,8 +27,8 @@ import numpy as np
 
 from . import qops
 from .channels import FiniteUnitaryGroup, QuantumChannel, depolarizing
-from .errors import InfeasibleError, InvalidInputError, NoninvertibleError
-from .estimate import AccuracyDemand, _trial_estimates, sample_count
+from .errors import InfeasibleError, InvalidInputError, NoninvertibleError, OutOfRegimeError
+from .estimate import AccuracyDemand, sample_count
 from .pauli import CliffordElement, clifford_orbit, enumerate_cliffords, random_clifford
 from .privacy import PrivacyBudget
 
@@ -211,14 +211,45 @@ def _snapshot_tables(rho: np.ndarray, obs: np.ndarray, p_hat: float, m: int):
     return probs, vals
 
 
+def _trial_estimates(cell_probs: np.ndarray, cell_vals: np.ndarray, n: int, ell: int,
+                     trials: int, seed: int) -> np.ndarray:
+    """Median-of-means estimates, one per trial, drawn exactly from per-cell laws.
+
+    A trial's n snapshots fall in n // ell batches of ell, each snapshot in
+    cell c with probability cell_probs[c] and value cell_vals[c]; a trial
+    returns the median over batches of the batch means.  A batch with at least
+    as many snapshots as cells draws its per-cell counts from one multinomial;
+    a smaller one draws its snapshots' cells by inverse CDF.  Both give the
+    same law, in O(n/ell * min(ell, cells)) time and memory per trial.  Each
+    trial owns an RNG stream spawned from the seed, so trials are
+    order-independent.
+    """
+    if n > np.iinfo(np.int64).max:
+        raise OutOfRegimeError(f"n = {n} records exceed the 2**63 - 1 a trial can count")
+    batches = n // ell
+    cum = np.cumsum(cell_probs)
+    cum[-1] = 1.0
+    out = np.empty(trials)
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(ss)
+        if ell < len(cell_probs):
+            idx = np.searchsorted(cum, rng.random((batches, ell)), side="right")
+            sums = cell_vals[idx].sum(axis=1)
+        else:
+            sums = rng.multinomial(ell, cell_probs, size=batches) @ cell_vals
+        sums.sort()  # median by hand: np.median costs ~20 us a call, most of a trial
+        out[i] = (sums[(batches - 1) // 2] + sums[batches // 2]) / 2.0 / ell
+    return out
+
+
 def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
                       ell: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo median-of-means estimates, one per trial (m <= 4).
 
     Merges the stabilizer states with bit-equal values Tr[O rho_hat] into
     one cell each and draws every batch exactly from that cell law
-    (:func:`qldp.estimate._trial_estimates`), in O(n/ell * min(ell, cells))
-    time and memory.  Per-trial RNG streams spawn from the seed.
+    (:func:`_trial_estimates`), in O(n/ell * min(ell, cells)) time and
+    memory.  Per-trial RNG streams spawn from the seed.
     """
     if p_hat >= 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")

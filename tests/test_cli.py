@@ -299,6 +299,28 @@ def test_parse_state_forms():
         parse_state("squeezed", 2, rng)
 
 
+@pytest.mark.parametrize("spec", ["diag:nan,1", "diag:inf,0"])
+def test_non_finite_diag_state_is_a_usage_error(tmp_path, capsys, spec):
+    rc = main(["estimate", "--state", spec, "--trials", "3", "--output-dir", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.count("\n") == 1 and spec in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--epsilon", "800", "--trials", "3"],
+    ["shadows", "--epsilon", "800", "--trials", "3"],
+    ["certify", "--epsilon", "800"],
+    ["bounds", "--eps-list", "800"],
+    ["shadows", "--beta", "1e-170", "--trials", "3"],
+], ids=["estimate", "shadows", "certify", "bounds", "shadows-beta"])
+def test_overflowing_budget_or_underflowing_beta_exits_3_with_one_line(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and err.startswith("out of regime:")
+
+
 def test_seed_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QLDP_SEED", "123")
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -397,6 +419,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_REGIME
     assert "out of regime" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_overflowing_observable_prints_one_stderr_line(tmp_path):
+    # Z:1e308 + I:1e308 overflows while the matrix is built; numpy must not warn
+    src = Path(qldp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qldp", "estimate", "--observable", "Z:1e308,I:1e308",
+                           "--trials", "1", "--output-dir", str(tmp_path / "e")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_REGIME
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("out of regime:")
 
 
 _EDGE_FLOATS = [1e308, -1e308, 1e200, 1e154, 5e-324, -5e-324, 2.2250738585072014e-308,

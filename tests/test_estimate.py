@@ -18,7 +18,6 @@ from qldp.estimate import (
     H1,
     AccuracyDemand,
     PrivatizedSample,
-    _trial_estimates,
     build_qht_reduction,
     estimate_expectation,
     estimate_from_batch,
@@ -35,7 +34,7 @@ from qldp.estimate import (
 )
 from qldp.pauli import decompose, from_coeffs, pauli_matrix
 from qldp.privacy import PrivacyBudget
-from qldp.shadows import naive_shadow_required_samples, shadow_required_samples
+from qldp.shadows import _trial_estimates, naive_shadow_required_samples, shadow_required_samples
 
 Z = pauli_matrix("Z")
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -223,6 +222,19 @@ def test_every_sample_size_past_a_float_is_out_of_regime(bound):
         bound()
 
 
+@pytest.mark.parametrize("bound", [
+    lambda dem: shadow_required_samples(1.0, 2, PrivacyBudget(1.0, 0.0), dem),
+    lambda dem: naive_shadow_required_samples(1.0, 2, PrivacyBudget(1.0, 0.0), dem),
+    lambda dem: required_samples_lower(1.0, -1.0, PrivacyBudget(1.0, 0.0), dem),
+], ids=["shadow", "naive_shadow", "lower"])
+def test_beta_squared_underflow_is_out_of_regime(bound):
+    with pytest.raises(OutOfRegimeError, match="underflows to 0"):
+        bound(AccuracyDemand(1e-170, 0.1))
+    # beta^2 = 1e-320 is subnormal but not 0: the size itself overflows
+    with pytest.raises(OutOfRegimeError, match="sample size overflows a float"):
+        bound(AccuracyDemand(1e-160, 0.1))
+
+
 def test_fidelity_lower_bound_regimes():
     with pytest.raises(DegenerateObservableError):
         fidelity_lower_bound(1.0, -1.0, AccuracyDemand(0.5, 0.1))
@@ -349,6 +361,20 @@ def test_trials_are_seed_deterministic():
     dem = AccuracyDemand(0.1, 0.05)
     a = run_estimation_trials(ZERO, dec, b, dem, 10, seed=9, n=200)
     bb = run_estimation_trials(ZERO, dec, b, dem, 10, seed=9, n=200)
+    assert np.array_equal(a, bb)
+
+
+def test_trials_depend_on_the_state_only_through_its_expectation():
+    # Tr[O rho] = 0.4 for both states, but their Tr[P rho] differ label by label
+    dec = from_coeffs({"Z": 0.5, "X": 0.5})
+    b = PrivacyBudget(1.0, 0.0)
+    dem = AccuracyDemand(0.1, 0.05)
+    rho1 = np.diag([0.9, 0.1]).astype(complex)
+    rho2 = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
+    for rho in (rho1, rho2):
+        assert abs(np.trace(dec.reconstruct() @ rho).real - 0.4) < 1e-15
+    a = run_estimation_trials(rho1, dec, b, dem, 50, seed=11, n=300)
+    bb = run_estimation_trials(rho2, dec, b, dem, 50, seed=11, n=300)
     assert np.array_equal(a, bb)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from qldp import channels as ch
 from qldp import qops
-from qldp.errors import InvalidInputError
+from qldp.errors import InvalidInputError, OutOfRegimeError
 from qldp.privacy import (
     CERT_TOL,
     CertificationResult,
@@ -37,6 +37,12 @@ def test_budget_gamma_derivation():
 def test_budget_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(InvalidInputError):
         PrivacyBudget(epsilon)
+
+
+def test_budget_whose_gamma_overflows_is_out_of_regime():
+    assert math.isfinite(PrivacyBudget(709.0).gamma)
+    with pytest.raises(OutOfRegimeError, match="overflows"):
+        PrivacyBudget(710.0)
 
 
 def test_optimal_p_examples():
@@ -168,6 +174,4 @@ def test_borderline_flagging():
 def test_search_config_validation():
     with pytest.raises(InvalidInputError):
         SearchConfig(restarts=0)
-    with pytest.raises(InvalidInputError):
-        SearchConfig(step_size=0.0)
     assert CERT_TOL == 1e-7
