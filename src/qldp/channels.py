@@ -8,6 +8,12 @@ r * d_out^2 * d_in^2 for r Kraus operators), not as a sum of r kron products.
 Depolarizing channels carry their exact closed form
 ``S = (1-p) I + (p/d) |vec I><vec I|`` instead, so their superoperator costs
 O(d^4) to write down however many Kraus operators they have.
+
+:func:`batch_outputs` is the one kernel behind the search objectives.  It
+maps a stack of frames V and weights w to N(V diag(w) V^dag) at Kraus rank
+when the Kraus stack is small, so a low-rank channel never needs its
+superoperator there.  :func:`is_depolarizing` tells the searches when a
+closed form makes them unnecessary.
 """
 
 from __future__ import annotations
@@ -119,13 +125,24 @@ def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return qops.hermitize(out)
 
 
-def batch_outputs(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    """Channel outputs for a (B, d_in) stack of pure states, via the superoperator."""
-    b, d = states.shape
-    rho = states[:, :, None] * states.conj()[:, None, :]
-    v = rho.transpose(0, 2, 1).reshape(b, d * d)  # column-stacked
+def batch_outputs(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray:
+    """N(V diag(w) V^dag) for a (B, d_in, c) stack of frames V and c real weights w.
+
+    Goes through the r Kraus operators when 8 r c <= d_in d_out, at cost
+    B r c d_in d_out (plus B r c d_out^2 for the product); otherwise through
+    the superoperator, applied once to X = V diag(w) V^dag.
+    """
+    b, d, c = frames.shape
+    w = np.asarray(weights, dtype=float)
+    r, do = len(ch.kraus), ch.dim_out
+    if 8 * r * c <= d * do:
+        # rows i r + k hold row i of K_k, so the product reshapes to columns k c + j
+        stacked = ch.kraus.transpose(1, 0, 2).reshape(do * r, d)
+        a = (stacked @ frames).reshape(b, do, r * c)
+        return (a * np.tile(w, r)) @ a.conj().transpose(0, 2, 1)
+    x = (frames * w) @ frames.conj().transpose(0, 2, 1)
+    v = x.transpose(0, 2, 1).reshape(b, d * d)  # column-stacked
     out = v @ ch.superoperator.T
-    do = ch.dim_out
     return out.reshape(b, do, do).transpose(0, 2, 1)
 
 
@@ -243,20 +260,33 @@ def fit_depolarizing(ch: QuantumChannel) -> tuple[float, float]:
     """Least-squares fit of a depolarizing parameter to a square channel.
 
     Returns ``(p, residual)`` where residual is the max-abs superoperator
-    deviation from the fitted depolarizing channel.
+    deviation from the fitted depolarizing channel.  With v = vec(I),
+    p = [(v^dag S v - d)/d - (Tr S - d^2)] / (d^2 - 1) reads O(d^2) entries
+    of S, and the residual is taken d rows at a time.
     """
     if ch.dim_in != ch.dim_out:
         raise InvalidInputError("fit requires a square channel")
     d = ch.dim_in
+    if d < 2:
+        raise InvalidInputError(f"fit requires d >= 2, got {d}")
     s = ch.superoperator
-    ident = np.eye(d * d, dtype=complex)
-    v = vec(np.eye(d, dtype=complex))
-    basis = np.outer(v, v) / d - ident  # dS/dp
-    num = np.vdot(basis, s - ident).real
-    den = np.vdot(basis, basis).real
-    p = num / den
-    residual = float(np.abs(s - (ident + p * basis)).max())
-    return float(p), residual
+    diag = np.arange(d) * (d + 1)  # positions of the ones in vec(I)
+    vsv = s[diag[:, None], diag].sum().real
+    p = float(((vsv - d) / d - (np.trace(s).real - d * d)) / (d * d - 1))
+    # row block a holds rows a d .. a d + d - 1; its row a is row diag[a]
+    rows = np.arange(d)
+    residual = 0.0
+    for a in range(d):
+        blk = s[a * d:(a + 1) * d].copy()
+        blk[rows, a * d + rows] -= 1 - p
+        blk[a, diag] -= p / d
+        residual = max(residual, float(np.abs(blk).max()))
+    return p, residual
+
+
+def is_depolarizing(ch: QuantumChannel) -> bool:
+    """True for a square channel, d >= 2, within SUPEROP_TOL of its depolarizing fit."""
+    return ch.dim_in == ch.dim_out >= 2 and fit_depolarizing(ch)[1] <= SUPEROP_TOL
 
 
 def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> QuantumChannel:

@@ -295,7 +295,7 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
     q = qubit_depolarizing_q(budget)
     t = float(np.trace(obs @ rho).real)
     p0 = q / 2.0 + t * (1.0 - q)
-    f0 = np.mean(rng.random(n) < p0)
+    f0 = rng.binomial(n, p0) / n
     return float((f0 - q / 2.0) / (1.0 - q)), n
 
 

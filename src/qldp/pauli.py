@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qops
-from .errors import DegenerateObservableError, InvalidInputError
+from .errors import DegenerateObservableError, InvalidInputError, OutOfRegimeError
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -106,12 +107,21 @@ class PauliDecomposition:
 
 
 def _decomposition(m: int, coeffs: list[float], obs: np.ndarray) -> PauliDecomposition:
-    """Decomposition from all 4^m coefficients in label order and the matrix they sum to."""
+    """Decomposition from all 4^m coefficients in label order and the matrix they sum to.
+
+    Raises OutOfRegimeError when the weight S = sum |alpha_P| or an eigenvalue
+    is not a finite float.
+    """
+    weight = float(sum(abs(a) for a in coeffs))
+    if not math.isfinite(weight):
+        raise OutOfRegimeError(f"Pauli weight sum |alpha_P| = {weight} is not a finite float")
     w = np.linalg.eigvalsh(obs)
+    if not np.isfinite(w).all():
+        raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
     return PauliDecomposition(
         m=m,
         coeffs=dict(zip(pauli_labels(m), coeffs)),
-        weight=float(sum(abs(a) for a in coeffs)),
+        weight=weight,
         lambda_max=float(w[-1]),
         lambda_min=float(w[0]),
     )

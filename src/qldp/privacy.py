@@ -5,7 +5,9 @@ arbitrary channels is numerical.  The certifier estimates the worst-case
 hockey-stick divergence over pairs of orthogonal pure inputs; every pair it
 evaluates is feasible, so the estimate is a certified lower bound on the true
 supremum and the returned witness attains it.  No global-optimality guarantee
-is claimed; ``restarts`` trades time for confidence.
+is claimed; ``restarts`` trades time for confidence.  A depolarizing channel is
+unitarily covariant, so every orthogonal pair attains its supremum: it is
+evaluated once, at the first two basis vectors, with no search.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qops
-from .channels import QuantumChannel, apply, batch_outputs
+from .channels import QuantumChannel, apply, batch_outputs, is_depolarizing
 from .errors import InvalidInputError, OutOfRegimeError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
@@ -137,24 +139,31 @@ def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
     """Estimate the worst-case hockey-stick divergence of a channel.
 
     Searches over pairs of orthogonal pure inputs (two columns of an
-    orthonormalized random frame) with derivative-free local refinement.
-    ``satisfied`` compares the estimate against delta + CERT_TOL.
+    orthonormalized random frame) with derivative-free local refinement; a
+    depolarizing channel (:func:`is_depolarizing`) is evaluated once at
+    (e_0, e_1) instead, with ``restarts_used = 0``.  ``satisfied`` compares
+    the estimate against delta + CERT_TOL.
     """
-    gamma = budget.gamma
+    if ch.dim_in < 2:
+        raise InvalidInputError(f"certification needs an orthogonal input pair, but dim_in = {ch.dim_in}")
+    weights = np.array([1.0, -budget.gamma])
 
     def value(pairs: np.ndarray) -> np.ndarray:
-        out1 = batch_outputs(ch, pairs[:, :, 0])
-        out2 = batch_outputs(ch, pairs[:, :, 1])
-        w = np.linalg.eigvalsh(out1 - gamma * out2)
+        w = np.linalg.eigvalsh(batch_outputs(ch, pairs, weights))
         return np.where(w > 0, w, 0.0).sum(axis=1)
 
-    best, pair = refine_extremum(value, ch.dim_in, 2, search, maximize=True)
+    if is_depolarizing(ch):
+        pair = np.eye(ch.dim_in, 2, dtype=complex)
+        best, restarts = float(value(pair[None])[0]), 0
+    else:
+        best, pair = refine_extremum(value, ch.dim_in, 2, search, maximize=True)
+        restarts = search.restarts
     phi1, phi2 = pair[:, 0].copy(), pair[:, 1].copy()
     sup = max(0.0, best)
     return CertificationResult(
         sup_estimate=sup,
         witness_pair=(phi1, phi2),
-        restarts_used=search.restarts,
+        restarts_used=restarts,
         satisfied=sup <= budget.delta + CERT_TOL,
         borderline=abs(sup - budget.delta) <= CERT_TOL,
     )

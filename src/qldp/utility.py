@@ -3,18 +3,23 @@
 :func:`utility_report` is the one search entry point: it runs both searches
 and returns both values with their witnesses.  Optimization runs over pure
 states only; concavity of fidelity and convexity of the trace norm place the
-extremum at pure states, so the restriction is lossless.
+extremum at pure states, so the restriction is lossless.  A depolarizing
+channel is unitarily covariant, so every pure state attains both values: it is
+evaluated once, at the first basis vector, with no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .channels import QuantumChannel, batch_outputs
+from .channels import QuantumChannel, batch_outputs, is_depolarizing
 from .errors import InvalidInputError
 from .privacy import PrivacyBudget, SearchConfig, refine_extremum
+
+_ONE = np.ones(1)  # weights of a single-column frame
 
 
 @dataclass(frozen=True)
@@ -32,15 +37,16 @@ def _square(ch: QuantumChannel) -> int:
     return ch.dim_in
 
 
-def _fidelity_values(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi
-    out = batch_outputs(ch, states)
-    return np.einsum("bi,bij,bj->b", states.conj(), out, states).real
+def _fidelity_values(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
+    # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi, one per (d, 1) frame
+    out = batch_outputs(ch, frames, _ONE)
+    psi = frames[:, :, 0]
+    return np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
 
 
-def _trace_values(ch: QuantumChannel, states: np.ndarray) -> np.ndarray:
-    out = batch_outputs(ch, states)
-    proj = states[:, :, None] * states.conj()[:, None, :]
+def _trace_values(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
+    out = batch_outputs(ch, frames, _ONE)
+    proj = frames @ frames.conj().transpose(0, 2, 1)
     w = np.linalg.eigvalsh(out - proj)
     return np.abs(w).sum(axis=1) / 2
 
@@ -50,11 +56,17 @@ def utility_report(ch: QuantumChannel, search: SearchConfig = SearchConfig()) ->
 
     The fidelity value is an upper bound on the true minimum and the
     trace-distance value a lower bound on the true maximum: every evaluated
-    state is feasible.
+    state is feasible.  A depolarizing channel (:func:`is_depolarizing`) is
+    evaluated once at e_0, which attains both.
     """
     d = _square(ch)
-    fval, fpt = refine_extremum(lambda s: _fidelity_values(ch, s[:, :, 0]), d, 1, search, maximize=False)
-    tval, tpt = refine_extremum(lambda s: _trace_values(ch, s[:, :, 0]), d, 1, search, maximize=True)
+    fid, tr = partial(_fidelity_values, ch), partial(_trace_values, ch)
+    if is_depolarizing(ch):
+        fpt = tpt = np.eye(d, 1, dtype=complex)
+        fval, tval = fid(fpt[None])[0], tr(tpt[None])[0]
+    else:
+        fval, fpt = refine_extremum(fid, d, 1, search, maximize=False)
+        tval, tpt = refine_extremum(tr, d, 1, search, maximize=True)
     return UtilityReport(
         fidelity_utility=float(np.clip(fval, 0.0, 1.0)),
         trace_utility=float(np.clip(tval, 0.0, 1.0)),

@@ -311,16 +311,70 @@ def test_channel_rejects_non_finite_kraus(bad):
         ch.QuantumChannel(k)
 
 
+def _isometry_channel(d_in, d_out, r, rng):
+    """Random channel whose stacked (r d_out, d_in) Kraus matrix is an isometry."""
+    g = rng.standard_normal((r * d_out, d_in)) + 1j * rng.standard_normal((r * d_out, d_in))
+    v, _ = np.linalg.qr(g)
+    return ch.QuantumChannel(v.reshape(r, d_out, d_in))
+
+
 def test_batch_outputs_matches_per_state_apply():
     rng = np.random.default_rng(16)
-    for channel in (ch.random_channel(3, 2, rng), ch.pauli_measurement_channel(pauli_matrix("XZ"))):
-        psis = np.stack([qops.random_pure(channel.dim_in, rng) for _ in range(6)])
-        out = ch.batch_outputs(channel, psis)
-        assert out.shape == (6, channel.dim_out, channel.dim_out)
-        for psi, o in zip(psis, out):
-            assert np.abs(o - ch.apply(channel, qops.projector(psi))).max() < 1e-12
+    gamma = np.exp(0.7)
+    # (channel, takes the Kraus branch: 8 r c <= d_in d_out at c = 1 and 2)
+    cases = [(ch.random_channel(16, 3, rng), True), (_isometry_channel(8, 16, 2, rng), True),
+             (ch.random_channel(3, 2, rng), False), (ch.depolarizing(4, 0.35), False),
+             (ch.pauli_measurement_channel(pauli_matrix("XZ")), False)]
+    for channel, kraus_branch in cases:
+        g = rng.standard_normal((6, channel.dim_in, 2)) + 1j * rng.standard_normal((6, channel.dim_in, 2))
+        frames = np.linalg.qr(g)[0]
+        one = ch.batch_outputs(channel, frames[:, :, :1], [1.0])
+        two = ch.batch_outputs(channel, frames, [1.0, -gamma])
+        assert one.shape == two.shape == (6, channel.dim_out, channel.dim_out)
+        for f, o1, o2 in zip(frames, one, two):
+            n1 = ch.apply(channel, qops.projector(f[:, 0]))
+            n2 = ch.apply(channel, qops.projector(f[:, 1]))
+            assert np.abs(o1 - n1).max() < 1e-12
+            assert np.abs(o2 - (n1 - gamma * n2)).max() < 1e-12
+        # the Kraus branch never builds the superoperator
+        assert (channel._superop is None) == kraus_branch
     # one kernel: both objectives use it, and it stays out of the package API
     assert privacy.batch_outputs is ch.batch_outputs
     assert utility.batch_outputs is ch.batch_outputs
     assert not hasattr(privacy, "_batch_outputs") and not hasattr(utility, "_batch_out")
     assert not hasattr(qldp, "batch_outputs")
+
+
+def _fit_depolarizing_oracle(channel):
+    """Least squares against the full d^4 basis (S - I) = p (|v><v|/d - I), v = vec(I)."""
+    d = channel.dim_in
+    s = channel.superoperator
+    ident = np.eye(d * d, dtype=complex)
+    v = ch.vec(np.eye(d, dtype=complex))
+    basis = np.outer(v, v) / d - ident
+    p = np.vdot(basis, s - ident).real / np.vdot(basis, basis).real
+    return float(p), float(np.abs(s - (ident + p * basis)).max())
+
+
+def test_lean_fit_matches_the_full_least_squares_oracle():
+    rng = np.random.default_rng(18)
+    g = qubit_clifford_group()
+    cases = [ch.random_channel(d, r, rng) for d, r in [(2, 1), (2, 3), (3, 2), (4, 5), (8, 4)]]
+    cases += [ch.depolarizing(d, p) for d, p in [(2, 0.0), (3, 0.45), (8, 1.0), (16, 0.7)]]
+    cases += [ch.twirl(ch.random_channel(2, 2, rng), g)]
+    for channel in cases:
+        p, residual = ch.fit_depolarizing(channel)
+        p_ref, residual_ref = _fit_depolarizing_oracle(channel)
+        assert abs(p - p_ref) < 1e-12
+        assert abs(residual - residual_ref) < 1e-12
+
+
+def test_fit_rejects_one_dimensional_and_non_square_channels():
+    with pytest.raises(InvalidInputError):
+        ch.fit_depolarizing(ch.identity_channel(1))
+    with pytest.raises(InvalidInputError):
+        ch.fit_depolarizing(ch.pauli_measurement_channel(pauli_matrix("XZ")))
+    assert not ch.is_depolarizing(ch.identity_channel(1))
+    assert not ch.is_depolarizing(ch.pauli_measurement_channel(pauli_matrix("XZ")))
+    assert ch.is_depolarizing(ch.depolarizing(3, 0.2))
+    assert not ch.is_depolarizing(ch.random_channel(3, 2, np.random.default_rng(19)))

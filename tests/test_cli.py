@@ -24,7 +24,7 @@ from qldp.cli import (
 )
 from qldp.errors import ChannelParseError, InvalidInputError
 from qldp.utility import optimal_fidelity_utility
-from qldp.privacy import PrivacyBudget
+from qldp.privacy import PrivacyBudget, depolarizing_privacy_profile
 
 
 def read_csv(path):
@@ -455,3 +455,22 @@ def test_numeric_observable_specs_give_documented_exit_codes(tmp_path_factory, c
             rc = main([*argv, "--output-dir", out])
         assert rc in (EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_REGIME), (argv, rc)
         assert "Traceback" not in err.getvalue()
+
+
+def test_certify_depolarizing_prints_the_exact_profile_without_search(capsys):
+    rc = main(["certify", "--channel", "depolarizing 16 0.5", "--epsilon", "1"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_VIOLATED
+    head = out.splitlines()[0]
+    assert head.endswith("restarts = 0)")
+    sup = float(head.split("=")[1].split()[0])
+    assert abs(sup - depolarizing_privacy_profile(16, 0.5, math.e)) < 1e-12
+
+
+def test_certify_one_dimensional_input_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "chan.txt"
+    path.write_text("dims 2 1\nkraus\n1\n0\n")
+    rc = main(["certify", "--kraus-file", str(path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith("error:") and "orthogonal" in err

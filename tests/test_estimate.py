@@ -33,7 +33,7 @@ from qldp.estimate import (
     trials_to_csv,
 )
 from qldp.pauli import decompose, from_coeffs, pauli_matrix
-from qldp.privacy import PrivacyBudget
+from qldp.privacy import PrivacyBudget, qubit_depolarizing_q
 from qldp.shadows import _trial_estimates, naive_shadow_required_samples, shadow_required_samples
 
 Z = pauli_matrix("Z")
@@ -310,15 +310,27 @@ def test_threshold_test_boundary_goes_to_h0():
 
 
 def test_measurement_operator_protocol_identity():
-    rng = np.random.default_rng(5)
-    rho = qops.random_density(2, 2, rng)
+    rho = qops.random_density(2, 2, np.random.default_rng(5))
     b = PrivacyBudget(1.0, 0.0)
     dem = AccuracyDemand(0.2, 0.1)
-    est, n = measurement_operator_protocol(np.eye(2, dtype=complex), rho, b, dem, rng)
-    # Tr[O rho] = 1: debiased expectation is exactly 1; the noiseless-limit
-    # run is also exact once q has no chance to flip a deterministic outcome
-    assert abs(est - 1.0) < 0.05
+    runs = [measurement_operator_protocol(np.eye(2, dtype=complex), rho, b, dem, np.random.default_rng(seed))
+            for seed in range(1000)]
+    n = runs[0][1]
+    assert all(m == n for _, m in runs)
     assert n == math.ceil(2 * (b.gamma + 1) ** 2 / (0.2**2 * (b.gamma - 1) ** 2) * math.log(2 / 0.1))
+    # Tr[O rho] = 1, so the outcome-0 bit is 1 with probability p0 = 1 - q/2 and
+    # the debiased estimate has mean 1 and variance p0 (1 - p0) / (n (1 - q)^2)
+    est = np.array([e for e, _ in runs])
+    q = qubit_depolarizing_q(b)
+    p0 = 1.0 - q / 2.0
+    var = p0 * (1.0 - p0) / (n * (1.0 - q) ** 2)
+    r = len(est)
+    assert abs(est.mean() - 1.0) < 4.0 * math.sqrt(var / r)
+    # (r - 1) s^2 / var is chi-square with r - 1 degrees of freedom; Wilson-Hilferty
+    # bounds at z = 5 on s^2 / var, which is F(r - 1, infinity)
+    h = 2.0 / (9.0 * (r - 1))
+    lo, hi = ((1.0 - h + sign * 5.0 * math.sqrt(h)) ** 3 for sign in (-1.0, 1.0))
+    assert lo < est.var(ddof=1) / var < hi
 
 
 def test_measurement_operator_protocol_noiseless_projector():
@@ -496,3 +508,13 @@ def test_trials_at_unit_expectation_without_noise(rho):
         ests = run_estimation_trials(rho, from_coeffs(obs), b, AccuracyDemand(0.1, 0.05),
                                      5, seed=37, n=100)
         assert np.all(ests == obs["Z"])
+
+
+def test_infinite_pauli_weight_is_out_of_regime():
+    # each coefficient is finite, but S = sum |alpha_P| overflows to inf
+    with pytest.raises(OutOfRegimeError, match="weight"):
+        run_estimation_trials(np.eye(2) / 2, from_coeffs({"Z": 1e308, "X": 1e308}),
+                              PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.1), trials=3, seed=0, n=10)
+    with pytest.raises(OutOfRegimeError, match="weight"):
+        a = 0.8e308  # alpha_X = alpha_Y = alpha_Z = a, so S = 3a
+        decompose(np.array([[a, a - 1j * a], [a + 1j * a, -a]]), 1)

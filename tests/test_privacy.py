@@ -6,6 +6,7 @@ import pytest
 from qldp import channels as ch
 from qldp import qops
 from qldp.errors import InvalidInputError, OutOfRegimeError
+from qldp.pauli import enumerate_cliffords
 from qldp.privacy import (
     CERT_TOL,
     CertificationResult,
@@ -135,7 +136,10 @@ def test_certification_result_invariants():
     reval = hockey_stick_on_pair(ch.depolarizing(3, 0.4), phi1, phi2, b.gamma)
     assert abs(reval - res.sup_estimate) < 1e-9
     assert isinstance(res, CertificationResult)
-    assert res.restarts_used == 16
+    assert res.restarts_used == 0  # depolarizing: evaluated once, no search
+    rand = certify_qldp(ch.random_channel(3, 2, np.random.default_rng(5)), b,
+                        SearchConfig(restarts=16, local_steps=60, seed=5))
+    assert rand.restarts_used == 16
 
 
 def test_certify_monotone_in_epsilon_and_p():
@@ -175,3 +179,46 @@ def test_search_config_validation():
     with pytest.raises(InvalidInputError):
         SearchConfig(restarts=0)
     assert CERT_TOL == 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_depolarizing_certificate_is_the_closed_form_without_search(d):
+    cfg = SearchConfig(restarts=16, local_steps=60, seed=12)
+    for p, eps in [(0.2, 0.5), (0.6, 1.5), (1.0, 0.1)]:
+        b = PrivacyBudget(eps, 0.0)
+        channel = ch.depolarizing(d, p)
+        res = certify_qldp(channel, b, cfg)
+        assert res.restarts_used == 0
+        assert abs(res.sup_estimate - depolarizing_privacy_profile(d, p, b.gamma)) < 1e-12
+        phi1, phi2 = res.witness_pair
+        assert abs(hockey_stick_on_pair(channel, phi1, phi2, b.gamma) - res.sup_estimate) < 1e-12
+
+
+def test_clifford_twirled_channel_is_certified_without_search():
+    g = ch.FiniteUnitaryGroup(dim=2, elements=[c.matrix for c in enumerate_cliffords(1)])
+    damp = 0.5  # amplitude damping: Tr K_0 = 1 + sqrt(1 - damp), Tr K_1 = 0
+    kraus = np.array([[[1, 0], [0, np.sqrt(1 - damp)]], [[0, np.sqrt(damp)], [0, 0]]], dtype=complex)
+    p = 1 - ((1 + np.sqrt(1 - damp)) ** 2 - 1) / 3  # 1 - (sum_k |Tr K_k|^2 - 1)/(d^2 - 1)
+    b = PrivacyBudget(0.3, 0.0)
+    res = certify_qldp(ch.twirl(ch.QuantumChannel(kraus), g), b, SearchConfig(restarts=16, local_steps=60))
+    assert res.restarts_used == 0
+    assert abs(res.sup_estimate - depolarizing_privacy_profile(2, p, b.gamma)) < 1e-12
+
+
+def test_channel_just_outside_the_fit_tolerance_still_searches():
+    # N o U has the same supremum as N, since U maps orthogonal pairs to orthogonal pairs
+    theta = 1e-7
+    u = np.array([[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]])
+    channel = ch.compose(ch.depolarizing(2, 0.5), ch.unitary_conjugate(u))
+    _, residual = ch.fit_depolarizing(channel)
+    assert ch.SUPEROP_TOL < residual < 1e-6
+    b = PrivacyBudget(0.5, 0.0)
+    res = certify_qldp(channel, b, SearchConfig(restarts=16, local_steps=60, seed=13))
+    assert res.restarts_used == 16
+    exact = depolarizing_privacy_profile(2, 0.5, b.gamma)
+    assert exact - 1e-6 < res.sup_estimate <= exact + 1e-12
+
+
+def test_one_dimensional_input_has_no_orthogonal_pair():
+    with pytest.raises(InvalidInputError, match="orthogonal"):
+        certify_qldp(ch.QuantumChannel(np.array([[[1.0], [0.0]]])), PrivacyBudget(1.0, 0.0))

@@ -6,6 +6,7 @@ import pytest
 from qldp import channels as ch
 from qldp import qops
 from qldp.errors import InvalidInputError
+from qldp.pauli import enumerate_cliffords
 from qldp.privacy import PrivacyBudget, SearchConfig, optimal_depolarizing_p
 from qldp.utility import (
     curve_to_csv,
@@ -150,3 +151,38 @@ def test_empty_grids_rejected():
         utility_curve(10, [], [1.0])
     with pytest.raises(InvalidInputError):
         utility_curve(10, [0.0], [])
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_depolarizing_utilities_are_the_closed_forms_at_one_point(d):
+    for p in (0.0, 0.35, 1.0):
+        channel = ch.depolarizing(d, p)
+        rep = utility_report(channel, CFG)
+        assert abs(rep.fidelity_utility - depolarizing_fidelity_utility(d, p)) < 1e-12
+        assert abs(rep.trace_utility - depolarizing_trace_utility(d, p)) < 1e-12
+        # one evaluation, at e_0, which attains both values
+        e0 = np.eye(d)[0]
+        assert np.array_equal(rep.minimizer, e0) and np.array_equal(rep.maximizer, e0)
+        rho = qops.projector(e0)
+        assert abs(qops.trace_distance(ch.apply(channel, rho), rho) - rep.trace_utility) < 1e-12
+
+
+def test_clifford_twirled_utilities_are_the_closed_forms():
+    g = ch.FiniteUnitaryGroup(dim=2, elements=[c.matrix for c in enumerate_cliffords(1)])
+    u = np.array([[np.cos(0.4), -1j * np.sin(0.4)], [-1j * np.sin(0.4), np.cos(0.4)]])
+    p = 4 * np.sin(0.4) ** 2 / 3  # 1 - (|Tr U|^2 - 1)/(d^2 - 1)
+    rep = utility_report(ch.twirl(ch.unitary_conjugate(u), g), CFG)
+    assert abs(rep.fidelity_utility - depolarizing_fidelity_utility(2, p)) < 1e-12
+    assert abs(rep.trace_utility - depolarizing_trace_utility(2, p)) < 1e-12
+
+
+def test_rotated_depolarizing_channel_still_searches():
+    # F(N(U psi U^dag), psi) = (1 - p) |<psi|U|psi>|^2 + p/d, least at cos^2(theta)
+    theta, p = 0.05, 0.4
+    u = np.array([[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]])
+    channel = ch.compose(ch.depolarizing(2, p), ch.unitary_conjugate(u))
+    assert not ch.is_depolarizing(channel)
+    rep = utility_report(channel, CFG)
+    exact = (1 - p) * np.cos(theta) ** 2 + p / 2
+    assert exact - 1e-12 <= rep.fidelity_utility < exact + 1e-6
+    assert not np.array_equal(rep.minimizer, np.eye(2)[0])
