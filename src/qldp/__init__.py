@@ -58,7 +58,6 @@ from .privacy import (
     certify_qldp,
     depolarizing_privacy_profile,
     optimal_depolarizing_p,
-    qubit_depolarizing_q,
 )
 from .qops import (
     fidelity,

@@ -48,16 +48,12 @@ class QuantumChannel:
     superoperator (:func:`depolarizing`) fill the cache themselves.
     """
 
-    def __init__(self, kraus, dim_in: int | None = None, dim_out: int | None = None):
+    def __init__(self, kraus):
         k = np.asarray(kraus, dtype=complex)
         if k.ndim != 3 or k.shape[0] == 0:
             raise InvalidInputError(f"expected a nonempty stack of Kraus matrices, got shape {k.shape}")
         self.kraus = k
         self.dim_out, self.dim_in = k.shape[1], k.shape[2]
-        if dim_in is not None and dim_in != self.dim_in:
-            raise InvalidInputError(f"dim_in {dim_in} does not match Kraus shape {k.shape}")
-        if dim_out is not None and dim_out != self.dim_out:
-            raise InvalidInputError(f"dim_out {dim_out} does not match Kraus shape {k.shape}")
         if not np.isfinite(k).all():
             raise InvalidInputError("Kraus operators must have finite entries")
         tp = np.einsum("kji,kjl->il", k.conj(), k, optimize=True)

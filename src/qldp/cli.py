@@ -3,7 +3,8 @@
 Subcommands: utility-curve, certify, estimate, shadows, cost-report, bounds.
 Options resolve as CLI flag > config file ("key = value" lines) > default.
 Exit codes: 0 success/satisfied, 1 violated/failed coverage, 2 usage error,
-3 out-of-regime parameters or too few trials for a coverage verdict.
+3 any other package error (out-of-regime parameters, an infeasible budget, a
+degenerate observable) or too few trials for a coverage verdict.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from . import estimate as est
 from . import qops, shadows, utility
 from .channels import QuantumChannel, depolarizing
 from .charts import svg_line_chart
-from .errors import (
-    ChannelParseError,
-    InfeasibleError,
-    InvalidInputError,
-    NoninvertibleError,
-    OutOfRegimeError,
-    QldpError,
-)
+from .errors import ChannelParseError, InvalidInputError, QldpError
 from .pauli import decompose, from_coeffs
 from .privacy import PrivacyBudget, SearchConfig, certify_qldp
 
@@ -282,45 +276,55 @@ def _prepare_outdir(path: str) -> Path:
     return out
 
 
-def _coverage_verdict(coverage: float, eta: float, trials: int) -> tuple[str, int]:
-    """Coverage line and exit code from the 3-sigma gate 1 - eta - 3 sqrt(eta (1-eta)/trials).
+def _trial_inputs(opts: dict):
+    """Check trials >= 1, parse the observable and the state, build budget and demand.
 
-    A gate at or below 0 passes every run, so it gives no verdict.
+    Returns (decomposition, observable, state, true value, budget, demand).
     """
-    threshold = 1.0 - eta - 3.0 * math.sqrt(eta * (1.0 - eta) / trials)
+    if opts["trials"] < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {opts['trials']}")
+    decomp, obs = parse_observable(opts["observable"])
+    m = opts.get("m", decomp.m)  # shadows fixes m by option; estimate reads it off the observable
+    if decomp.m != m:
+        raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
+    rho = parse_state(opts["state"], 2**m, np.random.default_rng(opts["seed"]))
+    true_value = float(np.trace(obs @ rho).real)
+    budget = PrivacyBudget(opts["epsilon"], opts["delta"])
+    demand = est.AccuracyDemand(opts["beta"], opts["eta"])
+    return decomp, obs, rho, true_value, budget, demand
+
+
+def _report_trials(opts: dict, name: str, estimates: np.ndarray, n: int,
+                   true_value: float, demand: est.AccuracyDemand) -> tuple[Path, np.ndarray, str, int]:
+    """Write the trials CSV; return its path, the abs errors, and the coverage line and exit code.
+
+    The verdict is the 3-sigma gate 1 - eta - 3 sqrt(eta (1-eta)/trials); a gate
+    at or below 0 passes every run, so it gives none and exits EXIT_REGIME.
+    """
+    errors = np.abs(estimates - true_value)
+    coverage = float(np.mean(errors <= demand.beta))
+    path = _prepare_outdir(opts["output_dir"]) / name
+    path.write_text(est.trials_to_csv(estimates, n, true_value, demand.beta))
+    eta = demand.eta
+    threshold = 1.0 - eta - 3.0 * math.sqrt(eta * (1.0 - eta) / len(estimates))
     if threshold <= 0.0:
-        return (f"coverage = {coverage:.4f}  (insufficient trials for a coverage verdict)",
-                EXIT_REGIME)
+        return (path, errors,
+                f"coverage = {coverage:.4f}  (insufficient trials for a coverage verdict)", EXIT_REGIME)
     code = EXIT_OK if coverage >= threshold else EXIT_VIOLATED
-    return f"coverage = {coverage:.4f}  (target >= {threshold:.4f})", code
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    return path, errors, f"coverage = {coverage:.4f}  (target >= {threshold:.4f})", code
 
 
 def cmd_utility_curve(opts: dict) -> int:
     d = opts["d"]
-    if d < 2 or any(dd < 2 for dd in opts["dims"]):
-        raise InvalidInputError("dimensions must be >= 2")
-    if opts["eps_points"] < 1:
-        raise InvalidInputError("eps_points must be >= 1")
-    if not opts["deltas"]:
-        raise InvalidInputError("deltas must be nonempty")
     eps_grid = list(np.linspace(opts["eps_start"], opts["eps_stop"], opts["eps_points"]))
     rows = utility.utility_curve(d, opts["deltas"], eps_grid)
-    dim_rows = []
-    for dd in opts["dims"]:
-        for eps in eps_grid:
-            b = PrivacyBudget(eps, opts["delta_fixed"])
-            dim_rows.append((eps, dd, utility.optimal_fidelity_utility(dd, b),
-                             utility.optimal_trace_utility(dd, b)))
+    dim_rows = [(dd, utility.utility_curve(dd, [opts["delta_fixed"]], eps_grid))
+                for dd in opts["dims"]]
     out = _prepare_outdir(opts["output_dir"])
     (out / "utility_curve.csv").write_text(utility.curve_to_csv(rows))
     lines = ["epsilon,dimension,optimal_fidelity,optimal_trace"]
-    for eps, dd, f, t in dim_rows:
-        lines.append(f"{eps:.12g},{dd},{f:.12g},{t:.12g}")
+    for dd, curve in dim_rows:
+        lines += [f"{eps:.12g},{dd},{f:.12g},{t:.12g}" for eps, _, f, t in curve]
     (out / "utility_curve_dims.csv").write_text("\n".join(lines) + "\n")
 
     series = []
@@ -329,10 +333,7 @@ def cmd_utility_curve(opts: dict) -> int:
         series.append((f"delta={delta:g}", eps_grid, ys))
     (out / "fig_optimal_fidelity_by_delta.svg").write_text(
         svg_line_chart(series, f"Optimal fidelity utility (d={d})", "epsilon", "optimal fidelity"))
-    series = []
-    for dd in opts["dims"]:
-        ys = [r[2] for r in dim_rows if r[1] == dd]
-        series.append((f"d={dd}", eps_grid, ys))
+    series = [(f"d={dd}", eps_grid, [r[2] for r in curve]) for dd, curve in dim_rows]
     (out / "fig_optimal_fidelity_by_dimension.svg").write_text(
         svg_line_chart(series, f"Optimal fidelity utility (delta={opts['delta_fixed']:g})",
                        "epsilon", "optimal fidelity"))
@@ -360,76 +361,40 @@ def cmd_certify(opts: dict) -> int:
 
 
 def cmd_estimate(opts: dict) -> int:
-    _check_trials(opts["trials"])
-    decomp, obs = parse_observable(opts["observable"])
-    d = 2**decomp.m
-    rng = np.random.default_rng(opts["seed"])
-    rho = parse_state(opts["state"], d, rng)
-    budget = PrivacyBudget(opts["epsilon"], opts["delta"])
-    demand = est.AccuracyDemand(opts["beta"], opts["eta"])
+    decomp, _, rho, true_value, budget, demand = _trial_inputs(opts)
     n_upper = est.required_samples_upper(decomp.weight, budget, demand)
     try:
-        n_lower = est.required_samples_lower(decomp.lambda_max, decomp.lambda_min, budget, demand)
-        n_lower_note = str(n_lower)
-    except (OutOfRegimeError, QldpError) as exc:
+        n_lower_note = str(est.required_samples_lower(decomp.lambda_max, decomp.lambda_min,
+                                                      budget, demand))
+    except QldpError as exc:
         n_lower_note = f"unavailable ({exc})"
     n = opts["n"] if opts["n"] is not None else n_upper
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    true_value = float(np.trace(obs @ rho).real)
-    out = _prepare_outdir(opts["output_dir"])
     estimates = est.run_estimation_trials(rho, decomp, budget, demand,
                                           opts["trials"], opts["seed"], n=n)
-    errors = np.abs(estimates - true_value)
-    coverage = float(np.mean(errors <= demand.beta))
-    (out / "estimate_trials.csv").write_text(
-        est.trials_to_csv(estimates, n, true_value, demand.beta))
-    verdict, code = _coverage_verdict(coverage, demand.eta, opts["trials"])
+    path, errors, verdict, code = _report_trials(opts, "estimate_trials.csv", estimates, n,
+                                                 true_value, demand)
     print(f"n_upper = {n_upper}   n_lower = {n_lower_note}   n_used = {n}")
     print(f"true value = {true_value:.12g}")
     print(verdict)
     print(f"mean abs error = {errors.mean():.12g}")
-    print(f"wrote {out / 'estimate_trials.csv'}")
+    print(f"wrote {path}")
     return code
 
 
 def cmd_shadows(opts: dict) -> int:
-    m = opts["m"]
-    if not 1 <= m <= 4:
-        raise InvalidInputError(f"m must be in [1, 4], got {m}")
-    _check_trials(opts["trials"])
-    decomp, obs = parse_observable(opts["observable"])
-    if decomp.m != m:
-        raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
-    d = 2**m
-    rng = np.random.default_rng(opts["seed"])
-    rho = parse_state(opts["state"], d, rng)
-    budget = PrivacyBudget(opts["epsilon"], opts["delta"])
-    demand = est.AccuracyDemand(opts["beta"], opts["eta"])
+    decomp, obs, rho, true_value, budget, demand = _trial_inputs(opts)
+    d = 2**decomp.m
     p_hat = shadows.private_shadow_p_hat(d, budget)
-    if p_hat >= 1.0:
-        raise InfeasibleError("epsilon = 0 and delta = 0 force p_hat = 1; snapshots carry no signal")
-    tr_sq = _trace_square(decomp)
-    n = shadows.shadow_required_samples(tr_sq, d, budget, demand)
-    if opts["ell"] is not None:
-        ell = opts["ell"]
-        if ell < 1 or n % ell != 0:
-            raise InvalidInputError(f"ell={ell} does not divide N={n}")
-    else:
-        ell = n // shadows.default_batch_count(n, demand.eta)
-    true_value = float(np.trace(obs @ rho).real)
+    n = shadows.shadow_required_samples(_trace_square(decomp), d, budget, demand)
+    ell = opts["ell"] if opts["ell"] is not None else n // shadows.default_batch_count(n, demand.eta)
     estimates = shadows.run_shadow_trials(rho, obs, p_hat, n, ell, opts["trials"], opts["seed"])
-    errors = np.abs(estimates - true_value)
-    coverage = float(np.mean(errors <= demand.beta))
-    out = _prepare_outdir(opts["output_dir"])
-    (out / "shadow_trials.csv").write_text(
-        est.trials_to_csv(estimates, n, true_value, demand.beta))
-    verdict, code = _coverage_verdict(coverage, demand.eta, opts["trials"])
+    path, _, verdict, code = _report_trials(opts, "shadow_trials.csv", estimates, n,
+                                            true_value, demand)
     print(f"N = {n}   ell = {ell}   batches = {n // ell}")
     print(f"p_hat = {p_hat:.12g}   effective q = {shadows.effective_depolarizing_q(p_hat, d):.12g}")
     print(f"true value = {true_value:.12g}")
     print(verdict)
-    print(f"wrote {out / 'shadow_trials.csv'}")
+    print(f"wrote {path}")
     return code
 
 
@@ -478,12 +443,12 @@ def cmd_bounds(opts: dict) -> int:
                     decomp.lambda_max, decomp.lambda_min,
                     PrivacyBudget(eps, 0.0), demand)
                 cells["lower_qht"] = str(lower_val)
-            except (OutOfRegimeError, QldpError) as exc:
+            except QldpError as exc:
                 cells["lower_qht"] = f"out-of-regime ({exc})"
             try:
                 cells["lower_fidelity"] = str(est.fidelity_lower_bound(
                     decomp.lambda_max, decomp.lambda_min, demand))
-            except (OutOfRegimeError, QldpError) as exc:
+            except QldpError as exc:
                 cells["lower_fidelity"] = f"out-of-regime ({exc})"
             cells["theta_regime"] = "yes" if 0 < eps <= 1 else "out-of-regime (eps > 1)"
             if lower_val is not None and 0 < eps <= 1:
@@ -538,12 +503,12 @@ def main(argv=None) -> int:
     try:
         opts = resolve_options(args.command, args)
         return _COMMANDS[args.command](opts)
-    except (InfeasibleError, OutOfRegimeError, NoninvertibleError) as exc:
-        print(f"out of regime: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except (ChannelParseError, ValueError) as exc:  # InvalidInputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QldpError as exc:
+        print(f"out of regime: {exc}", file=sys.stderr)
+        return EXIT_REGIME
 
 
 if __name__ == "__main__":

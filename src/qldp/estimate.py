@@ -34,7 +34,7 @@ from .pauli import (
     pauli_matrix,
     sampling_distribution,
 )
-from .privacy import PrivacyBudget, qubit_depolarizing_q
+from .privacy import PrivacyBudget, optimal_depolarizing_p
 
 H0 = "H0"
 H1 = "H1"
@@ -292,7 +292,7 @@ def measurement_operator_protocol(obs: np.ndarray, rho: np.ndarray, budget: Priv
     if rho.shape != obs.shape:
         raise InvalidInputError(f"state shape {rho.shape} does not match operator {obs.shape}")
     n = required_samples_upper(1.0, budget, demand)
-    q = qubit_depolarizing_q(budget)
+    q = optimal_depolarizing_p(2, budget)
     t = float(np.trace(obs @ rho).real)
     p0 = q / 2.0 + t * (1.0 - q)
     f0 = rng.binomial(n, p0) / n
@@ -316,7 +316,7 @@ def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if n > np.iinfo(np.int64).max:
         raise OutOfRegimeError(f"n = {n} records exceed the 2**63 - 1 a trial can count")
-    q = qubit_depolarizing_q(budget)
+    q = optimal_depolarizing_p(2, budget)
     if q >= 1.0:
         raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
     d = 2**decomp.m

@@ -74,7 +74,7 @@ def optimal_depolarizing_p(d: int, budget: PrivacyBudget) -> float:
     """Smallest depolarizing parameter meeting the privacy demand: d(1-delta)/(e^eps + d - 1)."""
     if d < 2:
         raise InvalidInputError(f"d must be >= 2, got {d}")
-    p = d * (1.0 - budget.delta) / (budget.gamma + d - 1.0)
+    p = d * (1.0 - budget.delta) / (budget.gamma + (d - 1.0))
     return min(1.0, max(0.0, p))
 
 
@@ -91,11 +91,6 @@ def depolarizing_privacy_profile(d: int, p: float, gamma: float) -> float:
     if gamma < 1:
         raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
     return max(0.0, 1.0 - p * (d - 1.0 + gamma) / d)
-
-
-def qubit_depolarizing_q(budget: PrivacyBudget) -> float:
-    """Qubit noise level 2(1-delta)/(e^eps + 1) used on classical measurement bits."""
-    return 2.0 * (1.0 - budget.delta) / (budget.gamma + 1.0)
 
 
 def _orthonormalize(batch: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ TOL_PSD = 1e-10    # eigenvalue floor for positivity checks
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dag)/2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (a + a^dag)/2; halving first keeps entries near the float limit finite."""
+    return a / 2 + a.conj().T / 2
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:

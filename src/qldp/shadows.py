@@ -26,10 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qops
-from .channels import FiniteUnitaryGroup, QuantumChannel, depolarizing
+from .channels import (
+    FiniteUnitaryGroup,
+    QuantumChannel,
+    compose,
+    depolarizing,
+    pauli_measurement_channel,
+    twirl,
+)
 from .errors import InfeasibleError, InvalidInputError, NoninvertibleError, OutOfRegimeError
 from .estimate import AccuracyDemand, sample_count
-from .pauli import CliffordElement, clifford_orbit, enumerate_cliffords, random_clifford
+from .pauli import CliffordElement, clifford_orbit, enumerate_cliffords, pauli_matrix, random_clifford
 from .privacy import PrivacyBudget
 
 
@@ -168,24 +175,14 @@ def default_batch_count(n: int, eta: float) -> int:
 def composite_shadow_channel(p_hat: float, m: int = 1) -> QuantumChannel:
     """Exact group-averaged snapshot channel, built by full enumeration (m = 1).
 
-    Kraus operators U^dag |b><b| A_k U / sqrt(|G|) over all group elements,
+    The Clifford twirl of a Z measurement after depolarizing noise: Kraus
+    operators U^dag |b><b| A_k U / sqrt(|G|) over all group elements,
     outcomes, and depolarizing Kraus terms A_k.
     """
     if m != 1:
         raise InvalidInputError("exact composite enumeration is supported at m = 1 only")
-    d = 2**m
-    group = enumerate_cliffords(m)
-    dep = depolarizing(d, p_hat)
-    scale = 1.0 / math.sqrt(len(group))
-    ops = []
-    for c in group:
-        u = c.matrix
-        for b in range(d):
-            proj = np.zeros((d, d), dtype=complex)
-            proj[b, b] = 1.0
-            for k in dep.kraus:
-                ops.append(scale * (u.conj().T @ proj @ k @ u))
-    return QuantumChannel(np.stack(ops))
+    z_measurement = pauli_measurement_channel(pauli_matrix("Z"))
+    return twirl(compose(z_measurement, depolarizing(2, p_hat)), clifford_unitary_group(1))
 
 
 def _snapshot_tables(rho: np.ndarray, obs: np.ndarray, p_hat: float, m: int):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qldp
+from qldp import cli, errors
 from qldp.cli import (
     EXIT_OK,
     EXIT_REGIME,
@@ -22,7 +23,7 @@ from qldp.cli import (
     parse_observable,
     parse_state,
 )
-from qldp.errors import ChannelParseError, InvalidInputError
+from qldp.errors import ChannelParseError, InvalidInputError, QldpError
 from qldp.utility import optimal_fidelity_utility
 from qldp.privacy import PrivacyBudget, depolarizing_privacy_profile
 
@@ -321,6 +322,31 @@ def test_overflowing_budget_or_underflowing_beta_exits_3_with_one_line(capsys, a
     assert err.count("\n") == 1 and err.startswith("out of regime:")
 
 
+def test_zero_weight_observable_exits_3_with_one_line(tmp_path, capsys):
+    # the runner's zero-weight check raises DegenerateObservableError, a package error
+    rc = main(["estimate", "--observable", "Z:0", "--n", "5", "--trials", "3",
+               "--output-dir", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and err.startswith("out of regime:") and "zero Pauli weight" in err
+    assert not (tmp_path / "e").exists()
+
+
+_PACKAGE_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, QldpError)]
+
+
+@pytest.mark.parametrize("cls", _PACKAGE_ERRORS, ids=lambda c: c.__name__)
+def test_every_package_error_maps_to_a_documented_exit_code(monkeypatch, capsys, cls):
+    def fail(opts):
+        raise cls(7, "boom") if cls is ChannelParseError else cls("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "cost-report", fail)
+    rc = main(["cost-report"])
+    err = capsys.readouterr().err
+    assert rc == (EXIT_USAGE if cls in (InvalidInputError, ChannelParseError) else EXIT_REGIME)
+    assert err.count("\n") == 1 and "boom" in err and "Traceback" not in err
+
+
 def test_seed_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QLDP_SEED", "123")
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -421,12 +447,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "out of regime" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_overflowing_observable_prints_one_stderr_line(tmp_path):
-    # Z:1e308 + I:1e308 overflows while the matrix is built; numpy must not warn
+@pytest.mark.parametrize("observable", ["Z:1e308,I:1e308", "file:{tmp}/obs.txt"],
+                         ids=["pauli-list", "dense-file"])
+def test_overflowing_observable_prints_one_stderr_line(tmp_path, observable):
+    # Z:1e308 + I:1e308 overflows while the matrix is built, and the dense file's
+    # a + a^dag overflows unless it is halved first; numpy must not warn on either
+    (tmp_path / "obs.txt").write_text("1e308 1e308\n1e308 -1e308\n")
     src = Path(qldp.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "qldp", "estimate", "--observable", "Z:1e308,I:1e308",
-                           "--trials", "1", "--output-dir", str(tmp_path / "e")],
+    proc = subprocess.run([sys.executable, "-m", "qldp", "estimate", "--observable",
+                           observable.format(tmp=tmp_path), "--trials", "1",
+                           "--output-dir", str(tmp_path / "e")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_REGIME
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("out of regime:")
@@ -442,12 +473,14 @@ _EDGE_FLOATS = [1e308, -1e308, 1e200, 1e154, 5e-324, -5e-324, 2.2250738585072014
        two_qubits=st.booleans())
 @example(coeffs=[1e200], two_qubits=False)
 @example(coeffs=[1e308, 1e308, -1e308], two_qubits=True)
+@example(coeffs=[0.0], two_qubits=False)
 def test_numeric_observable_specs_give_documented_exit_codes(tmp_path_factory, coeffs, two_qubits):
     labels = ["ZI", "XY", "IZ", "YY"] if two_qubits else ["Z", "X", "Y", "I"]
     spec = ",".join(f"{lab}:{a!r}" for lab, a in zip(labels, coeffs))
     out = str(tmp_path_factory.mktemp("fuzz"))
     m = "2" if two_qubits else "1"
     for argv in (["estimate", "--observable", spec, "--trials", "1"],
+                 ["estimate", "--observable", spec, "--n", "5", "--trials", "1"],
                  ["shadows", "--m", m, "--observable", spec, "--trials", "1"],
                  ["bounds", "--observable", spec]):
         err = io.StringIO()

@@ -33,7 +33,7 @@ from qldp.estimate import (
     trials_to_csv,
 )
 from qldp.pauli import decompose, from_coeffs, pauli_matrix
-from qldp.privacy import PrivacyBudget, qubit_depolarizing_q
+from qldp.privacy import PrivacyBudget, optimal_depolarizing_p
 from qldp.shadows import _trial_estimates, naive_shadow_required_samples, shadow_required_samples
 
 Z = pauli_matrix("Z")
@@ -321,7 +321,7 @@ def test_measurement_operator_protocol_identity():
     # Tr[O rho] = 1, so the outcome-0 bit is 1 with probability p0 = 1 - q/2 and
     # the debiased estimate has mean 1 and variance p0 (1 - p0) / (n (1 - q)^2)
     est = np.array([e for e, _ in runs])
-    q = qubit_depolarizing_q(b)
+    q = optimal_depolarizing_p(2, b)
     p0 = 1.0 - q / 2.0
     var = p0 * (1.0 - p0) / (n * (1.0 - q) ** 2)
     r = len(est)

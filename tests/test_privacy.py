@@ -16,7 +16,6 @@ from qldp.privacy import (
     depolarizing_privacy_profile,
     hockey_stick_on_pair,
     optimal_depolarizing_p,
-    qubit_depolarizing_q,
 )
 
 GRID_D = (2, 3, 4, 8)
@@ -87,13 +86,13 @@ def test_profile_monotone_in_gamma_and_p():
 
 
 def test_qubit_q_examples():
-    assert qubit_depolarizing_q(PrivacyBudget(0.0, 0.0)) == 1.0
-    assert abs(qubit_depolarizing_q(PrivacyBudget(math.log(3), 0.0)) - 0.5) < 1e-12
+    assert optimal_depolarizing_p(2, PrivacyBudget(0.0, 0.0)) == 1.0
+    assert abs(optimal_depolarizing_p(2, PrivacyBudget(math.log(3), 0.0)) - 0.5) < 1e-12
     expected = 2 * 0.9 / (math.e + 1)
-    assert abs(qubit_depolarizing_q(PrivacyBudget(1.0, 0.1)) - expected) < 1e-12
-    # matches the d=2 calibration formula
+    assert abs(optimal_depolarizing_p(2, PrivacyBudget(1.0, 0.1)) - expected) < 1e-12
+    # the qubit noise level on classical bits is exactly 2(1 - delta)/(e^eps + 1)
     b = PrivacyBudget(0.7, 0.2)
-    assert abs(qubit_depolarizing_q(b) - optimal_depolarizing_p(2, b)) < 1e-15
+    assert optimal_depolarizing_p(2, b) == 2.0 * (1.0 - b.delta) / (b.gamma + 1.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
