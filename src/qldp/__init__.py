@@ -28,14 +28,11 @@ from .errors import (
 )
 from .estimate import (
     AccuracyDemand,
-    PrivatizedSample,
     QhtBounds,
     QhtReduction,
     build_qht_reduction,
-    estimate_expectation,
     fidelity_lower_bound,
     measurement_operator_protocol,
-    privatize_sample,
     qht_sample_bounds,
     required_samples_lower,
     required_samples_upper,
@@ -49,7 +46,6 @@ from .pauli import (
     from_coeffs,
     pauli_matrix,
     random_clifford,
-    sample_pauli,
 )
 from .privacy import (
     CertificationResult,

@@ -31,12 +31,18 @@ EXIT_USAGE = 2
 EXIT_REGIME = 3
 
 
+def _nonempty(items: list, s: str) -> list:
+    if not items:
+        raise InvalidInputError(f"expected a nonempty comma-separated list, got {s!r}")
+    return items
+
+
 def _float_list(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip() != ""]
+    return _nonempty([float(x) for x in s.split(",") if x.strip() != ""], s)
 
 
 def _int_list(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip() != ""]
+    return _nonempty([int(x) for x in s.split(",") if x.strip() != ""], s)
 
 
 def _default_seed() -> int:
@@ -241,8 +247,13 @@ def parse_observable(spec: str):
 
 
 def _trace_square(decomp) -> float:
-    """Tr[O^2] = 2^m sum_P alpha_P^2; past the float range it is inf, with no warning."""
-    return 2**decomp.m * sum(a * a for a in decomp.coeffs.values())
+    """Tr[O^2] = 2^m sum_P alpha_P^2; past the float range it is inf, with no warning.
+
+    A left-to-right sum of Python floats over the nonzero coefficients: the
+    zeros would add nothing, and Python float products overflow silently.
+    """
+    alphas = decomp.coeffs[decomp.coeffs != 0.0].tolist()
+    return 2**decomp.m * sum(a * a for a in alphas)
 
 
 def parse_state(spec: str, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,8 +3,13 @@
 The mechanism releases, per input copy, a Pauli label drawn proportionally to
 the observable's coefficient magnitudes and one depolarized measurement bit.
 The estimator consumes those released records only; it never sees the state.
-Every record is worth +-S/(1-q), so Monte Carlo trials draw the count of
-positive records from one binomial instead of the records.
+The observable enters through its coefficient vector alpha
+(:class:`~qldp.pauli.PauliDecomposition`): every record is worth +-S/(1-q)
+with S = sum |alpha_P|, and Tr[O rho] = 2^m alpha . c with c the state's own
+Pauli coefficients, so Monte Carlo trials draw the count of positive records
+from one binomial instead of the records.  :func:`simulate_privatized_batch`
+and :func:`estimate_from_batch` sample and score records, as an independent
+check on that law; the one-record-at-a-time oracles are in the test suite.
 Sample-size calculators cover the achievable Hoeffding bound, the
 hypothesis-testing lower bound, its privacy-independent fidelity variant, and
 the generic private-testing bounds they derive from.  Out-of-regime
@@ -30,7 +35,6 @@ from .errors import (
 from .pauli import (
     PauliDecomposition,
     pauli_coefficients,
-    pauli_labels,
     pauli_matrix,
     sampling_distribution,
 )
@@ -57,14 +61,6 @@ class AccuracyDemand:
 
 
 @dataclass(frozen=True)
-class PrivatizedSample:
-    """One released record: depolarized measurement bit and the Pauli label."""
-
-    y: int
-    pauli: str
-
-
-@dataclass(frozen=True)
 class QhtReduction:
     """Two-state discrimination instance embedded in the estimation task."""
 
@@ -81,50 +77,13 @@ class QhtBounds:
     c_const: float
 
 
-def privatize_sample(rho: np.ndarray, decomp: PauliDecomposition, q: float,
-                     rng: np.random.Generator) -> PrivatizedSample:
-    """Release one (bit, Pauli) record for the state.
-
-    Draws P with probability |alpha_P|/S, samples the two-outcome measurement
-    of P, then flips the bit with probability q/2 (the action of qubit
-    depolarizing noise on a classical bit).
-    """
-    if not 0.0 <= q <= 1.0:
-        raise InvalidInputError(f"q must be in [0, 1], got {q}")
-    labels, probs = sampling_distribution(decomp)
-    d = 2**decomp.m
-    if rho.shape != (d, d):
-        raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
-    label = labels[rng.choice(len(labels), p=probs)]
-    t = (1.0 + np.trace(pauli_matrix(label) @ rho).real) / 2.0  # Pr[outcome 0]
-    y = 0 if rng.random() < t else 1
-    if rng.random() < q / 2.0:
-        y = 1 - y
-    return PrivatizedSample(y=y, pauli=label)
-
-
-def estimate_expectation(samples, decomp: PauliDecomposition, q: float) -> float:
-    """Unbiased estimate: mean of (S/(1-q)) sgn(alpha_P) (-1)^Y over the records."""
-    if q >= 1.0:
-        raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
-    if not samples:
-        raise InvalidInputError("no samples")
-    scale = decomp.weight / (1.0 - q)
-    total = 0.0
-    for s in samples:
-        a = decomp.coeffs.get(s.pauli, 0.0)
-        if a == 0.0:
-            raise InvalidInputError(f"sample Pauli {s.pauli!r} has zero coefficient")
-        total += scale * math.copysign(1.0, a) * (1.0 - 2.0 * s.y)
-    return total / len(samples)
-
-
 def simulate_privatized_batch(rho: np.ndarray, decomp: PauliDecomposition, q: float,
                               n: int, rng: np.random.Generator):
     """Vectorized sampler: n records as (bit array, support-index array).
 
-    Distributionally identical to n calls of :func:`privatize_sample`; the
-    flip with probability q/2 is folded into the outcome probability
+    Each record draws P with probability |alpha_P|/S, measures P, and flips
+    the bit with probability q/2 (qubit depolarizing noise on a classical
+    bit); the flip is folded into the outcome probability
     ``1/2 + (1-q)/2 Tr[P rho]``.
     """
     if not 0.0 <= q <= 1.0:
@@ -142,8 +101,9 @@ def estimate_from_batch(y: np.ndarray, idx: np.ndarray, decomp: PauliDecompositi
     """Estimator applied to a vectorized record batch."""
     if q >= 1.0:
         raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
-    labels, _ = sampling_distribution(decomp)
-    signs = np.array([math.copysign(1.0, decomp.coeffs[lab]) for lab in labels])
+    if decomp.weight <= 0:
+        raise DegenerateObservableError("observable has zero Pauli weight")
+    signs = np.sign(decomp.coeffs[decomp.coeffs != 0.0])  # in support order, as idx indexes
     scale = decomp.weight / (1.0 - q)
     return float(scale * np.mean(signs[idx] * (1.0 - 2.0 * y)))
 
@@ -324,8 +284,7 @@ def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
         raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
     if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    alphas = [decomp.coeffs.get(lab, 0.0) for lab in pauli_labels(decomp.m)]
-    expectation = d * float(np.dot(alphas, pauli_coefficients(rho, decomp.m).real))
+    expectation = d * float(np.dot(decomp.coeffs, pauli_coefficients(rho, decomp.m).real))
     # the clip absorbs |Tr[O rho]| rounding just past S; unlike min/max it passes
     # NaN on, so binomial() rejects it instead of drawing from p+ = 0
     p_plus = np.clip(0.5 + (1.0 - q) * expectation / (2.0 * decomp.weight), 0.0, 1.0)

@@ -1,9 +1,13 @@
 """Pauli strings, observable decompositions, and Clifford group access.
 
 Pauli labels are plain strings over {I, X, Y, Z} ("XZ" means X tensor Z).
-A matrix converts to its 4^m coefficients Tr[P A]/2^m and back through one
-transform pair, :func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4
-product per qubit.  Clifford elements are dense unitaries.
+Label k of :func:`pauli_labels` has the base-4 digits of k, leading qubit
+first, with I, X, Y, Z as 0..3.  A matrix converts to its 4^m coefficients
+Tr[P A]/2^m in that order, and back, through one transform pair,
+:func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4 product per
+qubit.  A :class:`PauliDecomposition` holds the coefficient vector itself;
+label strings are made only for its nonzero entries.  Clifford elements are
+dense unitaries.
 :func:`clifford_orbit` closes a Clifford matrix or a stabilizer state under
 the generators {H_i, S_i, CZ_ij}, deduplicating by an exact per-entry phase
 code; from the identity it enumerates the group up to global phase (m in
@@ -89,30 +93,48 @@ def pauli_sum(coeffs: np.ndarray, m: int) -> np.ndarray:
     return x.reshape((2,) * (2 * m)).transpose(rows_then_cols).reshape(2**m, 2**m)
 
 
+_DIGIT_TO_LETTER = str.maketrans("0123", "IXYZ")
+_LETTER_TO_DIGIT = str.maketrans("IXYZ", "0123")
+
+
+def _label(index: int, m: int) -> str:
+    """Label ``index`` of :func:`pauli_labels` (m), from its base-4 digits."""
+    return np.base_repr(index, 4).rjust(m, "0").translate(_DIGIT_TO_LETTER)
+
+
 @dataclass(frozen=True)
 class PauliDecomposition:
-    """Real coefficients of a Hermitian observable in the Pauli basis."""
+    """Real coefficients alpha_P of a Hermitian observable in the Pauli basis.
+
+    ``coeffs`` is a read-only float64 array of all 4^m coefficients in
+    :func:`pauli_labels` order, the order of the transform pair.
+    """
 
     m: int
-    coeffs: dict[str, float]
+    coeffs: np.ndarray
     weight: float          # S = sum |alpha_P|
     lambda_max: float
     lambda_min: float
 
     def reconstruct(self) -> np.ndarray:
-        return pauli_sum([self.coeffs.get(lab, 0.0) for lab in pauli_labels(self.m)], self.m)
+        return pauli_sum(self.coeffs, self.m)
 
     def support(self) -> list[str]:
-        return [lab for lab, a in self.coeffs.items() if a != 0.0]
+        """Labels of the nonzero coefficients, in :func:`pauli_labels` order."""
+        return [_label(k, self.m) for k in np.flatnonzero(self.coeffs).tolist()]
 
 
-def _decomposition(m: int, coeffs: list[float], obs: np.ndarray) -> PauliDecomposition:
+def _decomposition(m: int, coeffs: np.ndarray, obs: np.ndarray) -> PauliDecomposition:
     """Decomposition from all 4^m coefficients in label order and the matrix they sum to.
 
     Raises OutOfRegimeError when the weight S = sum |alpha_P| or an eigenvalue
     is not a finite float.
     """
-    weight = float(sum(abs(a) for a in coeffs))
+    coeffs = np.array(coeffs, dtype=float)
+    coeffs.flags.writeable = False
+    # a left-to-right sum of Python floats: it overflows to inf with no numpy
+    # warning, and skipping the zero entries leaves every partial sum unchanged
+    weight = float(sum(np.abs(coeffs[coeffs != 0.0]).tolist()))
     if not math.isfinite(weight):
         raise OutOfRegimeError(f"Pauli weight sum |alpha_P| = {weight} is not a finite float")
     w = np.linalg.eigvalsh(obs)
@@ -120,7 +142,7 @@ def _decomposition(m: int, coeffs: list[float], obs: np.ndarray) -> PauliDecompo
         raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
     return PauliDecomposition(
         m=m,
-        coeffs=dict(zip(pauli_labels(m), coeffs)),
+        coeffs=coeffs,
         weight=weight,
         lambda_max=float(w[-1]),
         lambda_min=float(w[0]),
@@ -131,7 +153,7 @@ def decompose(obs: np.ndarray, m: int) -> PauliDecomposition:
     """Expand a Hermitian observable as sum_P alpha_P P with alpha_P = Tr[P O]/2^m."""
     obs = qops.check_hermitian(obs)
     # obs is exactly Hermitian, so every Tr[P O] is real
-    return _decomposition(m, pauli_coefficients(obs, m).real.tolist(), obs)
+    return _decomposition(m, pauli_coefficients(obs, m).real, obs)
 
 
 def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
@@ -142,30 +164,22 @@ def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
     if len(lengths) != 1:
         raise InvalidInputError(f"labels of mixed length: {sorted(coeffs)}")
     m = lengths.pop()
-    full = {lab: 0.0 for lab in pauli_labels(m)}
+    vec = np.zeros(4**m)
     for lab, a in coeffs.items():
-        if lab not in full:
+        if not lab or not set(lab) <= set(PAULI_1Q):
             raise InvalidInputError(f"invalid Pauli label {lab!r}")
-        full[lab] = float(a)
-        if not np.isfinite(full[lab]):
+        k = int(lab.translate(_LETTER_TO_DIGIT), 4)
+        vec[k] = float(a)
+        if not math.isfinite(vec[k]):
             raise InvalidInputError(f"coefficient of {lab!r} is not finite: {a!r}")
-    vals = list(full.values())
-    return _decomposition(m, vals, pauli_sum(vals, m))
+    return _decomposition(m, vec, pauli_sum(vec, m))
 
 
 def sampling_distribution(decomp: PauliDecomposition) -> tuple[list[str], np.ndarray]:
     """Support labels and probabilities |alpha_P| / S."""
     if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    labels = decomp.support()
-    probs = np.array([abs(decomp.coeffs[lab]) for lab in labels]) / decomp.weight
-    return labels, probs
-
-
-def sample_pauli(decomp: PauliDecomposition, rng: np.random.Generator) -> str:
-    """Draw a label with probability |alpha_P| / S."""
-    labels, probs = sampling_distribution(decomp)
-    return labels[rng.choice(len(labels), p=probs)]
+    return decomp.support(), np.abs(decomp.coeffs[decomp.coeffs != 0.0]) / decomp.weight
 
 
 @dataclass(frozen=True)
@@ -279,7 +293,7 @@ def conjugate_pauli(u: np.ndarray, label: str) -> tuple[complex, str]:
     off[k] -= 1.0  # a signed Pauli has one coefficient of modulus 1 and no others
     if not np.abs(off).max() <= 1e-9:
         raise InvalidInputError("conjugation does not map the Pauli to a signed Pauli")
-    return complex(c[k]), pauli_labels(m)[k]
+    return complex(c[k]), _label(k, m)
 
 
 def is_clifford(u: np.ndarray, m: int, tol: float = 1e-9) -> bool:

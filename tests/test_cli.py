@@ -24,6 +24,7 @@ from qldp.cli import (
     parse_state,
 )
 from qldp.errors import ChannelParseError, InvalidInputError, QldpError
+from qldp.pauli import pauli_labels
 from qldp.utility import optimal_fidelity_utility
 from qldp.privacy import PrivacyBudget, depolarizing_privacy_profile
 
@@ -201,6 +202,29 @@ def test_zero_count_is_a_usage_error(tmp_path, command, flag):
     rc = main([command, flag, "0", "--output-dir", str(tmp_path / "t")])
     assert rc == EXIT_USAGE
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, option", [
+    ("utility-curve", "dims"), ("utility-curve", "deltas"), ("bounds", "eps_list"),
+    ("bounds", "beta_list"), ("cost-report", "m_list"),
+])
+def test_empty_list_option_is_a_usage_error(tmp_path, capsys, command, option, via):
+    # utility-curve wrote 3 files before failing, bounds raised a TypeError
+    # (exit 1), and cost-report wrote an empty table with exit 0
+    argv = [command, "--output-dir", str(tmp_path / "out")]
+    if via == "flag":
+        argv += [f"--{option.replace('_', '-')}", ","]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{option} = ,\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
@@ -408,7 +432,7 @@ def test_observable_file_comments_and_line_numbers(tmp_path):
     path.write_text("# Pauli Z\n1 0  # first row\n\n0 -1  # second row\n")
     dec, obs = parse_observable(f"file:{path}")
     assert np.array_equal(obs, np.diag([1.0, -1.0]).astype(complex))
-    assert dec.coeffs["Z"] == 1.0
+    assert dec.coeffs[pauli_labels(1).index("Z")] == 1.0
     path.write_text("# header\n\n1 0\n0 oops\n")
     with pytest.raises(ChannelParseError, match="line 4"):
         parse_observable(f"file:{path}")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,13 +18,10 @@ from qldp.estimate import (
     H0,
     H1,
     AccuracyDemand,
-    PrivatizedSample,
     build_qht_reduction,
-    estimate_expectation,
     estimate_from_batch,
     fidelity_lower_bound,
     measurement_operator_protocol,
-    privatize_sample,
     qht_sample_bounds,
     required_samples_lower,
     required_samples_upper,
@@ -32,12 +30,66 @@ from qldp.estimate import (
     threshold_test,
     trials_to_csv,
 )
-from qldp.pauli import decompose, from_coeffs, pauli_matrix
+from qldp.pauli import (
+    PauliDecomposition,
+    decompose,
+    from_coeffs,
+    pauli_labels,
+    pauli_matrix,
+    sampling_distribution,
+)
 from qldp.privacy import PrivacyBudget, optimal_depolarizing_p
 from qldp.shadows import _trial_estimates, naive_shadow_required_samples, shadow_required_samples
 
 Z = pauli_matrix("Z")
 ZERO = np.diag([1.0, 0.0]).astype(complex)
+
+
+@dataclass(frozen=True)
+class PrivatizedSample:
+    """One released record: depolarized measurement bit and the Pauli label."""
+
+    y: int
+    pauli: str
+
+
+def privatize_sample(rho: np.ndarray, decomp: PauliDecomposition, q: float,
+                     rng: np.random.Generator) -> PrivatizedSample:
+    """Oracle: release one (bit, Pauli) record for the state.
+
+    Draws P with probability |alpha_P|/S, samples the two-outcome measurement
+    of P, then flips the bit with probability q/2 (the action of qubit
+    depolarizing noise on a classical bit).
+    """
+    if not 0.0 <= q <= 1.0:
+        raise InvalidInputError(f"q must be in [0, 1], got {q}")
+    labels, probs = sampling_distribution(decomp)
+    d = 2**decomp.m
+    if rho.shape != (d, d):
+        raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
+    label = labels[rng.choice(len(labels), p=probs)]
+    t = (1.0 + np.trace(pauli_matrix(label) @ rho).real) / 2.0  # Pr[outcome 0]
+    y = 0 if rng.random() < t else 1
+    if rng.random() < q / 2.0:
+        y = 1 - y
+    return PrivatizedSample(y=y, pauli=label)
+
+
+def estimate_expectation(samples, decomp: PauliDecomposition, q: float) -> float:
+    """Oracle: mean of (S/(1-q)) sgn(alpha_P) (-1)^Y over the records, one at a time."""
+    if q >= 1.0:
+        raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
+    if not samples:
+        raise InvalidInputError("no samples")
+    coeffs = dict(zip(pauli_labels(decomp.m), decomp.coeffs.tolist()))
+    scale = decomp.weight / (1.0 - q)
+    total = 0.0
+    for s in samples:
+        a = coeffs.get(s.pauli, 0.0)
+        if a == 0.0:
+            raise InvalidInputError(f"sample Pauli {s.pauli!r} has zero coefficient")
+        total += scale * math.copysign(1.0, a) * (1.0 - 2.0 * s.y)
+    return total / len(samples)
 
 
 def record_cells(rho, decomp, q):
@@ -48,7 +100,7 @@ def record_cells(rho, decomp, q):
     """
     s = decomp.weight
     cells = []
-    for lab, a in decomp.coeffs.items():
+    for lab, a in zip(pauli_labels(decomp.m), decomp.coeffs.tolist()):
         if a == 0.0:
             continue
         t = (1.0 + np.trace(pauli_matrix(lab) @ rho).real) / 2.0
@@ -476,6 +528,18 @@ def test_trials_at_a_billion_records_cost_no_memory_in_n():
         rho, dec, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.05), 3, seed=36, n=10**9))
     assert peak < 32.0  # n records as float64 would take 8000 MB
     assert np.all(np.isfinite(ests)) and np.abs(ests - 0.6).max() < 1e-3
+
+
+def test_ten_qubit_label_trials_stay_under_128_mib():
+    # a dict keyed by all 4^10 label strings peaked at 223 MiB in this test; the
+    # coefficient vector and the 1024 x 1024 matrices need well under half that
+    rho = np.zeros((1024, 1024), dtype=complex)
+    rho[0, 0] = 1.0
+    ests, peak = traced_peak_mb(lambda: run_estimation_trials(
+        rho, from_coeffs({"Z" * 10: 1.0}), PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.05),
+        trials=10, seed=39))
+    assert peak < 128 * 2**20 / 1e6
+    assert ests.shape == (10,) and np.all(np.isfinite(ests))
 
 
 @pytest.mark.parametrize("ell", [3, 4])

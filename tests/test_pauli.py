@@ -18,7 +18,6 @@ from qldp.pauli import (
     pauli_matrix,
     pauli_sum,
     random_clifford,
-    sample_pauli,
     sampling_distribution,
 )
 
@@ -31,6 +30,17 @@ def per_label_coefficients(a, m):
 def per_label_sum(coeffs):
     """Oracle: sum_P c_P P from explicit Pauli matrices, for a label -> coefficient map."""
     return sum(c * pauli_matrix(lab) for lab, c in coeffs.items())
+
+
+def labeled(dec):
+    """A decomposition's coefficients as a label -> coefficient map, in label order."""
+    return dict(zip(pauli_labels(dec.m), dec.coeffs.tolist()))
+
+
+def sample_pauli(decomp, rng):
+    """Oracle: draw one label with probability |alpha_P| / S."""
+    labels, probs = sampling_distribution(decomp)
+    return labels[rng.choice(len(labels), p=probs)]
 
 
 def test_pauli_matrix_generators():
@@ -60,18 +70,18 @@ def test_pauli_orthogonality(m):
 
 def test_decompose_examples():
     dz = decompose(pauli_matrix("Z"), 1)
-    assert dz.coeffs["Z"] == 1.0
-    assert all(v == 0.0 for k, v in dz.coeffs.items() if k != "Z")
+    assert labeled(dz)["Z"] == 1.0
+    assert all(v == 0.0 for k, v in labeled(dz).items() if k != "Z")
     assert dz.weight == 1.0
     assert (dz.lambda_max, dz.lambda_min) == (1.0, -1.0)
 
     dxz = decompose((pauli_matrix("X") + pauli_matrix("Z")) / np.sqrt(2), 1)
-    assert abs(dxz.coeffs["X"] - 1 / np.sqrt(2)) < 1e-12
-    assert abs(dxz.coeffs["Z"] - 1 / np.sqrt(2)) < 1e-12
+    assert abs(labeled(dxz)["X"] - 1 / np.sqrt(2)) < 1e-12
+    assert abs(labeled(dxz)["Z"] - 1 / np.sqrt(2)) < 1e-12
     assert abs(dxz.weight - np.sqrt(2)) < 1e-12
 
     di = decompose(np.eye(2, dtype=complex), 1)
-    assert di.coeffs["I"] == 1.0 and di.weight == 1.0
+    assert labeled(di)["I"] == 1.0 and di.weight == 1.0
     assert di.lambda_max == di.lambda_min == 1.0
 
 
@@ -103,13 +113,15 @@ def test_decompose_reconstruct_roundtrip(m):
     obs = qops.hermitize(g)
     dec = decompose(obs, m)
     assert np.abs(dec.reconstruct() - obs).max() < 1e-10
+    assert dec.coeffs.dtype == np.float64 and dec.coeffs.shape == (4**m,)
+    assert not dec.coeffs.flags.writeable
 
 
 def test_from_coeffs_matches_decompose():
     dec = from_coeffs({"XI": 0.5, "ZZ": -1.25})
     redec = decompose(dec.reconstruct(), 2)
     for lab in pauli_labels(2):
-        assert abs(dec.coeffs[lab] - redec.coeffs[lab]) < 1e-12
+        assert abs(labeled(dec)[lab] - labeled(redec)[lab]) < 1e-12
 
 
 def test_from_coeffs_reconstructs_the_pauli_sum():
@@ -120,8 +132,24 @@ def test_from_coeffs_reconstructs_the_pauli_sum():
     assert dec.weight == 3.875
     w = np.linalg.eigvalsh(obs)
     assert abs(dec.lambda_max - w[-1]) < 1e-12 and abs(dec.lambda_min - w[0]) < 1e-12
-    assert list(dec.coeffs) == pauli_labels(3)
+    assert dec.coeffs.dtype == np.float64 and dec.coeffs.shape == (len(pauli_labels(3)),)
+    assert all(labeled(dec)[lab] == a for lab, a in coeffs.items())
     assert dec.support() == [lab for lab in pauli_labels(3) if lab in coeffs]
+    assert dec.support() == [lab for lab, a in labeled(dec).items() if a != 0.0]
+    with pytest.raises(ValueError):
+        dec.coeffs[0] = 1.0
+    for m in (1, 2, 3):
+        labels = pauli_labels(m)
+        for lab in labels:
+            one = from_coeffs({lab: -0.5})
+            assert one.coeffs[labels.index(lab)] == -0.5
+            assert np.count_nonzero(one.coeffs) == 1 and one.support() == [lab]
+
+
+@pytest.mark.parametrize("coeffs", [{}, {"": 1.0}, {"Q": 1.0}, {"X": 1.0, "ZZ": 1.0}])
+def test_from_coeffs_rejects_malformed_maps(coeffs):
+    with pytest.raises(InvalidInputError):
+        from_coeffs(coeffs)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
