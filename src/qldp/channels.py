@@ -9,11 +9,18 @@ Depolarizing channels carry their exact closed form
 ``S = (1-p) I + (p/d) |vec I><vec I|`` instead, so their superoperator costs
 O(d^4) to write down however many Kraus operators they have.
 
-:func:`batch_outputs` is the one kernel behind the search objectives.  It
-maps a stack of frames V and weights w to N(V diag(w) V^dag) at Kraus rank
-when the Kraus stack is small, so a low-rank channel never needs its
-superoperator there.  :func:`is_depolarizing` tells the searches when a
-closed form makes them unnecessary.
+:func:`batch_outputs` and :func:`output_spectrum` are the kernels behind the
+search objectives.  Both start from one factor: for a stack of frames V and
+weights w, N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus
+operators stacked against the c columns of V, so k = r c columns and u = w
+tiled r times.  :func:`batch_outputs` forms that d_out x d_out matrix at
+Kraus rank when the Kraus stack is small, so a low-rank channel never needs
+its superoperator there.  The objectives take their eigenvalues at Kraus
+rank: when k < d_out, :func:`output_spectrum` reads them off the k x k core
+of a thin QR of A instead of solving the d_out x d_out problem.
+:func:`is_depolarizing` tells the searches when a closed form makes them
+unnecessary; it screens a channel at Kraus rank before it builds the
+superoperator.
 """
 
 from __future__ import annotations
@@ -121,6 +128,15 @@ def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return qops.hermitize(out)
 
 
+def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
+    """The (B, d_out, r c) factor A = K V with N(V diag(w) V^dag) = A diag(tile(w, r)) A^dag."""
+    b, d, c = frames.shape
+    r, do = len(ch.kraus), ch.dim_out
+    # rows i r + k hold row i of K_k, so the product reshapes to columns k c + j
+    stacked = ch.kraus.transpose(1, 0, 2).reshape(do * r, d)
+    return (stacked @ frames).reshape(b, do, r * c)
+
+
 def batch_outputs(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray:
     """N(V diag(w) V^dag) for a (B, d_in, c) stack of frames V and c real weights w.
 
@@ -132,14 +148,39 @@ def batch_outputs(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray
     w = np.asarray(weights, dtype=float)
     r, do = len(ch.kraus), ch.dim_out
     if 8 * r * c <= d * do:
-        # rows i r + k hold row i of K_k, so the product reshapes to columns k c + j
-        stacked = ch.kraus.transpose(1, 0, 2).reshape(do * r, d)
-        a = (stacked @ frames).reshape(b, do, r * c)
+        a = _kraus_factor(ch, frames)
         return (a * np.tile(w, r)) @ a.conj().transpose(0, 2, 1)
     x = (frames * w) @ frames.conj().transpose(0, 2, 1)
     v = x.transpose(0, 2, 1).reshape(b, d * d)  # column-stacked
     out = v @ ch.superoperator.T
     return out.reshape(b, do, do).transpose(0, 2, 1)
+
+
+def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weights=None) -> np.ndarray:
+    """Eigenvalues of N(V diag(w) V^dag) + V diag(s) V^dag, one ascending row per frame.
+
+    ``frames`` is a (B, d_in, c) stack V, ``weights`` the c real weights w and
+    ``input_weights`` the c real weights s of the optional input term (square
+    channels only).  The matrix is A diag(u) A^dag with A = [K V, V] and
+    u = [tile(w, r), s], so it has rank at most k = r c (plus c with s).  When
+    k < d_out, a thin QR A = QR gives its k eigenvalues that may be nonzero as
+    the spectrum of the k x k core R diag(u) R^dag, at cost B d_out k^2; the
+    d_out - k zeros are left out.  Otherwise all d_out come from eigvalsh of
+    the :func:`batch_outputs` matrix.
+    """
+    w = np.asarray(weights, dtype=float)
+    s = None if input_weights is None else np.asarray(input_weights, dtype=float)
+    r, c = len(ch.kraus), frames.shape[2]
+    if r * c + (0 if s is None else c) < ch.dim_out:
+        a, u = _kraus_factor(ch, frames), np.tile(w, r)
+        if s is not None:
+            a, u = np.concatenate([a, frames], axis=2), np.concatenate([u, s])
+        core = np.linalg.qr(a, mode="r")
+        return np.linalg.eigvalsh((core * u) @ core.conj().transpose(0, 2, 1))
+    out = batch_outputs(ch, frames, w)
+    if s is not None:
+        out = out + (frames * s) @ frames.conj().transpose(0, 2, 1)
+    return np.linalg.eigvalsh(out)
 
 
 def apply_superop(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -280,9 +321,33 @@ def fit_depolarizing(ch: QuantumChannel) -> tuple[float, float]:
     return p, residual
 
 
+def _may_be_depolarizing(ch: QuantumChannel) -> bool:
+    """Necessary condition for a fit residual <= SUPEROP_TOL, read from N(|0><0|) at cost r d^2.
+
+    N(|0><0|) is column 0 of the superoperator, and a depolarizing channel maps
+    it to (1-p)|0><0| + p I/d.  Within SUPEROP_TOL of a fit, every off-diagonal
+    entry is within SUPEROP_TOL of 0 and diagonal entries 1..d-1 are within
+    SUPEROP_TOL of p/d, so within 2 SUPEROP_TOL of each other.  The screen
+    allows twice both bounds, which covers rounding.
+    """
+    col = ch.kraus[:, :, 0]
+    out = np.einsum("ki,kj->ij", col, col.conj())
+    diag = out.diagonal().real
+    off = np.abs(out - np.diag(out.diagonal())).max()
+    return bool(off <= 2 * SUPEROP_TOL and np.ptp(diag[1:]) <= 4 * SUPEROP_TOL)
+
+
 def is_depolarizing(ch: QuantumChannel) -> bool:
-    """True for a square channel, d >= 2, within SUPEROP_TOL of its depolarizing fit."""
-    return ch.dim_in == ch.dim_out >= 2 and fit_depolarizing(ch)[1] <= SUPEROP_TOL
+    """True for a square channel, d >= 2, within SUPEROP_TOL of its depolarizing fit.
+
+    Without a cached superoperator, a channel that fails the r d^2 screen
+    :func:`_may_be_depolarizing` is ruled out without building one.
+    """
+    if not ch.dim_in == ch.dim_out >= 2:
+        return False
+    if ch._superop is None and not _may_be_depolarizing(ch):
+        return False
+    return fit_depolarizing(ch)[1] <= SUPEROP_TOL
 
 
 def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> QuantumChannel:

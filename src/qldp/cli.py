@@ -299,7 +299,7 @@ def _trial_inputs(opts: dict):
     if decomp.m != m:
         raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
     rho = parse_state(opts["state"], 2**m, np.random.default_rng(opts["seed"]))
-    true_value = float(np.trace(obs @ rho).real)
+    true_value = float((obs * rho.T).sum().real)  # Tr[O rho] in O(d^2)
     budget = PrivacyBudget(opts["epsilon"], opts["delta"])
     demand = est.AccuracyDemand(opts["beta"], opts["eta"])
     return decomp, obs, rho, true_value, budget, demand

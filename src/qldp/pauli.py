@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,9 +115,11 @@ class PauliDecomposition:
     weight: float          # S = sum |alpha_P|
     lambda_max: float
     lambda_min: float
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def reconstruct(self) -> np.ndarray:
-        return pauli_sum(self.coeffs, self.m)
+        """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues came from."""
+        return self._matrix
 
     def support(self) -> list[str]:
         """Labels of the nonzero coefficients, in :func:`pauli_labels` order."""
@@ -126,6 +128,9 @@ class PauliDecomposition:
 
 def _decomposition(m: int, coeffs: np.ndarray, obs: np.ndarray) -> PauliDecomposition:
     """Decomposition from all 4^m coefficients in label order and the matrix they sum to.
+
+    Keeps ``obs``, made read-only, as the matrix :meth:`PauliDecomposition.reconstruct`
+    returns; callers pass a matrix of their own.
 
     Raises OutOfRegimeError when the weight S = sum |alpha_P| or an eigenvalue
     is not a finite float.
@@ -140,13 +145,16 @@ def _decomposition(m: int, coeffs: np.ndarray, obs: np.ndarray) -> PauliDecompos
     w = np.linalg.eigvalsh(obs)
     if not np.isfinite(w).all():
         raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
-    return PauliDecomposition(
+    decomp = PauliDecomposition(
         m=m,
         coeffs=coeffs,
         weight=weight,
         lambda_max=float(w[-1]),
         lambda_min=float(w[0]),
     )
+    obs.flags.writeable = False
+    object.__setattr__(decomp, "_matrix", obs)
+    return decomp
 
 
 def decompose(obs: np.ndarray, m: int) -> PauliDecomposition:

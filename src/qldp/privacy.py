@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qops
-from .channels import QuantumChannel, apply, batch_outputs, is_depolarizing
+from .channels import QuantumChannel, apply, is_depolarizing, output_spectrum
 from .errors import InvalidInputError, OutOfRegimeError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
@@ -144,7 +144,7 @@ def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
     weights = np.array([1.0, -budget.gamma])
 
     def value(pairs: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(batch_outputs(ch, pairs, weights))
+        w = output_spectrum(ch, pairs, weights)
         return np.where(w > 0, w, 0.0).sum(axis=1)
 
     if is_depolarizing(ch):

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .channels import QuantumChannel, batch_outputs, is_depolarizing
+from .channels import QuantumChannel, batch_outputs, is_depolarizing, output_spectrum
 from .errors import InvalidInputError
 from .privacy import PrivacyBudget, SearchConfig, refine_extremum
 
@@ -45,9 +45,8 @@ def _fidelity_values(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
 
 
 def _trace_values(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
-    out = batch_outputs(ch, frames, _ONE)
-    proj = frames @ frames.conj().transpose(0, 2, 1)
-    w = np.linalg.eigvalsh(out - proj)
+    # eigenvalues of N(psi) - psi psi^dag; the zeros left out at Kraus rank add nothing
+    w = output_spectrum(ch, frames, _ONE, -_ONE)
     return np.abs(w).sum(axis=1) / 2
 
 

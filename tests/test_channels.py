@@ -338,11 +338,12 @@ def test_batch_outputs_matches_per_state_apply():
             assert np.abs(o2 - (n1 - gamma * n2)).max() < 1e-12
         # the Kraus branch never builds the superoperator
         assert (channel._superop is None) == kraus_branch
-    # one kernel: both objectives use it, and it stays out of the package API
-    assert privacy.batch_outputs is ch.batch_outputs
+    # one kernel per job: the eigenvalue objectives share the spectrum kernel, the
+    # fidelity objective the output kernel, and both stay out of the package API
+    assert privacy.output_spectrum is utility.output_spectrum is ch.output_spectrum
     assert utility.batch_outputs is ch.batch_outputs
     assert not hasattr(privacy, "_batch_outputs") and not hasattr(utility, "_batch_out")
-    assert not hasattr(qldp, "batch_outputs")
+    assert not hasattr(qldp, "batch_outputs") and not hasattr(qldp, "output_spectrum")
 
 
 def _fit_depolarizing_oracle(channel):
@@ -378,3 +379,116 @@ def test_fit_rejects_one_dimensional_and_non_square_channels():
     assert not ch.is_depolarizing(ch.pauli_measurement_channel(pauli_matrix("XZ")))
     assert ch.is_depolarizing(ch.depolarizing(3, 0.2))
     assert not ch.is_depolarizing(ch.random_channel(3, 2, np.random.default_rng(19)))
+
+
+def _full_spectrum(channel, frames, weights, input_weights=None):
+    """Every eigenvalue of the d_out x d_out matrix, the oracle for the k x k core."""
+    out = ch.batch_outputs(channel, frames, weights)
+    if input_weights is not None:
+        out = out + (frames * input_weights) @ frames.conj().transpose(0, 2, 1)
+    return np.linalg.eigvalsh(out)
+
+
+def _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights=None):
+    core = ch.output_spectrum(channel, frames, weights, input_weights)
+    full = _full_spectrum(channel, frames, weights, input_weights)
+    k = len(channel.kraus) * frames.shape[2] + (0 if input_weights is None else frames.shape[2])
+    assert k < channel.dim_out and core.shape == (len(frames), k)
+    # the core's k eigenvalues, with the d_out - k zeros put back, are the full spectrum
+    padded = np.sort(np.concatenate([core, np.zeros((len(frames), channel.dim_out - k))], axis=1))
+    assert np.abs(padded - full).max() < 1e-12
+
+
+def test_output_spectrum_core_matches_the_full_eigen_solve():
+    rng = np.random.default_rng(20)
+    gamma = np.exp(0.8)
+    # (channel, frame columns, input weights); k = r c (+ c) < d_out, the last three at d_out - 1
+    cases = [(ch.random_channel(16, 3, rng), 1, None), (ch.random_channel(16, 3, rng), 2, None),
+             (ch.random_channel(16, 3, rng), 1, [-1.0]), (_isometry_channel(8, 16, 2, rng), 2, None),
+             (ch.random_channel(7, 3, rng), 2, None), (ch.random_channel(8, 7, rng), 1, None),
+             (ch.random_channel(8, 6, rng), 1, [-1.0])]
+    for channel, c, input_weights in cases:
+        g = rng.standard_normal((5, channel.dim_in, c)) + 1j * rng.standard_normal((5, channel.dim_in, c))
+        frames = np.linalg.qr(g)[0]
+        weights = [1.0, -gamma][:c]
+        _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights)
+        if input_weights is None:
+            assert channel._superop is None
+
+
+def test_output_spectrum_core_of_a_rank_deficient_factor():
+    # Kraus set {U/sqrt2, U/sqrt2}: every column of A appears twice, so R is singular
+    rng = np.random.default_rng(21)
+    u = qops.random_unitary(8, rng)
+    channel = ch.QuantumChannel(np.stack([u, u]) / np.sqrt(2))
+    gamma = np.exp(0.5)
+    frames = np.linalg.qr(rng.standard_normal((4, 8, 2)) + 1j * rng.standard_normal((4, 8, 2)))[0]
+    _assert_core_is_the_nonzero_spectrum(channel, frames, [1.0, -gamma])
+    _assert_core_is_the_nonzero_spectrum(channel, frames[:, :, :1], [1.0], [-1.0])
+    # N(V diag(w) V^dag) = U V diag(w) V^dag U^dag has spectrum {1, -gamma} and zeros
+    core = ch.output_spectrum(channel, frames, [1.0, -gamma])
+    assert np.abs(core - [-gamma, 0.0, 0.0, 1.0]).max() < 1e-12
+
+
+def test_output_spectrum_falls_back_to_the_full_eigen_solve():
+    rng = np.random.default_rng(22)
+    # k >= d_out: certify at (4, 3) and (8, 4), trace at (4, 3), a depolarizing channel
+    for channel, c, input_weights in [(ch.random_channel(4, 3, rng), 2, None),
+                                      (ch.random_channel(8, 4, rng), 2, None),
+                                      (ch.random_channel(4, 3, rng), 1, [-1.0]),
+                                      (ch.depolarizing(3, 0.4), 1, [-1.0])]:
+        frames = np.linalg.qr(rng.standard_normal((3, channel.dim_in, c))
+                              + 1j * rng.standard_normal((3, channel.dim_in, c)))[0]
+        weights = [1.0, -2.0][:c]
+        spec = ch.output_spectrum(channel, frames, weights, input_weights)
+        assert np.array_equal(spec, _full_spectrum(channel, frames, np.array(weights), input_weights))
+
+
+def test_depolarizing_screen_never_rejects_a_channel_within_the_fit_tolerance():
+    rng = np.random.default_rng(23)
+    kraus_sets = [ch.depolarizing(d, p).kraus for d, p in [(2, 0.0), (3, 0.45), (8, 1.0), (16, 0.7)]]
+    kraus_sets += [ch.conjugated_channel(ch.depolarizing(4, 0.3), qops.random_unitary(4, rng)).kraus,
+                   ch.identity_channel(5).kraus,
+                   ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()).kraus]
+    # a depolarizing channel mixed with a small weight t of a unitary that tips |0> towards |1>:
+    # N(|0><0|) moves off (1-p)|0><0| + p I/d by t in both screened entries, and the fit
+    # residual lands in (SUPEROP_TOL / 2, SUPEROP_TOL]
+    theta = 0.7
+    tip = np.eye(4, dtype=complex)
+    tip[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    dep = ch.depolarizing(4, 0.6).kraus
+    half = ch.QuantumChannel(np.concatenate([dep, tip[None]]) / np.sqrt(2))
+    per_t = 2 * ch.fit_depolarizing(half)[1]  # the residual is linear in t
+    for frac in (0.55, 0.8, 0.99):
+        t = frac * ch.SUPEROP_TOL / per_t
+        kraus_sets.append(np.concatenate([np.sqrt(1 - t) * dep, np.sqrt(t) * tip[None]]))
+    for kraus in kraus_sets:
+        _, residual = ch.fit_depolarizing(ch.QuantumChannel(kraus))
+        assert residual <= ch.SUPEROP_TOL
+        fresh = ch.QuantumChannel(kraus)
+        assert ch._may_be_depolarizing(fresh)
+        assert ch.is_depolarizing(fresh)
+
+
+def test_screen_keeps_non_depolarizing_searches_off_the_superoperator():
+    rng = np.random.default_rng(24)
+    channel = ch.random_channel(48, 2, rng)
+    cfg = privacy.SearchConfig(restarts=4, local_steps=2)
+    assert not ch._may_be_depolarizing(channel)
+    privacy.certify_qldp(channel, privacy.PrivacyBudget(1.0, 0.0), cfg)
+    utility.utility_report(channel, cfg)
+    assert channel._superop is None
+    # the screen is only necessary: a channel that passes it still gets the full fit
+    near = ch.compose(ch.depolarizing(3, 0.5), ch.unitary_conjugate(np.diag([1.0, 1.0, 1j])))
+    assert ch._may_be_depolarizing(near) and not ch.is_depolarizing(near)
+    assert near._superop is not None
+
+
+def test_cached_superoperator_skips_the_screen(monkeypatch):
+    screened = []
+    monkeypatch.setattr(ch, "_may_be_depolarizing", lambda c: screened.append(c) or True)
+    assert ch.is_depolarizing(ch.depolarizing(3, 0.2))
+    channel = ch.random_channel(3, 2, np.random.default_rng(25))
+    channel.superoperator
+    assert not ch.is_depolarizing(channel)
+    assert screened == []

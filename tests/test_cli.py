@@ -310,6 +310,30 @@ def test_parse_observable_forms(tmp_path):
     assert np.abs(obs3 - obs).max() < 1e-12
 
 
+def test_parse_observable_builds_a_pauli_list_matrix_once(monkeypatch):
+    calls = []
+    pauli_sum = qldp.pauli.pauli_sum
+    monkeypatch.setattr(qldp.pauli, "pauli_sum", lambda c, m: calls.append(m) or pauli_sum(c, m))
+    dec, obs = parse_observable("ZI:0.5,XX:-0.3")
+    assert calls == [2]
+    assert obs is dec.reconstruct() and not obs.flags.writeable
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+    expected = 0.5 * np.kron(z, np.eye(2)) - 0.3 * np.kron(x, x)
+    assert np.abs(obs - expected).max() < 1e-15
+
+
+def test_true_value_is_the_trace_of_the_product(tmp_path):
+    rng = np.random.default_rng(26)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    path = tmp_path / "obs.txt"
+    rows = (" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in g + g.conj().T)
+    path.write_text("\n".join(rows))
+    opts = {"trials": 1, "observable": f"file:{path}", "state": "random-pure", "seed": 4,
+            "epsilon": 1.0, "delta": 0.0, "beta": 0.1, "eta": 0.05}
+    _, obs, rho, true_value, _, _ = cli._trial_inputs(opts)
+    assert abs(true_value - np.trace(obs @ rho).real) < 1e-12
+
+
 def test_parse_state_forms():
     rng = np.random.default_rng(0)
     assert parse_state("zero", 2, rng)[0, 0] == 1.0

@@ -115,6 +115,9 @@ def test_decompose_reconstruct_roundtrip(m):
     assert np.abs(dec.reconstruct() - obs).max() < 1e-10
     assert dec.coeffs.dtype == np.float64 and dec.coeffs.shape == (4**m,)
     assert not dec.coeffs.flags.writeable
+    # the kept matrix is a read-only copy; the caller's matrix stays writable
+    assert not dec.reconstruct().flags.writeable and obs.flags.writeable
+    assert dec.reconstruct() is not obs
 
 
 def test_from_coeffs_matches_decompose():

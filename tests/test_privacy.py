@@ -16,7 +16,9 @@ from qldp.privacy import (
     depolarizing_privacy_profile,
     hockey_stick_on_pair,
     optimal_depolarizing_p,
+    refine_extremum,
 )
+from qldp.utility import utility_report
 
 GRID_D = (2, 3, 4, 8)
 GRID_EPS = (0.1, 0.5, 1.0, 2.0)
@@ -221,3 +223,70 @@ def test_channel_just_outside_the_fit_tolerance_still_searches():
 def test_one_dimensional_input_has_no_orthogonal_pair():
     with pytest.raises(InvalidInputError, match="orthogonal"):
         certify_qldp(ch.QuantumChannel(np.array([[[1.0], [0.0]]])), PrivacyBudget(1.0, 0.0))
+
+
+def _full_eigen_objectives(channel, gamma):
+    """Search objectives that solve the full d_out x d_out eigenproblem at every point."""
+    weights = np.array([1.0, -gamma])
+
+    def cert(pairs):
+        w = np.linalg.eigvalsh(ch.batch_outputs(channel, pairs, weights))
+        return np.where(w > 0, w, 0.0).sum(axis=1)
+
+    def fidelity(frames):
+        psi = frames[:, :, 0]
+        out = ch.batch_outputs(channel, frames, [1.0])
+        return np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
+
+    def trace(frames):
+        out = ch.batch_outputs(channel, frames, [1.0])
+        w = np.linalg.eigvalsh(out - frames @ frames.conj().transpose(0, 2, 1))
+        return np.abs(w).sum(axis=1) / 2
+
+    return cert, fidelity, trace
+
+
+@pytest.mark.parametrize("d, r", [(16, 3), (32, 4)])
+def test_kraus_rank_searches_match_full_eigen_solve_searches(d, r):
+    channel = ch.random_channel(d, r, np.random.default_rng(40 + d))
+    cfg = SearchConfig(restarts=8, local_steps=40, seed=5)
+    b = PrivacyBudget(1.0, 0.0)
+    cert, fidelity, trace = _full_eigen_objectives(channel, b.gamma)
+    res = certify_qldp(channel, b, cfg)
+    ref, ref_pair = refine_extremum(cert, d, 2, cfg, maximize=True)
+    assert abs(res.sup_estimate - max(0.0, ref)) < 1e-10
+    # the same accept/reject decisions, so the same witness
+    assert np.array_equal(np.stack(res.witness_pair, axis=1), ref_pair)
+    rep = utility_report(channel, cfg)
+    fref, fpt = refine_extremum(fidelity, d, 1, cfg, maximize=False)
+    tref, tpt = refine_extremum(trace, d, 1, cfg, maximize=True)
+    assert abs(rep.fidelity_utility - np.clip(fref, 0.0, 1.0)) < 1e-10
+    assert abs(rep.trace_utility - np.clip(tref, 0.0, 1.0)) < 1e-10
+    assert np.array_equal(rep.minimizer, fpt[:, 0]) and np.array_equal(rep.maximizer, tpt[:, 0])
+
+
+def test_search_eigen_solves_stay_at_kraus_rank(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rng = np.random.default_rng(41)
+    cfg = SearchConfig(restarts=4, local_steps=3)
+    b = PrivacyBudget(1.0, 0.0)
+    # d = 16, r = 3: certify solves 6 x 6 cores (k = r c = 6), trace utility 4 x 4 (k = r + 1)
+    channel = ch.random_channel(16, 3, rng)
+    certify_qldp(channel, b, cfg)
+    assert set(sizes) == {6}
+    sizes.clear()
+    utility_report(channel, cfg)
+    assert set(sizes) == {4}
+    # d = 4, r = 3: k = 6 and 4 are not below d_out = 4, so both fall back to 4 x 4
+    sizes.clear()
+    channel = ch.random_channel(4, 3, rng)
+    certify_qldp(channel, b, cfg)
+    utility_report(channel, cfg)
+    assert set(sizes) == {4}
