@@ -4,8 +4,6 @@ from .channels import (
     FiniteUnitaryGroup,
     QuantumChannel,
     apply,
-    apply_superop,
-    channels_close,
     compose,
     conjugated_channel,
     depolarizing,
@@ -39,7 +37,6 @@ from .estimate import (
     threshold_test,
 )
 from .pauli import (
-    CliffordElement,
     PauliDecomposition,
     decompose,
     enumerate_cliffords,

@@ -37,15 +37,6 @@ UNITARY_TOL = 1e-9   # tolerance on U^dag U = I
 SUPEROP_TOL = 1e-9   # channel equality: max-abs superoperator entry difference
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return rho.T.ravel()
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape(dim, dim).T
-
-
 class QuantumChannel:
     """A CPTP map stored as a stack of Kraus operators.
 
@@ -183,14 +174,6 @@ def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weigh
     return np.linalg.eigvalsh(out)
 
 
-def apply_superop(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Same action through the superoperator; independent code path from :func:`apply`."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim_in, ch.dim_in):
-        raise InvalidInputError(f"state shape {rho.shape} does not match channel input dim {ch.dim_in}")
-    return qops.hermitize(unvec(ch.superoperator @ vec(rho), ch.dim_out))
-
-
 def identity_channel(d: int) -> QuantumChannel:
     return QuantumChannel(np.eye(d, dtype=complex)[None, :, :])
 
@@ -286,13 +269,6 @@ def twirl(ch: QuantumChannel, group: FiniteUnitaryGroup) -> QuantumChannel:
     return QuantumChannel(ops.reshape(-1, ch.dim_out, ch.dim_in))
 
 
-def channels_close(a: QuantumChannel, b: QuantumChannel, tol: float = SUPEROP_TOL) -> bool:
-    """Channel equality: max-abs difference of superoperator entries below tol."""
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        return False
-    return bool(np.abs(a.superoperator - b.superoperator).max() <= tol)
-
-
 def fit_depolarizing(ch: QuantumChannel) -> tuple[float, float]:
     """Least-squares fit of a depolarizing parameter to a square channel.
 
@@ -340,12 +316,10 @@ def _may_be_depolarizing(ch: QuantumChannel) -> bool:
 def is_depolarizing(ch: QuantumChannel) -> bool:
     """True for a square channel, d >= 2, within SUPEROP_TOL of its depolarizing fit.
 
-    Without a cached superoperator, a channel that fails the r d^2 screen
-    :func:`_may_be_depolarizing` is ruled out without building one.
+    A channel that fails the r d^2 screen :func:`_may_be_depolarizing` is
+    ruled out before the fit reads (or builds) its superoperator.
     """
-    if not ch.dim_in == ch.dim_out >= 2:
-        return False
-    if ch._superop is None and not _may_be_depolarizing(ch):
+    if not ch.dim_in == ch.dim_out >= 2 or not _may_be_depolarizing(ch):
         return False
     return fit_depolarizing(ch)[1] <= SUPEROP_TOL
 

@@ -116,16 +116,9 @@ _OPTS = {
 
 def load_config(path: str) -> dict[str, str]:
     cfg = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(path):
         if "=" not in line:
-            raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
         cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
@@ -410,6 +403,8 @@ def cmd_shadows(opts: dict) -> int:
 
 
 def cmd_cost_report(opts: dict) -> int:
+    if opts["bits_per_complex"] < 1:
+        raise InvalidInputError(f"bits per complex entry must be >= 1, got {opts['bits_per_complex']}")
     rows = []
     for m in opts["m_list"]:
         if m < 1:

@@ -1,4 +1,4 @@
-"""Pauli strings, observable decompositions, and Clifford group access.
+"""Pauli strings, observable decompositions, stabilizer states and the Clifford group.
 
 Pauli labels are plain strings over {I, X, Y, Z} ("XZ" means X tensor Z).
 Label k of :func:`pauli_labels` has the base-4 digits of k, leading qubit
@@ -6,13 +6,12 @@ first, with I, X, Y, Z as 0..3.  A matrix converts to its 4^m coefficients
 Tr[P A]/2^m in that order, and back, through one transform pair,
 :func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4 product per
 qubit.  A :class:`PauliDecomposition` holds the coefficient vector itself;
-label strings are made only for its nonzero entries.  Clifford elements are
-dense unitaries.
-:func:`clifford_orbit` closes a Clifford matrix or a stabilizer state under
-the generators {H_i, S_i, CZ_ij}, deduplicating by an exact per-entry phase
-code; from the identity it enumerates the group up to global phase (m in
-{1, 2}, where :func:`random_clifford` draws uniformly from it), and from
-|0...0> it enumerates the 2^m prod_k (2^k + 1) stabilizer states for any m.
+label strings are made only for its nonzero entries.
+:func:`stabilizer_states` writes every n-qubit stabilizer state in closed
+form, 2^(-k/2) sum_y i^(l.y) (-1)^(y^T Q y) |t xor y.B>, in bounded chunks.
+Clifford elements are dense unitaries: :func:`enumerate_cliffords` reads the
+group for m in {1, 2} off the 2m-qubit stabilizer states that are Choi states
+of unitaries, and :func:`random_clifford` draws uniformly from it.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
-
 
 def pauli_labels(m: int) -> list[str]:
     """All 4^m labels in lexicographic I, X, Y, Z order."""
@@ -190,130 +185,87 @@ def sampling_distribution(decomp: PauliDecomposition) -> tuple[list[str], np.nda
     return decomp.support(), np.abs(decomp.coeffs[decomp.coeffs != 0.0]) / decomp.weight
 
 
-@dataclass(frozen=True)
-class CliffordElement:
-    m: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        d = 2**self.m
-        if self.matrix.shape != (d, d):
-            raise InvalidInputError(f"matrix shape {self.matrix.shape} does not match m={self.m}")
+_UNIT = np.array([1, 1j, -1, -1j])  # i^j for j = 0..3
 
 
-_UNIT = np.array([0, 1, 1j, -1, -1j])
+def _bits(k: int) -> np.ndarray:
+    """(2^k, k) array whose row y holds y's k bits, leading bit first."""
+    return (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
 
 
-def _phase_codes(batch: np.ndarray) -> np.ndarray:
-    """One int8 row per element of a (k, d, c) stack, fixing each global phase in place.
+def _affine_supports(n: int, k: int) -> np.ndarray:
+    """Indices t xor y.B, y in F2^k, of every k-dimensional affine subspace of F2^n, one row each.
 
-    After the first nonzero entry is rotated to the positive reals, every nonzero
-    entry of a Clifford matrix or stabilizer state is c * i^j with one common
-    c > 0.  Entry codes are 0 for zero and 1 + j otherwise, so a row determines
-    its element exactly.
+    B runs over the k x n binary matrices in reduced row echelon form: row i
+    has its leading 1 at pivot p_i and any bits after p_i off the pivots.
+    t runs over the 2^(n-k) vectors that are zero on the pivots, so it is the
+    subspace's smallest index and y = 0 lands on it.  Qubit 0 is the leading bit.
     """
-    tol = 1e-6  # far below the smallest nonzero modulus, 2^(-m/2)
-    flat = batch.reshape(len(batch), -1)
-    first = flat[np.arange(len(flat)), (np.abs(flat) > tol).argmax(axis=1)]
-    flat *= (first.conj() / np.abs(first))[:, None]
-    codes = np.zeros(flat.shape, dtype=np.int8)
-    for code, mask in enumerate((flat.real > tol, flat.imag > tol,
-                                 flat.real < -tol, flat.imag < -tol), start=1):
-        codes[mask] = code
-    return codes
+    bit = 1 << np.arange(n - 1, -1, -1)
+    ys = _bits(k)
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free = [q for q in range(n) if q not in pivots]
+        slots = [(i, q) for i, p in enumerate(pivots) for q in free if q > p]
+        place = np.zeros((len(slots), k), dtype=np.int64)
+        for s, (i, q) in enumerate(slots):
+            place[s, i] = bit[q]
+        bases = bit[list(pivots)] + _bits(len(slots)) @ place          # (F, k) rows of B as ints
+        spans = np.bitwise_xor.reduce(ys * bases[:, None, :], axis=2)  # (F, 2^k) y.B
+        shifts = _bits(len(free)) @ bit[free]                          # (2^(n-k),) t
+        out.append((spans[:, None, :] ^ shifts[:, None]).reshape(-1, 2**k))
+    return np.concatenate(out)
 
 
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """Each code row as one opaque, sortable value."""
-    return codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+def stabilizer_states(n: int):
+    """Every n-qubit stabilizer state, phase-canonical, as (rows, 2^n) chunks, one per (k, Q).
 
-
-def clifford_orbit(start: np.ndarray):
-    """Breadth-first closure of a (d, c) Clifford matrix or stabilizer state under {H_i, S_i, CZ_ij}.
-
-    Yields the orbit level by level, each level a (k, d, c) stack of
-    phase-canonical elements not seen before (the first level is ``start``).
-    Each level costs one batched product per generator; elements are rebuilt
-    exactly from their codes, so rounding does not accumulate.
+    Each state is 2^(-k/2) sum_y i^(l.y) (-1)^(y^T Q y) |t xor y.B> over y in F2^k
+    (Dehaene & De Moor, PRA 68, 042318, 2003): an affine support t + span(B)
+    from :func:`_affine_supports`, l in Z4^k and Q strictly upper triangular
+    over F2.  Distinct (support, l, Q) give distinct states, 2^n prod_k (2^k + 1)
+    in all (6 / 60 / 1080 / 36720 for n = 1..4), and the amplitude at t, the
+    first nonzero one, is 2^(-k/2) > 0.  A chunk holds every support and l for
+    one (k, Q): at most 2240 rows for n <= 4.
     """
-    d, cols = start.shape
-    gens = _generators(d.bit_length() - 1)
-    codes = _phase_codes(start[None].astype(complex))
-    seen = _row_keys(codes)  # keys of every element found so far, kept sorted
-    while len(codes):
-        level = _UNIT[codes].reshape(-1, d, cols)
-        level *= np.sqrt(cols / np.count_nonzero(codes, axis=1))[:, None, None]
-        yield level
-        fresh = []
-        for g in gens:
-            cand = _phase_codes(g @ level)
-            keys, first = np.unique(_row_keys(cand), return_index=True)
-            pos = np.searchsorted(seen, keys)
-            new = seen[np.minimum(pos, len(seen) - 1)] != keys
-            seen = np.insert(seen, pos[new], keys[new])
-            fresh.append(cand[np.sort(first[new])])
-        codes = np.concatenate(fresh)
-
-
-def _generators(m: int) -> list[np.ndarray]:
-    gens = []
-    for i in range(m):
-        for g in (_HADAMARD, _PHASE):
-            ops = [np.eye(2, dtype=complex)] * m
-            ops[i] = g
-            gens.append(functools.reduce(np.kron, ops))
-    for i in range(m):
-        for j in range(i + 1, m):
-            gens.append(_embed_cz(m, i, j))
-    return gens
-
-
-def _embed_cz(m: int, i: int, j: int) -> np.ndarray:
-    b = np.arange(2**m)
-    both = (b >> (m - 1 - i)) & (b >> (m - 1 - j)) & 1  # qubit 0 is the leading bit
-    return np.diag(1.0 - 2.0 * both).astype(complex)
+    d = 2**n
+    for k in range(n + 1):
+        supports = _affine_supports(n, k)
+        ys = _bits(k)
+        lin = (np.arange(4**k)[:, None] >> 2 * np.arange(k - 1, -1, -1)) & 3  # every l in Z4^k
+        iu, ju = np.triu_indices(k, 1)
+        pairs = ys[:, iu] * ys[:, ju]  # y_i y_j for i < j, so y^T Q y = pairs @ q
+        at = (np.arange(len(supports))[:, None, None], np.arange(4**k)[None, :, None],
+              supports[:, None, :])
+        for q in _bits(len(iu)):
+            chunk = np.zeros((len(supports), 4**k, d), dtype=complex)
+            chunk[at] = _UNIT[(lin @ ys.T + 2 * (pairs @ q)) % 4] * math.sqrt(1 / 2**k)
+            yield chunk.reshape(-1, d)
 
 
 @functools.cache
-def enumerate_cliffords(m: int = 1) -> tuple[CliffordElement, ...]:
-    """Exhaustive Clifford group up to global phase; 24 elements at m=1, 11520 at m=2.
+def enumerate_cliffords(m: int = 1) -> np.ndarray:
+    """Clifford group up to global phase as one read-only (N, d, d) stack; N = 24 at m=1, 11520 at m=2.
 
-    The :func:`clifford_orbit` of the identity, in breadth-first order.
+    A Clifford U is its Choi state (U kron I)|Omega>, a 2m-qubit stabilizer
+    state, so the group is the :func:`stabilizer_states` (2m) whose
+    amplitudes, reshaped to d x d and scaled by sqrt(d), form a unitary.
+    Each element's first nonzero entry is real positive.
     """
     if m not in (1, 2):
         raise InvalidInputError(f"enumeration supports m in {{1, 2}}, got {m}")
-    orbit = clifford_orbit(np.eye(2**m, dtype=complex))
-    return tuple(CliffordElement(m=m, matrix=u) for level in orbit for u in level)
+    d = 2**m
+    group = []
+    for states in stabilizer_states(2 * m):
+        u = states.reshape(-1, d, d) * math.sqrt(d)
+        dev = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(d)).max(axis=(1, 2))
+        group.append(u[dev < 1e-9])
+    group = np.concatenate(group)
+    group.flags.writeable = False
+    return group
 
 
-def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
-    """Uniform draw for m in {1, 2}, by index into the enumeration."""
+def random_clifford(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw for m in {1, 2}, by index into the enumeration; read-only."""
     group = enumerate_cliffords(m)
     return group[int(rng.integers(len(group)))]
-
-
-def conjugate_pauli(u: np.ndarray, label: str) -> tuple[complex, str]:
-    """Resolve U P U^dag as (phase, label); raises if the result is not a Pauli."""
-    m = len(label)
-    c = pauli_coefficients(u @ pauli_matrix(label) @ u.conj().T, m)
-    off = np.abs(c)
-    k = int(off.argmax())
-    off[k] -= 1.0  # a signed Pauli has one coefficient of modulus 1 and no others
-    if not np.abs(off).max() <= 1e-9:
-        raise InvalidInputError("conjugation does not map the Pauli to a signed Pauli")
-    return complex(c[k]), _label(k, m)
-
-
-def is_clifford(u: np.ndarray, m: int, tol: float = 1e-9) -> bool:
-    """Check that conjugation maps every generator Pauli to a phased Pauli."""
-    d = 2**m
-    if u.shape != (d, d) or np.abs(u.conj().T @ u - np.eye(d)).max() > tol:
-        return False
-    for i in range(m):
-        for letter in ("X", "Z"):
-            label = "".join(letter if k == i else "I" for k in range(m))
-            try:
-                conjugate_pauli(u, label)
-            except InvalidInputError:
-                return False
-    return True

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qops
-from .channels import QuantumChannel, apply, is_depolarizing, output_spectrum
+from .channels import QuantumChannel, is_depolarizing, output_spectrum
 from .errors import InvalidInputError, OutOfRegimeError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
@@ -162,10 +161,3 @@ def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
         satisfied=sup <= budget.delta + CERT_TOL,
         borderline=abs(sup - budget.delta) <= CERT_TOL,
     )
-
-
-def hockey_stick_on_pair(ch: QuantumChannel, phi1: np.ndarray, phi2: np.ndarray,
-                         gamma: float) -> float:
-    """Re-evaluate the certification objective on a given pure pair."""
-    return qops.hockey_stick(apply(ch, qops.projector(phi1)),
-                             apply(ch, qops.projector(phi2)), gamma)

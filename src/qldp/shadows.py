@@ -9,13 +9,16 @@ snapshot inversion unbiased and pins the privacy calibration.
 The inverted snapshot depends on the Clifford U and outcome b only through
 the stabilizer state s = U^dag|b>, whose exact distribution over the
 2^m prod_k (2^k + 1) stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4)
-gives the law of the snapshot value Tr[O rho_hat].  A median-of-means batch
-reads its snapshots only through the count of each distinct value, so
-:func:`_trial_estimates` draws those counts from one multinomial per batch
-(or, for a batch smaller than the number of values, its snapshots' values),
-in O(batches * min(ell, values)) time and memory.  :func:`shadow_sample`
-and :func:`snapshot_inverse` draw and invert one (Clifford, outcome) record
-at a time for m <= 2, an independent path that tests compare against.
+gives the law of the snapshot value Tr[O rho_hat].  :func:`_snapshot_tables`
+reads those states chunk by chunk from the closed-form enumeration
+:func:`qldp.pauli.stabilizer_states`; no Clifford group is built.  A
+median-of-means batch reads its snapshots only through the count of each
+distinct value, so :func:`_trial_estimates` draws those counts from one
+multinomial per batch (or, for a batch smaller than the number of values,
+its snapshots' values), in O(batches * min(ell, values)) time and memory.
+:func:`shadow_sample` and :func:`snapshot_inverse` draw and invert one
+(Clifford, outcome) record at a time for m <= 2, with the Clifford as a plain
+d x d array, an independent path that tests compare against.
 """
 
 from __future__ import annotations
@@ -36,20 +39,21 @@ from .channels import (
 )
 from .errors import InfeasibleError, InvalidInputError, NoninvertibleError, OutOfRegimeError
 from .estimate import AccuracyDemand, sample_count
-from .pauli import CliffordElement, clifford_orbit, enumerate_cliffords, pauli_matrix, random_clifford
+from .pauli import enumerate_cliffords, pauli_matrix, random_clifford, stabilizer_states
 from .privacy import PrivacyBudget
 
 
 @dataclass(frozen=True)
 class ShadowSample:
-    """One snapshot record: the sampled Clifford and the measured bitstring."""
+    """One snapshot record: the sampled Clifford, a d x d unitary, and the measured bitstring."""
 
-    clifford: CliffordElement
+    clifford: np.ndarray
     bits: str
 
     def __post_init__(self):
-        if len(self.bits) != self.clifford.m or any(c not in "01" for c in self.bits):
-            raise InvalidInputError(f"bits {self.bits!r} do not match m={self.clifford.m}")
+        shape = np.shape(self.clifford)
+        if shape != (2 ** len(self.bits),) * 2 or any(c not in "01" for c in self.bits):
+            raise InvalidInputError(f"bits {self.bits!r} do not match a {shape} Clifford")
 
 
 def private_shadow_p_hat(d: int, budget: PrivacyBudget) -> float:
@@ -73,8 +77,7 @@ def effective_depolarizing_q(p_hat: float, d: int) -> float:
 
 def clifford_unitary_group(m: int) -> FiniteUnitaryGroup:
     """Enumerated Clifford group packaged for twirling (m in {1, 2})."""
-    elems = [c.matrix for c in enumerate_cliffords(m)]
-    return FiniteUnitaryGroup(dim=2**m, elements=elems)
+    return FiniteUnitaryGroup(dim=2**m, elements=list(enumerate_cliffords(m)))
 
 
 def _born_probs(rho: np.ndarray, u: np.ndarray, p_hat: float) -> np.ndarray:
@@ -94,7 +97,7 @@ def shadow_sample(rho: np.ndarray, p_hat: float, rng: np.random.Generator) -> Sh
     if 2**m != d:
         raise InvalidInputError(f"state dimension {d} is not a power of two")
     element = random_clifford(m, rng)
-    probs = _born_probs(rho, element.matrix, p_hat)
+    probs = _born_probs(rho, element, p_hat)
     b = int(rng.choice(d, p=probs))
     return ShadowSample(clifford=element, bits=format(b, f"0{m}b"))
 
@@ -108,7 +111,7 @@ def snapshot_inverse(sample: ShadowSample, p_hat: float, d: int) -> np.ndarray:
     """
     if p_hat >= 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")
-    u = sample.clifford.matrix
+    u = sample.clifford
     if u.shape[0] != d:
         raise InvalidInputError(f"snapshot dimension {u.shape[0]} does not match d={d}")
     x = (d + 1.0) / (1.0 - p_hat)
@@ -193,11 +196,8 @@ def _snapshot_tables(rho: np.ndarray, obs: np.ndarray, p_hat: float, m: int):
     and the inverted snapshot gives x <s|O|s> - (x - 1) Tr[O]/d.
     """
     d = 2**m
-    zero = np.zeros((d, 1), dtype=complex)
-    zero[0, 0] = 1.0
     born, expect = [], []
-    for level in clifford_orbit(zero):
-        states = level[:, :, 0]
+    for states in stabilizer_states(m):
         born.append(((states.conj() @ rho) * states).sum(axis=1).real)
         expect.append(((states.conj() @ obs) * states).sum(axis=1).real)
     probs = (1.0 - p_hat) * np.concatenate(born) + p_hat / d

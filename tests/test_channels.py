@@ -9,8 +9,29 @@ from qldp.pauli import enumerate_cliffords, pauli_matrix
 
 
 def qubit_clifford_group():
-    elems = [c.matrix for c in enumerate_cliffords(1)]
-    return ch.FiniteUnitaryGroup(dim=2, elements=elems)
+    return ch.FiniteUnitaryGroup(dim=2, elements=list(enumerate_cliffords(1)))
+
+
+def vec(rho):
+    """Column-stacking vectorization."""
+    return rho.T.ravel()
+
+
+def unvec(v, dim):
+    return v.reshape(dim, dim).T
+
+
+def apply_superop(channel, rho):
+    """Oracle: the channel's action through its superoperator, independent of ch.apply."""
+    rho = np.asarray(rho, dtype=complex)
+    return qops.hermitize(unvec(channel.superoperator @ vec(rho), channel.dim_out))
+
+
+def channels_close(a, b, tol=ch.SUPEROP_TOL):
+    """Channel equality: max-abs difference of superoperator entries below tol."""
+    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
+        return False
+    return bool(np.abs(a.superoperator - b.superoperator).max() <= tol)
 
 
 def test_depolarizing_action_matches_formula():
@@ -55,7 +76,7 @@ def test_apply_kraus_vs_superop_paths():
     channel = ch.random_channel(3, 4, rng)
     for _ in range(5):
         rho = qops.random_density(3, 3, rng)
-        assert np.abs(ch.apply(channel, rho) - ch.apply_superop(channel, rho)).max() < 1e-12
+        assert np.abs(ch.apply(channel, rho) - apply_superop(channel, rho)).max() < 1e-12
 
 
 def test_apply_dim_mismatch():
@@ -74,7 +95,7 @@ def test_conjugated_depolarizing_is_unchanged():
 def test_conjugated_identity_is_identity():
     u = qops.random_unitary(3, np.random.default_rng(5))
     conj = ch.conjugated_channel(ch.identity_channel(3), u)
-    assert ch.channels_close(conj, ch.identity_channel(3), tol=1e-10)
+    assert channels_close(conj, ch.identity_channel(3), tol=1e-10)
 
 
 def test_conjugation_preserves_worst_case_divergence():
@@ -133,10 +154,10 @@ def test_measurement_channel_two_qubit_born_weights():
 
 def test_compose_identity_and_depolarizing_semigroup():
     dep = ch.depolarizing(3, 0.35)
-    assert ch.channels_close(ch.compose(ch.identity_channel(3), dep), dep, tol=1e-12)
+    assert channels_close(ch.compose(ch.identity_channel(3), dep), dep, tol=1e-12)
     a, b = 0.3, 0.45
     combined = ch.compose(ch.depolarizing(3, a), ch.depolarizing(3, b))
-    assert ch.channels_close(combined, ch.depolarizing(3, a + b - a * b), tol=1e-12)
+    assert channels_close(combined, ch.depolarizing(3, a + b - a * b), tol=1e-12)
 
 
 def test_compose_dim_mismatch():
@@ -159,9 +180,9 @@ def test_composed_measurement_outcome_probability():
 
 def test_twirl_identity_and_depolarizing_fixed_points():
     g = qubit_clifford_group()
-    assert ch.channels_close(ch.twirl(ch.identity_channel(2), g), ch.identity_channel(2), tol=1e-10)
+    assert channels_close(ch.twirl(ch.identity_channel(2), g), ch.identity_channel(2), tol=1e-10)
     dep = ch.depolarizing(2, 0.6)
-    assert ch.channels_close(ch.twirl(dep, g), dep, tol=1e-10)
+    assert channels_close(ch.twirl(dep, g), dep, tol=1e-10)
 
 
 def test_clifford_twirl_is_depolarizing():
@@ -298,7 +319,7 @@ def test_apply_kraus_vs_superop_paths_at_d32():
     rng = np.random.default_rng(15)
     for channel in (ch.depolarizing(32, 0.4), ch.random_channel(32, 4, rng)):
         rho = qops.random_density(32, 32, rng)
-        assert np.abs(ch.apply(channel, rho) - ch.apply_superop(channel, rho)).max() < 1e-12
+        assert np.abs(ch.apply(channel, rho) - apply_superop(channel, rho)).max() < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -351,7 +372,7 @@ def _fit_depolarizing_oracle(channel):
     d = channel.dim_in
     s = channel.superoperator
     ident = np.eye(d * d, dtype=complex)
-    v = ch.vec(np.eye(d, dtype=complex))
+    v = vec(np.eye(d, dtype=complex))
     basis = np.outer(v, v) / d - ident
     p = np.vdot(basis, s - ident).real / np.vdot(basis, basis).real
     return float(p), float(np.abs(s - (ident + p * basis)).max())
@@ -444,7 +465,8 @@ def test_output_spectrum_falls_back_to_the_full_eigen_solve():
         assert np.array_equal(spec, _full_spectrum(channel, frames, np.array(weights), input_weights))
 
 
-def test_depolarizing_screen_never_rejects_a_channel_within_the_fit_tolerance():
+def within_fit_tolerance_kraus_sets():
+    """Kraus sets whose depolarizing fit residual is at most SUPEROP_TOL."""
     rng = np.random.default_rng(23)
     kraus_sets = [ch.depolarizing(d, p).kraus for d, p in [(2, 0.0), (3, 0.45), (8, 1.0), (16, 0.7)]]
     kraus_sets += [ch.conjugated_channel(ch.depolarizing(4, 0.3), qops.random_unitary(4, rng)).kraus,
@@ -462,7 +484,16 @@ def test_depolarizing_screen_never_rejects_a_channel_within_the_fit_tolerance():
     for frac in (0.55, 0.8, 0.99):
         t = frac * ch.SUPEROP_TOL / per_t
         kraus_sets.append(np.concatenate([np.sqrt(1 - t) * dep, np.sqrt(t) * tip[None]]))
-    for kraus in kraus_sets:
+    return kraus_sets
+
+
+def near_depolarizing_channel():
+    """A channel that passes the screen but not the fit: a phase on one level of depolarizing(3)."""
+    return ch.compose(ch.depolarizing(3, 0.5), ch.unitary_conjugate(np.diag([1.0, 1.0, 1j])))
+
+
+def test_depolarizing_screen_never_rejects_a_channel_within_the_fit_tolerance():
+    for kraus in within_fit_tolerance_kraus_sets():
         _, residual = ch.fit_depolarizing(ch.QuantumChannel(kraus))
         assert residual <= ch.SUPEROP_TOL
         fresh = ch.QuantumChannel(kraus)
@@ -479,16 +510,24 @@ def test_screen_keeps_non_depolarizing_searches_off_the_superoperator():
     utility.utility_report(channel, cfg)
     assert channel._superop is None
     # the screen is only necessary: a channel that passes it still gets the full fit
-    near = ch.compose(ch.depolarizing(3, 0.5), ch.unitary_conjugate(np.diag([1.0, 1.0, 1j])))
+    near = near_depolarizing_channel()
     assert ch._may_be_depolarizing(near) and not ch.is_depolarizing(near)
     assert near._superop is not None
 
 
-def test_cached_superoperator_skips_the_screen(monkeypatch):
+def test_cached_superoperator_is_screened(monkeypatch):
+    rng = np.random.default_rng(25)
+    kraus_sets = within_fit_tolerance_kraus_sets() + [
+        ch.random_channel(3, 2, rng).kraus, ch.random_channel(8, 2, rng).kraus,
+        near_depolarizing_channel().kraus]
+    verdicts = [ch.is_depolarizing(ch.QuantumChannel(k)) for k in kraus_sets]
+    assert verdicts == [True] * (len(kraus_sets) - 3) + [False] * 3
     screened = []
-    monkeypatch.setattr(ch, "_may_be_depolarizing", lambda c: screened.append(c) or True)
-    assert ch.is_depolarizing(ch.depolarizing(3, 0.2))
-    channel = ch.random_channel(3, 2, np.random.default_rng(25))
-    channel.superoperator
-    assert not ch.is_depolarizing(channel)
-    assert screened == []
+    screen = ch._may_be_depolarizing
+    monkeypatch.setattr(ch, "_may_be_depolarizing", lambda c: screened.append(c) or screen(c))
+    # depolarizing() fills its cache at construction; the others fill it here
+    cached = [ch.depolarizing(3, 0.2)] + [ch.QuantumChannel(k) for k in kraus_sets]
+    for channel in cached:
+        channel.superoperator
+    assert [ch.is_depolarizing(c) for c in cached] == [True] + verdicts
+    assert screened == cached

@@ -292,6 +292,25 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
     assert float(rows[0][2]) == pytest.approx(optimal_fidelity_utility(6, b), abs=1e-11)  # d from CLI
 
 
+def test_config_errors_name_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment line\nd = 4\n\nbogus line  # trailing comment\n")
+    assert main(["utility-curve", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{cfg}:4: expected 'key = value', got 'bogus line'" in err
+    assert main(["utility-curve", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
+    assert f"cannot read {tmp_path / 'missing.cfg'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", ["-5", "0"])
+def test_cost_report_rejects_non_positive_bits_per_complex(bits, capsys, tmp_path):
+    rc = main(["cost-report", "--bits-per-complex", bits, "--output-dir", str(tmp_path / "cost")])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "bits per complex entry must be >= 1" in err
+    assert not (tmp_path / "cost").exists()
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 1\n")

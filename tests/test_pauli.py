@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -6,19 +7,16 @@ import pytest
 from qldp import qops
 from qldp.errors import DegenerateObservableError, InvalidInputError
 from qldp.pauli import (
-    CliffordElement,
-    clifford_orbit,
-    conjugate_pauli,
     decompose,
     enumerate_cliffords,
     from_coeffs,
-    is_clifford,
     pauli_coefficients,
     pauli_labels,
     pauli_matrix,
     pauli_sum,
     random_clifford,
     sampling_distribution,
+    stabilizer_states,
 )
 
 
@@ -41,6 +39,133 @@ def sample_pauli(decomp, rng):
     """Oracle: draw one label with probability |alpha_P| / S."""
     labels, probs = sampling_distribution(decomp)
     return labels[rng.choice(len(labels), p=probs)]
+
+
+# --- oracle: the Clifford orbit ---------------------------------------------
+# Breadth-first closure under the generators {H_i, S_i, CZ_ij}, deduplicated by an
+# exact per-entry phase code: an independent construction of the stabilizer states
+# and of the Clifford group that the closed-form enumeration is checked against.
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
+_UNIT = np.array([0, 1, 1j, -1, -1j])
+
+
+def _phase_codes(batch):
+    """One int8 row per element of a (k, d, c) stack, fixing each global phase in place.
+
+    After the first nonzero entry is rotated to the positive reals, every nonzero
+    entry of a Clifford matrix or stabilizer state is c * i^j with one common
+    c > 0.  Entry codes are 0 for zero and 1 + j otherwise, so a row determines
+    its element exactly.
+    """
+    tol = 1e-6  # far below the smallest nonzero modulus, 2^(-m/2)
+    flat = batch.reshape(len(batch), -1)
+    first = flat[np.arange(len(flat)), (np.abs(flat) > tol).argmax(axis=1)]
+    flat *= (first.conj() / np.abs(first))[:, None]
+    codes = np.zeros(flat.shape, dtype=np.int8)
+    for code, mask in enumerate((flat.real > tol, flat.imag > tol,
+                                 flat.real < -tol, flat.imag < -tol), start=1):
+        codes[mask] = code
+    return codes
+
+
+def _row_keys(codes):
+    """Each code row as one opaque, sortable value."""
+    return codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+
+
+def _embed_cz(m, i, j):
+    b = np.arange(2**m)
+    both = (b >> (m - 1 - i)) & (b >> (m - 1 - j)) & 1  # qubit 0 is the leading bit
+    return np.diag(1.0 - 2.0 * both).astype(complex)
+
+
+def _generators(m):
+    gens = []
+    for i in range(m):
+        for g in (_HADAMARD, _PHASE):
+            ops = [np.eye(2, dtype=complex)] * m
+            ops[i] = g
+            gens.append(functools.reduce(np.kron, ops))
+    for i in range(m):
+        for j in range(i + 1, m):
+            gens.append(_embed_cz(m, i, j))
+    return gens
+
+
+def clifford_orbit(start):
+    """Breadth-first closure of a (d, c) Clifford matrix or stabilizer state under {H_i, S_i, CZ_ij}.
+
+    Yields the orbit level by level, each level a (k, d, c) stack of
+    phase-canonical elements not seen before (the first level is ``start``).
+    Elements are rebuilt exactly from their codes, so rounding does not accumulate.
+    """
+    d, cols = start.shape
+    gens = _generators(d.bit_length() - 1)
+    codes = _phase_codes(start[None].astype(complex))
+    seen = _row_keys(codes)  # keys of every element found so far, kept sorted
+    while len(codes):
+        level = _UNIT[codes].reshape(-1, d, cols)
+        level *= np.sqrt(cols / np.count_nonzero(codes, axis=1))[:, None, None]
+        yield level
+        fresh = []
+        for g in gens:
+            cand = _phase_codes(g @ level)
+            keys, first = np.unique(_row_keys(cand), return_index=True)
+            pos = np.searchsorted(seen, keys)
+            new = seen[np.minimum(pos, len(seen) - 1)] != keys
+            seen = np.insert(seen, pos[new], keys[new])
+            fresh.append(cand[np.sort(first[new])])
+        codes = np.concatenate(fresh)
+
+
+def orbit_states(n):
+    """Oracle: the n-qubit stabilizer states, the orbit of |0...0>, as (count, 2^n) rows."""
+    zero = np.zeros((2**n, 1), dtype=complex)
+    zero[0, 0] = 1.0
+    return np.concatenate([level[:, :, 0] for level in clifford_orbit(zero)])
+
+
+def orbit_group(m):
+    """Oracle: the m-qubit Clifford group up to phase, the orbit of the identity."""
+    return np.concatenate(list(clifford_orbit(np.eye(2**m, dtype=complex))))
+
+
+def up_to_phase(rows):
+    """Rows with each first nonzero entry rotated to the positive reals, rounded, sorted."""
+    flat = np.array(rows, dtype=complex).reshape(len(rows), -1)
+    first = flat[np.arange(len(flat)), (np.abs(flat) > 1e-9).argmax(axis=1)]
+    flat *= (first.conj() / np.abs(first))[:, None]
+    parts = np.round(np.concatenate([flat.real, flat.imag], axis=1), 9) + 0.0
+    return parts[np.lexsort(parts.T[::-1])]
+
+
+def conjugate_pauli(u, label):
+    """Resolve U P U^dag as (phase, label); raises if the result is not a Pauli."""
+    m = len(label)
+    c = pauli_coefficients(u @ pauli_matrix(label) @ u.conj().T, m)
+    off = np.abs(c)
+    k = int(off.argmax())
+    off[k] -= 1.0  # a signed Pauli has one coefficient of modulus 1 and no others
+    if not np.abs(off).max() <= 1e-9:
+        raise InvalidInputError("conjugation does not map the Pauli to a signed Pauli")
+    return complex(c[k]), pauli_labels(m)[k]
+
+
+def is_clifford(u, m, tol=1e-9):
+    """Check that conjugation maps every generator Pauli to a phased Pauli."""
+    d = 2**m
+    if u.shape != (d, d) or np.abs(u.conj().T @ u - np.eye(d)).max() > tol:
+        return False
+    for i in range(m):
+        for letter in ("X", "Z"):
+            label = "".join(letter if k == i else "I" for k in range(m))
+            try:
+                conjugate_pauli(u, label)
+            except InvalidInputError:
+                return False
+    return True
 
 
 def test_pauli_matrix_generators():
@@ -203,8 +328,8 @@ def test_clifford_enumeration_m1():
     group = enumerate_cliffords(1)
     assert len(group) == 24
     for c in group:
-        assert is_clifford(c.matrix, 1)
-        phase, label = conjugate_pauli(c.matrix, "Z")
+        assert is_clifford(c, 1)
+        phase, label = conjugate_pauli(c, "Z")
         assert label in ("X", "Y", "Z")
         assert abs(abs(phase) - 1.0) < 1e-9
 
@@ -214,7 +339,18 @@ def test_clifford_enumeration_m2():
     assert len(group) == 11520
     rng = np.random.default_rng(2)
     for idx in rng.choice(len(group), size=6, replace=False):
-        assert is_clifford(group[idx].matrix, 2)
+        assert is_clifford(group[idx], 2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_clifford_enumeration_matches_the_orbit(m):
+    group = enumerate_cliffords(m)
+    assert group.shape == (len(group), 2**m, 2**m) and not group.flags.writeable
+    assert np.array_equal(up_to_phase(group), up_to_phase(orbit_group(m)))
+    # phase-canonical: each element's first nonzero entry is real positive
+    flat = group.reshape(len(group), -1)
+    first = flat[np.arange(len(flat)), (np.abs(flat) > 1e-9).argmax(axis=1)]
+    assert np.abs(first - np.abs(first)).max() < 1e-12
 
 
 def test_clifford_conjugation_closure_m1():
@@ -222,7 +358,7 @@ def test_clifford_conjugation_closure_m1():
     group = enumerate_cliffords(1)
     rng = np.random.default_rng(3)
     for idx in rng.choice(24, size=8, replace=False):
-        u = group[idx].matrix
+        u = group[idx]
         for lab in ("I", "X", "Y", "Z"):
             phase, out = conjugate_pauli(u, lab)
             assert out in ("I", "X", "Y", "Z")
@@ -241,15 +377,15 @@ def test_non_clifford_is_detected(name):
         conjugate_pauli(u, "X")
     assert not is_clifford(u, 1)
     assert not is_clifford(np.kron(u, np.eye(2)), 2)
-    assert is_clifford(np.kron(pauli_matrix("X"), enumerate_cliffords(1)[7].matrix), 2)
+    assert is_clifford(np.kron(pauli_matrix("X"), enumerate_cliffords(1)[7]), 2)
 
 
 def test_random_clifford_uniform_modes():
     rng = np.random.default_rng(4)
     c1 = random_clifford(1, rng)
-    assert isinstance(c1, CliffordElement) and c1.matrix.shape == (2, 2)
+    assert isinstance(c1, np.ndarray) and c1.shape == (2, 2) and not c1.flags.writeable
     c2 = random_clifford(2, rng)
-    assert c2.matrix.shape == (4, 4)
+    assert c2.shape == (4, 4)
     for m in (3, 5):
         with pytest.raises(InvalidInputError):
             random_clifford(m, rng)
@@ -264,9 +400,9 @@ def test_enumeration_rejects_large_m():
 def test_stabilizer_state_orbit(m, count):
     # 2^m prod_k (2^k + 1) states, and their projectors sum to (count / d) I
     d = 2**m
-    zero = np.zeros((d, 1), dtype=complex)
-    zero[0, 0] = 1.0
-    states = np.concatenate([level[:, :, 0] for level in clifford_orbit(zero)])
+    chunks = list(stabilizer_states(m))
+    assert max(len(c) for c in chunks) <= 4096
+    states = np.concatenate(chunks)
     assert states.shape == (count, d)
     assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
     frame = states.T @ states.conj()
@@ -275,3 +411,5 @@ def test_stabilizer_state_orbit(m, count):
     first = states[np.arange(count), (np.abs(states) > 1e-9).argmax(axis=1)]
     assert np.abs(first - np.abs(first)).max() < 1e-12
     assert len(np.unique(np.round(states, 9), axis=0)) == count
+    # the same set, up to phase, as the orbit of |0...0> under {H, S, CZ}
+    assert np.array_equal(up_to_phase(states), up_to_phase(orbit_states(m)))

@@ -14,11 +14,17 @@ from qldp.privacy import (
     SearchConfig,
     certify_qldp,
     depolarizing_privacy_profile,
-    hockey_stick_on_pair,
     optimal_depolarizing_p,
     refine_extremum,
 )
 from qldp.utility import utility_report
+
+
+def hockey_stick_on_pair(channel, phi1, phi2, gamma):
+    """Oracle: the certification objective re-evaluated on one pure pair through the Kraus action."""
+    return qops.hockey_stick(ch.apply(channel, qops.projector(phi1)),
+                             ch.apply(channel, qops.projector(phi2)), gamma)
+
 
 GRID_D = (2, 3, 4, 8)
 GRID_EPS = (0.1, 0.5, 1.0, 2.0)
@@ -196,7 +202,7 @@ def test_depolarizing_certificate_is_the_closed_form_without_search(d):
 
 
 def test_clifford_twirled_channel_is_certified_without_search():
-    g = ch.FiniteUnitaryGroup(dim=2, elements=[c.matrix for c in enumerate_cliffords(1)])
+    g = ch.FiniteUnitaryGroup(dim=2, elements=list(enumerate_cliffords(1)))
     damp = 0.5  # amplitude damping: Tr K_0 = 1 + sqrt(1 - damp), Tr K_1 = 0
     kraus = np.array([[[1, 0], [0, np.sqrt(1 - damp)]], [[0, np.sqrt(damp)], [0, 0]]], dtype=complex)
     p = 1 - ((1 + np.sqrt(1 - damp)) ** 2 - 1) / 3  # 1 - (sum_k |Tr K_k|^2 - 1)/(d^2 - 1)

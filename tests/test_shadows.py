@@ -8,6 +8,7 @@ from qldp.channels import depolarizing
 from qldp.errors import InfeasibleError, InvalidInputError, NoninvertibleError
 from qldp.estimate import AccuracyDemand
 from test_estimate import traced_peak_mb
+from test_pauli import orbit_states
 from qldp.pauli import enumerate_cliffords, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
@@ -36,12 +37,11 @@ def exact_snapshot_average(rho, p_hat, transform=None):
     group = enumerate_cliffords(1)
     acc = np.zeros((d, d), dtype=complex)
     total = 0.0
-    for c in group:
-        u = c.matrix
+    for u in group:
         omega = (1 - p_hat) * u @ rho @ u.conj().T + p_hat * np.eye(d) / d
         for b in range(d):
             prob = omega[b, b].real / len(group)
-            snap = snapshot_inverse(ShadowSample(clifford=c, bits=format(b, "01b")), p_hat, d)
+            snap = snapshot_inverse(ShadowSample(clifford=u, bits=format(b, "01b")), p_hat, d)
             acc += prob * (snap if transform is None else transform(snap))
             total += prob
     assert abs(total - 1.0) < 1e-12
@@ -115,6 +115,9 @@ def test_shadow_sample_rejects_bad_dimension():
     rng = np.random.default_rng(1)
     with pytest.raises(InvalidInputError):
         shadow_sample(np.eye(3, dtype=complex) / 3, 0.1, rng)
+    for bits in ("01", "2"):
+        with pytest.raises(InvalidInputError, match="do not match"):
+            ShadowSample(clifford=np.eye(2, dtype=complex), bits=bits)
 
 
 def test_snapshot_trace_is_one():
@@ -252,7 +255,7 @@ def test_run_shadow_trials_validation():
 def joint_snapshot_table(rho, obs, p_hat, m):
     """Oracle: (Clifford, outcome) probabilities and Tr[O rho_hat] over the enumerated group."""
     d = 2**m
-    us = np.stack([c.matrix for c in enumerate_cliffords(m)])
+    us = enumerate_cliffords(m)
     rot = np.einsum("gij,jk,glk->gil", us, rho, us.conj())
     probs = ((1.0 - p_hat) * np.einsum("gii->gi", rot).real + p_hat / d) / len(us)
     x = (d + 1.0) / (1.0 - p_hat)
@@ -279,6 +282,32 @@ def test_snapshot_table_matches_joint_clifford_table(m):
             got = value_distribution(*_snapshot_tables(rho, o, p_hat, m))
             assert np.array_equal(got[0], want[0])
             assert np.abs(got[1] - want[1]).max() < 1e-12
+
+
+def orbit_snapshot_table(states, rho, obs, p_hat):
+    """Oracle: the snapshot table over orbit-built stabilizer states."""
+    d = states.shape[1]
+    born = np.einsum("si,ij,sj->s", states.conj(), rho, states).real
+    expect = np.einsum("si,ij,sj->s", states.conj(), obs, states).real
+    probs = np.clip((1.0 - p_hat) * born + p_hat / d, 0.0, None)
+    x = (d + 1.0) / (1.0 - p_hat)
+    return probs / probs.sum(), x * expect - (x - 1.0) * np.trace(obs).real / d
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_snapshot_table_matches_the_orbit_table(m):
+    # the same multiset of (probability, value) pairs as the orbit-built table
+    rng = np.random.default_rng(30 + m)
+    d = 2**m
+    states = orbit_states(m)
+    for p_hat in (0.0, 0.6):
+        rho = qops.random_density(d, 2, rng)
+        obs = qops.hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        pairs = [np.stack(table, axis=1) for table in (_snapshot_tables(rho, obs, p_hat, m),
+                                                       orbit_snapshot_table(states, rho, obs, p_hat))]
+        got, want = (p[np.lexsort((p[:, 0], p[:, 1]))] for p in pairs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -311,7 +340,7 @@ def test_run_shadow_trials_at_three_qubits():
 def test_clifford_unitary_group_wrapper():
     g = clifford_unitary_group(1)
     assert g.dim == 2 and len(g) == 24
-    assert np.array_equal(g.stack(), np.stack([c.matrix for c in enumerate_cliffords(1)]))
+    assert np.array_equal(g.stack(), enumerate_cliffords(1))
 
 
 def test_single_snapshot_trials_follow_the_grouped_table():

@@ -168,7 +168,7 @@ def test_depolarizing_utilities_are_the_closed_forms_at_one_point(d):
 
 
 def test_clifford_twirled_utilities_are_the_closed_forms():
-    g = ch.FiniteUnitaryGroup(dim=2, elements=[c.matrix for c in enumerate_cliffords(1)])
+    g = ch.FiniteUnitaryGroup(dim=2, elements=list(enumerate_cliffords(1)))
     u = np.array([[np.cos(0.4), -1j * np.sin(0.4)], [-1j * np.sin(0.4), np.cos(0.4)]])
     p = 4 * np.sin(0.4) ** 2 / 3  # 1 - (|Tr U|^2 - 1)/(d^2 - 1)
     rep = utility_report(ch.twirl(ch.unitary_conjugate(u), g), CFG)
