@@ -1,26 +1,36 @@
-"""CPTP channels as Kraus stacks with lazily cached superoperators.
+"""CPTP channels as Kraus stacks or in trace-affine form, with lazily cached superoperators.
+
+A channel has one of two representations.  ``QuantumChannel(kraus)`` stores a
+validated Kraus stack.  :func:`depolarizing` and :func:`replacement_channel`
+store the trace-affine form N(X) = a X + Tr(X) B instead: (1-p, p I/d) and
+(0, sigma).  :func:`apply`, :func:`batch_outputs` and :func:`fit_depolarizing`
+read (a, B) directly, in O(d^2) memory, so the search kernels, which go
+through :func:`batch_outputs` for such a channel, never need its Kraus stack
+(d^2 + 1 or d^2 operators).  It is built only when something reads
+``.kraus``; :func:`compose`, :func:`twirl` and :func:`conjugated_channel` do.
 
 Superoperators use the column-stacking convention
 ``vec(A X B) = (B^T kron A) vec(X)``, so a channel with Kraus operators
-``K_k`` has superoperator ``S = sum_k conj(K_k) kron K_k``.  It is built as
-one contraction over the Kraus index (a single matrix product of cost
-r * d_out^2 * d_in^2 for r Kraus operators), not as a sum of r kron products.
-Depolarizing channels carry their exact closed form
-``S = (1-p) I + (p/d) |vec I><vec I|`` instead, so their superoperator costs
-O(d^4) to write down however many Kraus operators they have.
+``K_k`` has superoperator ``S = sum_k conj(K_k) kron K_k``.  It is built
+straight into its (d_out^2, d_in^2) result, one output row block at a time,
+each block one matrix product over the Kraus index (cost r * d_out^2 * d_in^2
+for r Kraus operators in all, O(d^3) scratch).  A trace-affine channel has
+the closed form ``S = a I + vec(B) vec(I)^T``.
 
 :func:`batch_outputs` and :func:`output_spectrum` are the kernels behind the
-search objectives.  Both start from one factor: for a stack of frames V and
-weights w, N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus
-operators stacked against the c columns of V, so k = r c columns and u = w
-tiled r times.  :func:`batch_outputs` forms that d_out x d_out matrix at
-Kraus rank when the Kraus stack is small, so a low-rank channel never needs
-its superoperator there.  The objectives take their eigenvalues at Kraus
-rank: when k < d_out, :func:`output_spectrum` reads them off the k x k core
-of a thin QR of A instead of solving the d_out x d_out problem.
+search objectives.  For a Kraus channel both start from one factor: for a
+stack of frames V and weights w, N(V diag(w) V^dag) = A diag(u) A^dag with
+A = K V, the r Kraus operators stacked against the c columns of V, so k = r c
+columns and u = w tiled r times.  :func:`batch_outputs` forms that
+d_out x d_out matrix at Kraus rank when the Kraus stack is small, so a
+low-rank channel never needs its superoperator there.  The objectives take
+their eigenvalues at Kraus rank: when k < d_out, :func:`output_spectrum`
+reads them off the k x k core of a thin QR of A instead of solving the
+d_out x d_out problem.  :func:`pure_fidelities` reads the fidelity objective
+<psi|N(psi psi^dag)|psi> off the Kraus factor, forming no output.
 :func:`is_depolarizing` tells the searches when a closed form makes them
-unnecessary; it screens a channel at Kraus rank before it builds the
-superoperator.
+unnecessary; it screens a Kraus channel at Kraus rank before it builds the
+superoperator, and reads a trace-affine channel's fit off (a, B).
 """
 
 from __future__ import annotations
@@ -38,19 +48,19 @@ SUPEROP_TOL = 1e-9   # channel equality: max-abs superoperator entry difference
 
 
 class QuantumChannel:
-    """A CPTP map stored as a stack of Kraus operators.
+    """A CPTP map, stored as a stack of Kraus operators or in trace-affine form.
 
     Immutable after construction.  The superoperator is built on first access
-    and cached; the fill is idempotent, so a concurrent first access at worst
-    recomputes the same array.  Constructors that know a channel's exact
-    superoperator (:func:`depolarizing`) fill the cache themselves.
+    and cached, and so is the Kraus stack of a trace-affine channel; each fill
+    is idempotent, so a concurrent first access at worst recomputes the same
+    array.
     """
 
     def __init__(self, kraus):
         k = np.asarray(kraus, dtype=complex)
         if k.ndim != 3 or k.shape[0] == 0:
             raise InvalidInputError(f"expected a nonempty stack of Kraus matrices, got shape {k.shape}")
-        self.kraus = k
+        self._kraus = k
         self.dim_out, self.dim_in = k.shape[1], k.shape[2]
         if not np.isfinite(k).all():
             raise InvalidInputError("Kraus operators must have finite entries")
@@ -58,19 +68,66 @@ class QuantumChannel:
         dev = np.abs(tp - np.eye(self.dim_in)).max()
         if not dev <= TRACE_TOL:
             raise InvalidInputError(f"Kraus set is not trace preserving (max deviation {dev:.3e})")
+        self._affine = None
         self._superop: np.ndarray | None = None
+
+    @classmethod
+    def _trace_affine(cls, a: float, b: np.ndarray, build_kraus) -> QuantumChannel:
+        """The channel X -> a X + Tr(X) B; ``build_kraus()`` returns its Kraus stack on demand."""
+        ch = cls.__new__(cls)
+        ch.dim_out = ch.dim_in = b.shape[0]
+        ch._kraus, ch._build_kraus = None, build_kraus
+        ch._affine = (a, b)
+        ch._superop = None
+        return ch
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """(r, d_out, d_in) Kraus stack; a trace-affine channel builds it on first access."""
+        if self._kraus is None:
+            self._kraus = self._build_kraus()
+        return self._kraus
 
     @property
     def superoperator(self) -> np.ndarray:
         """d_out^2 x d_in^2 matrix acting on column-stacked states."""
         if self._superop is None:
-            k = self.kraus
-            s = np.einsum("rij,rkl->ikjl", k.conj(), k, optimize=True)
-            self._superop = s.reshape(self.dim_out**2, self.dim_in**2)
+            if self._affine is None:
+                self._superop = _kraus_superoperator(self._kraus)
+            else:
+                self._superop = _affine_superoperator(*self._affine)
         return self._superop
 
     def __repr__(self) -> str:
-        return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, n_kraus={len(self.kraus)})"
+        form = "kraus" if self._affine is None else "trace-affine"
+        return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, form={form})"
+
+
+def _kraus_superoperator(k: np.ndarray) -> np.ndarray:
+    """sum_r conj(K_r) kron K_r, written one output row block at a time.
+
+    Row block i holds S[i d_out + m, j d_in + l] = sum_r conj(K_r[i, j]) K_r[m, l]:
+    one (d_in, r) x (r, d_out d_in) product, transposed into place.
+    """
+    r, do, di = k.shape
+    flat = k.reshape(r, do * di)
+    s = np.empty((do * do, di * di), dtype=complex)
+    for i in range(do):
+        blk = k[:, i, :].conj().T @ flat  # rows j, columns m d_in + l
+        s[i * do:(i + 1) * do].reshape(do, di, di)[...] = blk.reshape(di, do, di).transpose(1, 0, 2)
+    return s
+
+
+def _affine_superoperator(a: float, b: np.ndarray) -> np.ndarray:
+    """a I + vec(B) vec(I)^T, writing only the rows where vec(B) is nonzero."""
+    d = b.shape[0]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    diag = np.arange(d) * (d + 1)  # positions of the ones in vec(I)
+    vb = b.T.ravel()  # column-stacked
+    rows = np.flatnonzero(vb)
+    s[rows[:, None], diag] = vb[rows, None]
+    s.flat[:: d * d + 1] += a
+    return s
 
 
 def _check_unitary(u) -> np.ndarray:
@@ -109,10 +166,13 @@ class FiniteUnitaryGroup:
 
 
 def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Kraus action sum_k K_k rho K_k^dag."""
+    """The channel's action: a rho + Tr(rho) B, or the Kraus sum sum_k K_k rho K_k^dag."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.dim_in, ch.dim_in):
         raise InvalidInputError(f"state shape {rho.shape} does not match channel input dim {ch.dim_in}")
+    if ch._affine is not None:
+        a, b = ch._affine
+        return qops.hermitize(a * rho + np.trace(rho) * b)
     # two matrix products, r d^3 each; one unordered three-operand einsum is r d^5
     k_rho = ch.kraus @ rho
     out = np.einsum("kil,kml->im", k_rho, ch.kraus.conj(), optimize=True)
@@ -131,17 +191,21 @@ def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
 def batch_outputs(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray:
     """N(V diag(w) V^dag) for a (B, d_in, c) stack of frames V and c real weights w.
 
-    Goes through the r Kraus operators when 8 r c <= d_in d_out, at cost
-    B r c d_in d_out (plus B r c d_out^2 for the product); otherwise through
-    the superoperator, applied once to X = V diag(w) V^dag.
+    A trace-affine channel gives a X + Tr(X) B for X = V diag(w) V^dag.  A
+    Kraus channel goes through its r Kraus operators when 8 r c <= d_in d_out,
+    at cost B r c d_in d_out (plus B r c d_out^2 for the product); otherwise
+    through the superoperator, applied once to X.
     """
     b, d, c = frames.shape
     w = np.asarray(weights, dtype=float)
-    r, do = len(ch.kraus), ch.dim_out
-    if 8 * r * c <= d * do:
+    do = ch.dim_out
+    if ch._affine is None and 8 * len(ch.kraus) * c <= d * do:
         a = _kraus_factor(ch, frames)
-        return (a * np.tile(w, r)) @ a.conj().transpose(0, 2, 1)
+        return (a * np.tile(w, len(ch.kraus))) @ a.conj().transpose(0, 2, 1)
     x = (frames * w) @ frames.conj().transpose(0, 2, 1)
+    if ch._affine is not None:
+        a, bmat = ch._affine
+        return a * x + np.trace(x, axis1=1, axis2=2).real[:, None, None] * bmat
     v = x.transpose(0, 2, 1).reshape(b, d * d)  # column-stacked
     out = v @ ch.superoperator.T
     return out.reshape(b, do, do).transpose(0, 2, 1)
@@ -152,18 +216,19 @@ def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weigh
 
     ``frames`` is a (B, d_in, c) stack V, ``weights`` the c real weights w and
     ``input_weights`` the c real weights s of the optional input term (square
-    channels only).  The matrix is A diag(u) A^dag with A = [K V, V] and
-    u = [tile(w, r), s], so it has rank at most k = r c (plus c with s).  When
-    k < d_out, a thin QR A = QR gives its k eigenvalues that may be nonzero as
-    the spectrum of the k x k core R diag(u) R^dag, at cost B d_out k^2; the
-    d_out - k zeros are left out.  Otherwise all d_out come from eigvalsh of
-    the :func:`batch_outputs` matrix.
+    channels only).  For a Kraus channel the matrix is A diag(u) A^dag with
+    A = [K V, V] and u = [tile(w, r), s], so it has rank at most k = r c (plus
+    c with s).  When k < d_out, a thin QR A = QR gives its k eigenvalues that
+    may be nonzero as the spectrum of the k x k core R diag(u) R^dag, at cost
+    B d_out k^2; the d_out - k zeros are left out.  Otherwise, and for a
+    trace-affine channel, all d_out come from eigvalsh of the
+    :func:`batch_outputs` matrix.
     """
     w = np.asarray(weights, dtype=float)
     s = None if input_weights is None else np.asarray(input_weights, dtype=float)
-    r, c = len(ch.kraus), frames.shape[2]
-    if r * c + (0 if s is None else c) < ch.dim_out:
-        a, u = _kraus_factor(ch, frames), np.tile(w, r)
+    c = frames.shape[2]
+    if ch._affine is None and len(ch.kraus) * c + (0 if s is None else c) < ch.dim_out:
+        a, u = _kraus_factor(ch, frames), np.tile(w, len(ch.kraus))
         if s is not None:
             a, u = np.concatenate([a, frames], axis=2), np.concatenate([u, s])
         core = np.linalg.qr(a, mode="r")
@@ -174,48 +239,65 @@ def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weigh
     return np.linalg.eigvalsh(out)
 
 
+def pure_fidelities(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
+    """<psi| N(psi psi^dag) |psi> for a (B, d, 1) stack of pure states psi, square channels.
+
+    A Kraus channel with r <= d^2 gives sum_k |<psi|K_k psi>|^2 off the
+    (B, d, r) Kraus factor at cost B r d^2, with no output matrix.  A
+    trace-affine channel, and a Kraus channel with more operators than its
+    superoperator has rows, take the output from :func:`batch_outputs`.
+    """
+    psi = frames[:, :, 0]
+    if ch._affine is None and len(ch.kraus) <= ch.dim_in * ch.dim_out:
+        overlaps = np.einsum("bi,bik->bk", psi.conj(), _kraus_factor(ch, frames))
+        return (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    out = batch_outputs(ch, frames, np.ones(1))
+    return np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
+
+
 def identity_channel(d: int) -> QuantumChannel:
     return QuantumChannel(np.eye(d, dtype=complex)[None, :, :])
 
 
 def depolarizing(d: int, p: float) -> QuantumChannel:
-    """Depolarizing channel rho -> (1-p) rho + p Tr(rho) I/d.
+    """Depolarizing channel rho -> (1-p) rho + p Tr(rho) I/d, in trace-affine form (1-p, p I/d).
 
-    Kraus set: sqrt(1-p) I together with sqrt(p/d) |i><j| for all i, j.  The
-    superoperator cache is filled with the exact closed form
-    (1-p) I + (p/d) |vec I><vec I|.
+    Kraus set, built on first access to ``.kraus``: sqrt(1-p) I together with
+    sqrt(p/d) |i><j| for all i, j.
     """
     if d < 2:
         raise InvalidInputError(f"d must be >= 2, got {d}")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must be in [0, 1], got {p}")
-    ops = np.zeros((d * d + 1, d, d), dtype=complex)
-    ops[0] = np.sqrt(1 - p) * np.eye(d)
-    ij = np.arange(d * d)
-    ops[1 + ij, ij // d, ij % d] = np.sqrt(p / d)
-    ch = QuantumChannel(ops)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    diag = np.arange(d) * (d + 1)  # positions of the ones in vec(I)
-    s[diag[:, None], diag] = p / d
-    s.flat[:: d * d + 1] += 1 - p
-    ch._superop = s
-    return ch
+
+    def kraus():
+        ops = np.zeros((d * d + 1, d, d), dtype=complex)
+        ops[0] = np.sqrt(1 - p) * np.eye(d)
+        ij = np.arange(d * d)
+        ops[1 + ij, ij // d, ij % d] = np.sqrt(p / d)
+        return ops
+
+    return QuantumChannel._trace_affine(1 - p, p / d * np.eye(d, dtype=complex), kraus)
 
 
 def replacement_channel(sigma: np.ndarray) -> QuantumChannel:
-    """Constant channel rho -> sigma Tr(rho)."""
+    """Constant channel rho -> sigma Tr(rho), in trace-affine form (0, sigma).
+
+    Kraus set, built on first access to ``.kraus``: sqrt(lambda_i) |s_i><j| for
+    each eigenpair (lambda_i, s_i) of sigma (negative rounding clipped to 0) and
+    each basis vector |j>, eigenpair-major.
+    """
     sigma = qops.check_density(sigma)
     d = sigma.shape[0]
-    w, v = np.linalg.eigh(sigma)
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam < 0:
-            lam = 0.0
-        for j in range(d):
-            e = np.zeros(d, dtype=complex)
-            e[j] = 1.0
-            ops.append(np.sqrt(lam) * np.outer(col, e))
-    return QuantumChannel(np.stack(ops))
+
+    def kraus():
+        w, v = np.linalg.eigh(sigma)
+        ops = np.zeros((d, d, d, d), dtype=complex)  # [eigenpair, j, row, column]
+        j = np.arange(d)
+        ops[:, j, :, j] = (np.sqrt(np.where(w < 0, 0.0, w)) * v).T
+        return ops.reshape(d * d, d, d)
+
+    return QuantumChannel._trace_affine(0.0, sigma, kraus)
 
 
 def unitary_conjugate(u: np.ndarray) -> QuantumChannel:
@@ -275,13 +357,21 @@ def fit_depolarizing(ch: QuantumChannel) -> tuple[float, float]:
     Returns ``(p, residual)`` where residual is the max-abs superoperator
     deviation from the fitted depolarizing channel.  With v = vec(I),
     p = [(v^dag S v - d)/d - (Tr S - d^2)] / (d^2 - 1) reads O(d^2) entries
-    of S, and the residual is taken d rows at a time.
+    of S, and the residual is taken d rows at a time.  A trace-affine channel
+    a X + Tr(X) B is fitted exactly from its form: S differs from the fit by
+    vec(B - (Tr B/d) I) vec(I)^T, so p = 1 - a and the residual is
+    max |B - (Tr B/d) I|, in O(d^2) with no superoperator.
     """
     if ch.dim_in != ch.dim_out:
         raise InvalidInputError("fit requires a square channel")
     d = ch.dim_in
     if d < 2:
         raise InvalidInputError(f"fit requires d >= 2, got {d}")
+    if ch._affine is not None:
+        a, b = ch._affine
+        dev = b.copy()
+        dev.flat[:: d + 1] -= np.trace(b) / d
+        return float(1 - a), float(np.abs(dev).max())
     s = ch.superoperator
     diag = np.arange(d) * (d + 1)  # positions of the ones in vec(I)
     vsv = s[diag[:, None], diag].sum().real
@@ -316,10 +406,13 @@ def _may_be_depolarizing(ch: QuantumChannel) -> bool:
 def is_depolarizing(ch: QuantumChannel) -> bool:
     """True for a square channel, d >= 2, within SUPEROP_TOL of its depolarizing fit.
 
-    A channel that fails the r d^2 screen :func:`_may_be_depolarizing` is
-    ruled out before the fit reads (or builds) its superoperator.
+    A Kraus channel that fails the r d^2 screen :func:`_may_be_depolarizing`
+    is ruled out before the fit reads (or builds) its superoperator; a
+    trace-affine channel is answered from its form, with no screen.
     """
-    if not ch.dim_in == ch.dim_out >= 2 or not _may_be_depolarizing(ch):
+    if not ch.dim_in == ch.dim_out >= 2:
+        return False
+    if ch._affine is None and not _may_be_depolarizing(ch):
         return False
     return fit_depolarizing(ch)[1] <= SUPEROP_TOL
 

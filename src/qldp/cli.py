@@ -4,7 +4,8 @@ Subcommands: utility-curve, certify, estimate, shadows, cost-report, bounds.
 Options resolve as CLI flag > config file ("key = value" lines) > default.
 Exit codes: 0 success/satisfied, 1 violated/failed coverage, 2 usage error,
 3 any other package error (out-of-regime parameters, an infeasible budget, a
-degenerate observable) or too few trials for a coverage verdict.
+degenerate observable), an array too large to allocate, or too few trials for
+a coverage verdict.
 """
 
 from __future__ import annotations
@@ -514,6 +515,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except QldpError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
+        return EXIT_REGIME
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_REGIME
 
 

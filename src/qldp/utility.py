@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .channels import QuantumChannel, batch_outputs, is_depolarizing, output_spectrum
+from .channels import QuantumChannel, is_depolarizing, output_spectrum, pure_fidelities
 from .errors import InvalidInputError
 from .privacy import PrivacyBudget, SearchConfig, refine_extremum
 
@@ -37,13 +37,6 @@ def _square(ch: QuantumChannel) -> int:
     return ch.dim_in
 
 
-def _fidelity_values(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
-    # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi, one per (d, 1) frame
-    out = batch_outputs(ch, frames, _ONE)
-    psi = frames[:, :, 0]
-    return np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
-
-
 def _trace_values(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     # eigenvalues of N(psi) - psi psi^dag; the zeros left out at Kraus rank add nothing
     w = output_spectrum(ch, frames, _ONE, -_ONE)
@@ -59,7 +52,8 @@ def utility_report(ch: QuantumChannel, search: SearchConfig = SearchConfig()) ->
     evaluated once at e_0, which attains both.
     """
     d = _square(ch)
-    fid, tr = partial(_fidelity_values, ch), partial(_trace_values, ch)
+    # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi, one per (d, 1) frame
+    fid, tr = partial(pure_fidelities, ch), partial(_trace_values, ch)
     if is_depolarizing(ch):
         fpt = tpt = np.eye(d, 1, dtype=complex)
         fval, tval = fid(fpt[None])[0], tr(tpt[None])[0]

@@ -342,11 +342,12 @@ def _isometry_channel(d_in, d_out, r, rng):
 def test_batch_outputs_matches_per_state_apply():
     rng = np.random.default_rng(16)
     gamma = np.exp(0.7)
-    # (channel, takes the Kraus branch: 8 r c <= d_in d_out at c = 1 and 2)
-    cases = [(ch.random_channel(16, 3, rng), True), (_isometry_channel(8, 16, 2, rng), True),
-             (ch.random_channel(3, 2, rng), False), (ch.depolarizing(4, 0.35), False),
-             (ch.pauli_measurement_channel(pauli_matrix("XZ")), False)]
-    for channel, kraus_branch in cases:
+    # (channel, branch): "kraus" when 8 r c <= d_in d_out at c = 1 and 2, "superop" when
+    # not, "form" for a trace-affine channel
+    cases = [(ch.random_channel(16, 3, rng), "kraus"), (_isometry_channel(8, 16, 2, rng), "kraus"),
+             (ch.random_channel(3, 2, rng), "superop"), (ch.depolarizing(4, 0.35), "form"),
+             (ch.pauli_measurement_channel(pauli_matrix("XZ")), "superop")]
+    for channel, branch in cases:
         g = rng.standard_normal((6, channel.dim_in, 2)) + 1j * rng.standard_normal((6, channel.dim_in, 2))
         frames = np.linalg.qr(g)[0]
         one = ch.batch_outputs(channel, frames[:, :, :1], [1.0])
@@ -357,14 +358,18 @@ def test_batch_outputs_matches_per_state_apply():
             n2 = ch.apply(channel, qops.projector(f[:, 1]))
             assert np.abs(o1 - n1).max() < 1e-12
             assert np.abs(o2 - (n1 - gamma * n2)).max() < 1e-12
-        # the Kraus branch never builds the superoperator
-        assert (channel._superop is None) == kraus_branch
+        # the Kraus branch never builds the superoperator; the trace-affine form builds
+        # neither the superoperator nor the Kraus stack
+        assert (channel._superop is None) == (branch != "superop")
+        assert (channel._kraus is None) == (branch == "form")
     # one kernel per job: the eigenvalue objectives share the spectrum kernel, the
-    # fidelity objective the output kernel, and both stay out of the package API
+    # fidelity objective its own kernel, and all stay out of the package API
     assert privacy.output_spectrum is utility.output_spectrum is ch.output_spectrum
-    assert utility.batch_outputs is ch.batch_outputs
+    assert utility.pure_fidelities is ch.pure_fidelities
     assert not hasattr(privacy, "_batch_outputs") and not hasattr(utility, "_batch_out")
-    assert not hasattr(qldp, "batch_outputs") and not hasattr(qldp, "output_spectrum")
+    assert not hasattr(utility, "batch_outputs") and not hasattr(utility, "_fidelity_values")
+    for name in ("batch_outputs", "output_spectrum", "pure_fidelities"):
+        assert not hasattr(qldp, name)
 
 
 def _fit_depolarizing_oracle(channel):
@@ -525,9 +530,133 @@ def test_cached_superoperator_is_screened(monkeypatch):
     screened = []
     screen = ch._may_be_depolarizing
     monkeypatch.setattr(ch, "_may_be_depolarizing", lambda c: screened.append(c) or screen(c))
-    # depolarizing() fills its cache at construction; the others fill it here
-    cached = [ch.depolarizing(3, 0.2)] + [ch.QuantumChannel(k) for k in kraus_sets]
+    cached = [ch.QuantumChannel(k) for k in kraus_sets]
     for channel in cached:
         channel.superoperator
-    assert [ch.is_depolarizing(c) for c in cached] == [True] + verdicts
+    assert [ch.is_depolarizing(c) for c in cached] == verdicts
     assert screened == cached
+    # a trace-affine channel is answered from its form, cached superoperator or not
+    dep = ch.depolarizing(3, 0.2)
+    dep.superoperator
+    assert ch.is_depolarizing(dep) and ch.is_depolarizing(ch.depolarizing(3, 0.2))
+    assert screened == cached
+
+
+# --- trace-affine channels against their Kraus stacks --------------------------
+
+def depolarizing_kraus_oracle(d, p):
+    """Kraus stack of depolarizing(d, p), written out: sqrt(1-p) I, then sqrt(p/d) |i><j|."""
+    ops = np.zeros((d * d + 1, d, d), dtype=complex)
+    ops[0] = np.sqrt(1 - p) * np.eye(d)
+    ij = np.arange(d * d)
+    ops[1 + ij, ij // d, ij % d] = np.sqrt(p / d)
+    return ops
+
+
+def replacement_kraus_oracle(sigma):
+    """Kraus stack of replacement_channel(sigma), one outer product sqrt(lambda) |s><j| at a time."""
+    sigma = qops.check_density(sigma)
+    d = sigma.shape[0]
+    w, v = np.linalg.eigh(sigma)
+    ops = []
+    for lam, col in zip(w, v.T):
+        if lam < 0:
+            lam = 0.0
+        for j in range(d):
+            e = np.zeros(d, dtype=complex)
+            e[j] = 1.0
+            ops.append(np.sqrt(lam) * np.outer(col, e))
+    return np.stack(ops)
+
+
+def trace_affine_cases():
+    """(make, reference Kraus stack): depolarizing at d = 2..8, p = 0 and 1 included, and replacements."""
+    rng = np.random.default_rng(26)
+    cases = [(lambda d=d, p=p: ch.depolarizing(d, p), depolarizing_kraus_oracle(d, p))
+             for d, p in [(2, 0.0), (2, 1.0), (2, 0.3), (3, 0.45), (4, 1.0), (5, 0.0), (6, 0.7), (8, 0.2)]]
+    sigmas = [np.eye(3, dtype=complex) / 3, qops.projector(qops.random_pure(4, rng)),
+              qops.random_density(5, 5, rng), qops.random_density(2, 2, rng)]
+    cases += [(lambda s=s: ch.replacement_channel(s), replacement_kraus_oracle(s)) for s in sigmas]
+    return cases
+
+
+def test_lazy_kraus_matches_the_reference_stack():
+    for make, reference in trace_affine_cases():
+        channel = make()
+        assert channel._kraus is None
+        assert np.array_equal(channel.kraus, reference)
+        assert channel.kraus is channel.kraus  # built once, then cached
+        ch.QuantumChannel(channel.kraus)  # and trace preserving
+
+
+def test_trace_affine_kernels_match_their_kraus_stack():
+    rng = np.random.default_rng(27)
+    gamma = np.exp(0.6)
+    for make, reference in trace_affine_cases():
+        channel, oracle = make(), ch.QuantumChannel(reference)
+        d = channel.dim_in
+        rho = 1.7 * qops.random_density(d, d, rng)  # trace 1.7, so a dropped Tr(rho) shows
+        frames = np.linalg.qr(rng.standard_normal((4, d, 2)) + 1j * rng.standard_normal((4, d, 2)))[0]
+        pairs = [(ch.apply, (rho,)),
+                 (ch.batch_outputs, (frames[:, :, :1], [1.0])),
+                 (ch.batch_outputs, (frames, [1.0, -gamma])),
+                 (ch.output_spectrum, (frames[:, :, :1], [1.0])),
+                 (ch.output_spectrum, (frames, [1.0, -gamma])),
+                 (ch.output_spectrum, (frames[:, :, :1], [1.0], [-1.0])),
+                 (ch.output_spectrum, (frames, [1.0, -gamma], [0.5, -0.25])),
+                 (ch.pure_fidelities, (frames[:, :, :1],))]
+        for kernel, args in pairs:
+            got, want = kernel(channel, *args), kernel(oracle, *args)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12, kernel.__name__
+        p, residual = ch.fit_depolarizing(channel)
+        p_ref, residual_ref = ch.fit_depolarizing(oracle)
+        assert abs(p - p_ref) < 1e-12 and abs(residual - residual_ref) < 1e-12
+        assert ch.is_depolarizing(channel) == ch.is_depolarizing(oracle)
+        # none of the kernels above needs the Kraus stack or the superoperator
+        assert channel._kraus is None and channel._superop is None
+        assert np.abs(channel.superoperator - oracle.superoperator).max() < 1e-12
+        assert channel._kraus is None
+
+
+def test_repr_names_the_form_and_builds_nothing():
+    big = ch.depolarizing(64, 0.5)
+    assert repr(big) == "QuantumChannel(dim_in=64, dim_out=64, form=trace-affine)"
+    assert big._kraus is None and big._superop is None
+    measure = ch.pauli_measurement_channel(pauli_matrix("XZ"))
+    assert repr(measure) == "QuantumChannel(dim_in=4, dim_out=2, form=kraus)"
+
+
+def einsum_superoperator(kraus):
+    """The one-contraction superoperator: a (d_out, d_out, d_in, d_in) einsum, then reshaped."""
+    r, do, di = kraus.shape
+    return np.einsum("rij,rkl->ikjl", kraus.conj(), kraus, optimize=True).reshape(do * do, di * di)
+
+
+def test_blocked_superoperator_matches_the_einsum_oracle():
+    rng = np.random.default_rng(28)
+    cases = [ch.random_channel(d, r, rng) for d, r in [(2, 1), (3, 4), (8, 3), (16, 2)]]
+    cases += [ch.pauli_measurement_channel(pauli_matrix("XZ")),  # 4 -> 2
+              _isometry_channel(8, 16, 2, rng),  # 8 -> 16
+              _isometry_channel(5, 3, 4, rng),
+              ch.QuantumChannel(ch.depolarizing(4, 0.3).kraus)]
+    for channel in cases:
+        s = channel.superoperator
+        assert s.shape == (channel.dim_out**2, channel.dim_in**2)
+        assert np.abs(s - einsum_superoperator(channel.kraus)).max() < 1e-12
+
+
+def test_pure_fidelities_match_the_output_overlap():
+    rng = np.random.default_rng(29)
+    # Kraus factor (r <= d^2), superoperator route (a twirl has r = 24 r_0 > 4), trace-affine form
+    cases = [ch.random_channel(16, 3, rng), ch.random_channel(3, 9, rng),
+             ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()),
+             ch.depolarizing(5, 0.35), ch.replacement_channel(qops.random_density(4, 2, rng))]
+    for channel in cases:
+        d = channel.dim_in
+        frames = np.linalg.qr(rng.standard_normal((6, d, 1)) + 1j * rng.standard_normal((6, d, 1)))[0]
+        fid = ch.pure_fidelities(channel, frames)
+        for f, value in zip(frames, fid):
+            psi = f[:, 0]
+            want = np.vdot(psi, ch.apply(channel, qops.projector(psi)) @ psi).real
+            assert abs(value - want) < 1e-12

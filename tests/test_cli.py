@@ -574,3 +574,40 @@ def test_certify_one_dimensional_input_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
     assert err.count("\n") == 1 and err.startswith("error:") and "orthogonal" in err
+
+
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("cannot allocate the test array")
+
+    monkeypatch.setattr(cli, "certify_qldp", refuse)
+    rc = main(["certify"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and err.startswith("out of memory:") and "test array" in err
+
+
+def test_unallocatable_channel_exits_3_with_one_line(capsys):
+    # the first d x d array of depolarizing(10^7) needs 1.6 PB, more than any address
+    # space holds, so numpy refuses it before touching memory
+    rc = main(["certify", "--channel", "depolarizing 10000000 0.5"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and err.startswith("out of memory:")
+
+
+def test_certify_depolarizing_128_stays_at_d_squared_memory(capsys):
+    # its Kraus stack alone would take 4.3 GB and its superoperator 4.3 GB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = main(["certify", "--channel", "depolarizing 128 0.5", "--epsilon", "1", "--delta", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    head = capsys.readouterr().out.splitlines()[0]
+    assert rc == EXIT_VIOLATED and head.endswith("restarts = 0)")
+    sup = float(head.split("=")[1].split()[0])
+    assert abs(sup - depolarizing_privacy_profile(128, 0.5, math.e)) < 1e-12
+    assert peak < 16 * 2**20
