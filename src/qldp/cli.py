@@ -182,6 +182,8 @@ def load_kraus_file(path: str) -> QuantumChannel:
         d_out, d_in = int(toks[1]), int(toks[2])
     except ValueError:
         raise ChannelParseError(no, f"bad dimensions in {head!r}") from None
+    if d_out < 1 or d_in < 1:
+        raise ChannelParseError(no, f"dimensions must be >= 1, got {head!r}")
     ops = []
     i = 1
     while i < len(lines):

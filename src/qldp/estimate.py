@@ -123,7 +123,8 @@ def required_samples_upper(s_weight: float, budget: PrivacyBudget,
     """
     denom = budget.gamma - 1.0 + 2.0 * budget.delta
     if denom <= 0:
-        raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
+        raise InfeasibleError(
+            f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
     r = s_weight * (budget.gamma + 1.0) / (demand.beta * denom)
     v = 2.0 * r * r * math.log(2.0 / demand.eta)
     return sample_count(v, f"Hoeffding bound, S = {s_weight:g}")
@@ -148,6 +149,8 @@ def required_samples_lower(lmax: float, lmin: float, budget: PrivacyBudget,
     if not 0.0 < demand.eta < 0.25:
         raise OutOfRegimeError(f"eta must lie in (0, 1/4), got {demand.eta}")
     e = budget.gamma
+    if e == 1.0:  # epsilon > 0, but below about 2.2e-16 e^epsilon rounds to 1
+        raise OutOfRegimeError(f"e^epsilon - 1 is 0 in floating point at epsilon = {budget.epsilon:g}")
     v = math.log(1.0 / (4.0 * demand.eta * (1.0 - demand.eta))) * e * gap**2 \
         / (32.0 * (e - 1.0) ** 2 * demand.beta**2)
     return sample_count(v, "testing lower bound")
@@ -190,12 +193,14 @@ def qht_sample_bounds(trace_dist: float, eps: float, p: float, alpha: float) -> 
     q = 1.0 - p
     if not 0.0 < alpha < p * q:
         raise OutOfRegimeError(f"alpha must lie in (0, pq) = (0, {p * q}), got {alpha}")
-    e = math.exp(eps)
+    e, e_half = math.exp(eps), math.exp(eps / 2.0)
+    if e_half == 1.0:  # e^eps >= e^(eps/2), so e^eps - 1 is 0 only where this one is
+        raise OutOfRegimeError(f"e^(epsilon/2) - 1 is 0 in floating point at epsilon = {eps:g}")
     t = trace_dist
     log_ratio = math.log(p * q / (alpha * (1.0 - alpha)))
     c_const = max(
         log_ratio * (e + 1.0) / (eps * (e - 1.0)),
-        (1.0 - alpha * (1.0 - alpha) / (p * q)) * (e + 1.0) / (2.0 * (math.exp(eps / 2.0) - 1.0) ** 2),
+        (1.0 - alpha * (1.0 - alpha) / (p * q)) * (e + 1.0) / (2.0 * (e_half - 1.0) ** 2),
     )
     lower = max(c_const / t, log_ratio * e / (2.0 * (e - 1.0) ** 2 * t**2))
     upper = float(sample_count(2.0 * math.log(math.sqrt(p * q) / alpha)

@@ -7,7 +7,8 @@ evaluates is feasible, so the estimate is a certified lower bound on the true
 supremum and the returned witness attains it.  No global-optimality guarantee
 is claimed; ``restarts`` trades time for confidence.  A depolarizing channel is
 unitarily covariant, so every orthogonal pair attains its supremum: it is
-evaluated once, at the first two basis vectors, with no search.
+evaluated once, at the first two basis vectors, through :func:`channels.apply`
+and :func:`qops.hockey_stick`, with no search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QuantumChannel, is_depolarizing, output_spectrum
+from . import qops
+from .channels import QuantumChannel, apply, is_depolarizing, output_spectrum
 from .errors import InvalidInputError, OutOfRegimeError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
@@ -135,8 +137,8 @@ def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
     Searches over pairs of orthogonal pure inputs (two columns of an
     orthonormalized random frame) with derivative-free local refinement; a
     depolarizing channel (:func:`is_depolarizing`) is evaluated once at
-    (e_0, e_1) instead, with ``restarts_used = 0``.  ``satisfied`` compares
-    the estimate against delta + CERT_TOL.
+    (e_0, e_1) through :func:`apply` instead, with ``restarts_used = 0``.
+    ``satisfied`` compares the estimate against delta + CERT_TOL.
     """
     if ch.dim_in < 2:
         raise InvalidInputError(f"certification needs an orthogonal input pair, but dim_in = {ch.dim_in}")
@@ -148,7 +150,8 @@ def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
 
     if is_depolarizing(ch):
         pair = np.eye(ch.dim_in, 2, dtype=complex)
-        best, restarts = float(value(pair[None])[0]), 0
+        out1, out2 = (apply(ch, qops.projector(e)) for e in pair.T)
+        best, restarts = qops.hockey_stick(out1, out2, budget.gamma), 0
     else:
         best, pair = refine_extremum(value, ch.dim_in, 2, search, maximize=True)
         restarts = search.restarts

@@ -141,7 +141,8 @@ def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
     """
     denom = budget.gamma - 1.0 + d * budget.delta
     if denom <= 0:
-        raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
+        raise InfeasibleError(
+            f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
     ratio = (budget.gamma + d - 1.0) / (denom * (d + 1.0))
     v = 204.0 * tr_obs_sq / demand.beta**2 * max(1.0, ratio**2) * math.log(2.0 / demand.eta)
     return sample_count(v, f"shadow bound, Tr[O^2] = {tr_obs_sq:g}")
@@ -156,7 +157,8 @@ def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudge
     """
     denom = budget.gamma - 1.0 + d * budget.delta
     if denom <= 0:
-        raise InfeasibleError("epsilon = 0 and delta = 0 admit no finite sample size")
+        raise InfeasibleError(
+            f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
     ratio = (budget.gamma + d - 1.0) / denom
     v = 204.0 * tr_obs_sq / demand.beta**2 * ratio**2 * math.log(2.0 / demand.eta)
     return sample_count(v, f"naive shadow bound, Tr[O^2] = {tr_obs_sq:g}")

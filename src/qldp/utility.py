@@ -5,7 +5,8 @@ and returns both values with their witnesses.  Optimization runs over pure
 states only; concavity of fidelity and convexity of the trace norm place the
 extremum at pure states, so the restriction is lossless.  A depolarizing
 channel is unitarily covariant, so every pure state attains both values: it is
-evaluated once, at the first basis vector, with no search.
+evaluated once, at the first basis vector, through :func:`channels.apply`, with
+no search.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .channels import QuantumChannel, is_depolarizing, output_spectrum, pure_fidelities
+from . import qops
+from .channels import QuantumChannel, apply, is_depolarizing, output_spectrum, pure_fidelities
 from .errors import InvalidInputError
 from .privacy import PrivacyBudget, SearchConfig, refine_extremum
 
@@ -49,17 +51,18 @@ def utility_report(ch: QuantumChannel, search: SearchConfig = SearchConfig()) ->
     The fidelity value is an upper bound on the true minimum and the
     trace-distance value a lower bound on the true maximum: every evaluated
     state is feasible.  A depolarizing channel (:func:`is_depolarizing`) is
-    evaluated once at e_0, which attains both.
+    evaluated once at e_0 through :func:`apply`, which attains both.
     """
     d = _square(ch)
-    # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi, one per (d, 1) frame
-    fid, tr = partial(pure_fidelities, ch), partial(_trace_values, ch)
     if is_depolarizing(ch):
         fpt = tpt = np.eye(d, 1, dtype=complex)
-        fval, tval = fid(fpt[None])[0], tr(tpt[None])[0]
+        e0 = qops.projector(fpt[:, 0])
+        out = apply(ch, e0)
+        fval, tval = out[0, 0].real, qops.trace_distance(out, e0)
     else:
-        fval, fpt = refine_extremum(fid, d, 1, search, maximize=False)
-        tval, tpt = refine_extremum(tr, d, 1, search, maximize=True)
+        # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi, one per (d, 1) frame
+        fval, fpt = refine_extremum(partial(pure_fidelities, ch), d, 1, search, maximize=False)
+        tval, tpt = refine_extremum(partial(_trace_values, ch), d, 1, search, maximize=True)
     return UtilityReport(
         fidelity_utility=float(np.clip(fval, 0.0, 1.0)),
         trace_utility=float(np.clip(tval, 0.0, 1.0)),

@@ -343,9 +343,9 @@ def test_batch_outputs_matches_per_state_apply():
     rng = np.random.default_rng(16)
     gamma = np.exp(0.7)
     # (channel, branch): "kraus" when 8 r c <= d_in d_out at c = 1 and 2, "superop" when
-    # not, "form" for a trace-affine channel
+    # not; the depolarizing channel's 17 Kraus operators take it to the superoperator
     cases = [(ch.random_channel(16, 3, rng), "kraus"), (_isometry_channel(8, 16, 2, rng), "kraus"),
-             (ch.random_channel(3, 2, rng), "superop"), (ch.depolarizing(4, 0.35), "form"),
+             (ch.random_channel(3, 2, rng), "superop"), (ch.depolarizing(4, 0.35), "superop"),
              (ch.pauli_measurement_channel(pauli_matrix("XZ")), "superop")]
     for channel, branch in cases:
         g = rng.standard_normal((6, channel.dim_in, 2)) + 1j * rng.standard_normal((6, channel.dim_in, 2))
@@ -358,10 +358,9 @@ def test_batch_outputs_matches_per_state_apply():
             n2 = ch.apply(channel, qops.projector(f[:, 1]))
             assert np.abs(o1 - n1).max() < 1e-12
             assert np.abs(o2 - (n1 - gamma * n2)).max() < 1e-12
-        # the Kraus branch never builds the superoperator; the trace-affine form builds
-        # neither the superoperator nor the Kraus stack
+        # the Kraus branch never builds the superoperator; every kernel reads the Kraus stack
         assert (channel._superop is None) == (branch != "superop")
-        assert (channel._kraus is None) == (branch == "form")
+        assert channel._kraus is not None
     # one kernel per job: the eigenvalue objectives share the spectrum kernel, the
     # fidelity objective its own kernel, and all stay out of the package API
     assert privacy.output_spectrum is utility.output_spectrum is ch.output_spectrum
@@ -570,7 +569,10 @@ def replacement_kraus_oracle(sigma):
 
 
 def trace_affine_cases():
-    """(make, reference Kraus stack): depolarizing at d = 2..8, p = 0 and 1 included, and replacements."""
+    """(make, reference Kraus stack): depolarizing at d = 2..8, p = 0 and 1 included, and replacements.
+
+    Both are trace-affine, N(X) = a X + Tr(X) B; only the depolarizing channel is stored in closed form.
+    """
     rng = np.random.default_rng(26)
     cases = [(lambda d=d, p=p: ch.depolarizing(d, p), depolarizing_kraus_oracle(d, p))
              for d, p in [(2, 0.0), (2, 1.0), (2, 0.3), (3, 0.45), (4, 1.0), (5, 0.0), (6, 0.7), (8, 0.2)]]
@@ -583,7 +585,8 @@ def trace_affine_cases():
 def test_lazy_kraus_matches_the_reference_stack():
     for make, reference in trace_affine_cases():
         channel = make()
-        assert channel._kraus is None
+        # a depolarizing channel builds its stack on first access; a replacement channel is a Kraus channel
+        assert (channel._kraus is None) == (channel._p is not None)
         assert np.array_equal(channel.kraus, reference)
         assert channel.kraus is channel.kraus  # built once, then cached
         ch.QuantumChannel(channel.kraus)  # and trace preserving
@@ -594,11 +597,21 @@ def test_trace_affine_kernels_match_their_kraus_stack():
     gamma = np.exp(0.6)
     for make, reference in trace_affine_cases():
         channel, oracle = make(), ch.QuantumChannel(reference)
+        closed = channel._p is not None
         d = channel.dim_in
         rho = 1.7 * qops.random_density(d, d, rng)  # trace 1.7, so a dropped Tr(rho) shows
         frames = np.linalg.qr(rng.standard_normal((4, d, 2)) + 1j * rng.standard_normal((4, d, 2)))[0]
-        pairs = [(ch.apply, (rho,)),
-                 (ch.batch_outputs, (frames[:, :, :1], [1.0])),
+        assert np.abs(ch.apply(channel, rho) - ch.apply(oracle, rho)).max() < 1e-12
+        p, residual = ch.fit_depolarizing(channel)
+        p_ref, residual_ref = ch.fit_depolarizing(oracle)
+        assert abs(p - p_ref) < 1e-12 and abs(residual - residual_ref) < 1e-12
+        assert ch.is_depolarizing(channel) == ch.is_depolarizing(oracle)
+        # the closed form answers apply, the fit and the screen from p, building nothing
+        assert not closed or (channel._kraus is None and channel._superop is None)
+        assert np.abs(channel.superoperator - oracle.superoperator).max() < 1e-12
+        assert not closed or channel._kraus is None
+        # the search kernels read the Kraus stack
+        pairs = [(ch.batch_outputs, (frames[:, :, :1], [1.0])),
                  (ch.batch_outputs, (frames, [1.0, -gamma])),
                  (ch.output_spectrum, (frames[:, :, :1], [1.0])),
                  (ch.output_spectrum, (frames, [1.0, -gamma])),
@@ -609,19 +622,11 @@ def test_trace_affine_kernels_match_their_kraus_stack():
             got, want = kernel(channel, *args), kernel(oracle, *args)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12, kernel.__name__
-        p, residual = ch.fit_depolarizing(channel)
-        p_ref, residual_ref = ch.fit_depolarizing(oracle)
-        assert abs(p - p_ref) < 1e-12 and abs(residual - residual_ref) < 1e-12
-        assert ch.is_depolarizing(channel) == ch.is_depolarizing(oracle)
-        # none of the kernels above needs the Kraus stack or the superoperator
-        assert channel._kraus is None and channel._superop is None
-        assert np.abs(channel.superoperator - oracle.superoperator).max() < 1e-12
-        assert channel._kraus is None
 
 
 def test_repr_names_the_form_and_builds_nothing():
     big = ch.depolarizing(64, 0.5)
-    assert repr(big) == "QuantumChannel(dim_in=64, dim_out=64, form=trace-affine)"
+    assert repr(big) == "QuantumChannel(dim_in=64, dim_out=64, form=depolarizing)"
     assert big._kraus is None and big._superop is None
     measure = ch.pauli_measurement_channel(pauli_matrix("XZ"))
     assert repr(measure) == "QuantumChannel(dim_in=4, dim_out=2, form=kraus)"
@@ -660,3 +665,65 @@ def test_pure_fidelities_match_the_output_overlap():
             psi = f[:, 0]
             want = np.vdot(psi, ch.apply(channel, qops.projector(psi)) @ psi).real
             assert abs(value - want) < 1e-12
+
+
+# --- covariant channels never reach a search kernel ----------------------------
+
+def _output(channel, p, psi):
+    """N(psi psi^dag), written out: the Kraus sum, or (1-p) psi psi^dag + p I/d without a Kraus stack."""
+    if channel._p is None:
+        v = channel.kraus @ psi
+        return v.T @ v.conj()
+    return (1 - p) * qops.projector(psi) + p * np.eye(channel.dim_in) / channel.dim_in
+
+
+def test_depolarizing_channels_are_evaluated_once_without_the_search_kernels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search kernel was called")
+
+    for module in (ch, privacy, utility):
+        for name in ("batch_outputs", "output_spectrum", "pure_fidelities"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    budget = privacy.PrivacyBudget(0.7, 0.0)
+    cfg = privacy.SearchConfig(restarts=4, local_steps=3)
+    twirled = ch.twirl(ch.random_channel(2, 2, np.random.default_rng(31)), qubit_clifford_group())  # p = 0.66
+    cases = [(ch.depolarizing(d, p), p) for d, p in [(2, 0.3), (16, 0.55), (128, 0.5)]]
+    cases.append((twirled, ch.fit_depolarizing(twirled)[0]))
+    for channel, p in cases:
+        d = channel.dim_in
+        res = privacy.certify_qldp(channel, budget, cfg)
+        rep = utility.utility_report(channel, cfg)
+        assert res.restarts_used == 0
+        assert abs(res.sup_estimate - privacy.depolarizing_privacy_profile(d, p, budget.gamma)) < 1e-12
+        assert abs(rep.fidelity_utility - utility.depolarizing_fidelity_utility(d, p)) < 1e-12
+        assert abs(rep.trace_utility - utility.depolarizing_trace_utility(d, p)) < 1e-12
+        # the witnesses attain the values, re-checked through qops
+        phi1, phi2 = res.witness_pair
+        assert abs(np.vdot(phi1, phi2)) < 1e-12
+        hs = qops.hockey_stick(_output(channel, p, phi1), _output(channel, p, phi2), budget.gamma)
+        assert abs(hs - res.sup_estimate) < 1e-12
+        psi = rep.minimizer
+        assert abs(np.vdot(psi, _output(channel, p, psi) @ psi).real - rep.fidelity_utility) < 1e-12
+        psi = rep.maximizer
+        td = qops.trace_distance(_output(channel, p, psi), qops.projector(psi))
+        assert abs(td - rep.trace_utility) < 1e-12
+    for channel, _ in cases[:3]:
+        assert channel._kraus is None and channel._superop is None
+
+
+def test_searched_replacement_channel_matches_its_kraus_stack_bit_for_bit():
+    rng = np.random.default_rng(31)
+    budget = privacy.PrivacyBudget(0.9, 0.0)
+    cfg = privacy.SearchConfig(restarts=6, local_steps=10, seed=3)
+    for d in (3, 4):
+        replacement = ch.replacement_channel(qops.random_density(d, d, rng))
+        plain = ch.QuantumChannel(replacement.kraus)
+        assert not ch.is_depolarizing(replacement)
+        a, b = privacy.certify_qldp(replacement, budget, cfg), privacy.certify_qldp(plain, budget, cfg)
+        assert a.restarts_used == b.restarts_used == cfg.restarts
+        assert a.sup_estimate == b.sup_estimate
+        assert all(np.array_equal(x, y) for x, y in zip(a.witness_pair, b.witness_pair))
+        ua, ub = utility.utility_report(replacement, cfg), utility.utility_report(plain, cfg)
+        assert (ua.fidelity_utility, ua.trace_utility) == (ub.fidelity_utility, ub.trace_utility)
+        assert np.array_equal(ua.minimizer, ub.minimizer) and np.array_equal(ua.maximizer, ub.maximizer)

@@ -611,3 +611,37 @@ def test_certify_depolarizing_128_stays_at_d_squared_memory(capsys):
     sup = float(head.split("=")[1].split()[0])
     assert abs(sup - depolarizing_privacy_profile(128, 0.5, math.e)) < 1e-12
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("dims", ["-1 2", "2 0", "0 0"])
+def test_kraus_file_with_a_non_positive_dimension_is_a_usage_error(tmp_path, dims):
+    # a zero-row block once advanced the parser by nothing, so it looped until killed: run
+    # it in a subprocess under a time limit and a 1 GiB address-space cap
+    path = tmp_path / "chan.txt"
+    path.write_text(f"dims {dims}\nkraus\n1 0\n")
+    src = Path(qldp.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from qldp.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, "certify", "--kraus-file", str(path)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.count("\n") == 1 and "line 1" in proc.stderr and f"dims {dims}" in proc.stderr
+
+
+def test_tiny_epsilon_lower_bound_cell_is_out_of_regime(capsys):
+    # e^1e-300 rounds to 1, so the testing bound's (e^eps - 1)^2 is 0
+    rc = main(["bounds", "--eps-list", "1e-300", "--beta-list", "0.1", "--delta", "0.1",
+               "--output-dir", ""])
+    assert rc == EXIT_OK
+    row = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("1e-300")][0]
+    assert "out-of-regime (e^epsilon - 1 is 0 in floating point at epsilon = 1e-300)" in row
+
+
+@pytest.mark.parametrize("command", ["estimate", "shadows"])
+def test_tiny_epsilon_sample_size_names_the_budget(tmp_path, capsys, command):
+    rc = main([command, "--epsilon", "1e-300", "--trials", "3", "--output-dir", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and "epsilon = 1e-300 and delta = 0 admit no finite sample size" in err

@@ -216,6 +216,27 @@ def test_required_samples_upper_infeasible():
         required_samples_upper(1.0, PrivacyBudget(0.0, 0.0), AccuracyDemand(0.1, 0.05))
 
 
+def test_infeasible_budget_is_named_in_the_message():
+    # e^1e-300 rounds to 1, so the Hoeffding denominator is 0 although epsilon is not
+    for eps in (0.0, 1e-300):
+        with pytest.raises(InfeasibleError, match=f"epsilon = {eps:g} and delta = 0 "):
+            required_samples_upper(1.0, PrivacyBudget(eps, 0.0), AccuracyDemand(0.1, 0.05))
+
+
+def test_testing_bounds_are_out_of_regime_where_e_to_the_epsilon_rounds_to_one():
+    with pytest.raises(OutOfRegimeError, match="epsilon = 1e-300"):
+        required_samples_lower(1.0, -1.0, PrivacyBudget(1e-300, 0.0), AccuracyDemand(0.1, 0.1))
+    # e^(eps/2) rounds to 1 although e^eps does not
+    assert math.exp(2e-16) != 1.0 and math.exp(1e-16) == 1.0
+    for eps in (1e-300, 2e-16):
+        with pytest.raises(OutOfRegimeError, match=f"epsilon = {eps:g}"):
+            qht_sample_bounds(0.5, eps, 0.5, 0.1)
+    # just above the rounding, both bounds are finite
+    assert required_samples_lower(1.0, -1.0, PrivacyBudget(1e-15, 0.0), AccuracyDemand(0.1, 0.1)) > 1e29
+    res = qht_sample_bounds(0.5, 1e-15, 0.5, 0.1)
+    assert math.isfinite(res.lower) and res.lower <= res.upper
+
+
 def test_required_samples_lower_frozen_value():
     n = required_samples_lower(1.0, -1.0, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.1))
     assert n == 12

@@ -200,6 +200,14 @@ def test_required_samples_infeasible():
         shadow_required_samples(2.0, 2, PrivacyBudget(0.0, 0.0), AccuracyDemand(0.1, 0.1))
 
 
+def test_infeasible_budget_is_named_in_the_message():
+    dem = AccuracyDemand(0.1, 0.1)
+    for eps in (0.0, 1e-300):
+        for bound in (shadow_required_samples, naive_shadow_required_samples):
+            with pytest.raises(InfeasibleError, match=f"epsilon = {eps:g} and delta = 0 "):
+                bound(2.0, 2, PrivacyBudget(eps, 0.0), dem)
+
+
 def test_naive_calibration_is_never_cheaper():
     dem = AccuracyDemand(0.2, 0.1)
     for d in (2, 4, 8):
