@@ -42,7 +42,6 @@ from .pauli import (
     enumerate_cliffords,
     from_coeffs,
     pauli_matrix,
-    random_clifford,
 )
 from .privacy import (
     CertificationResult,
@@ -61,13 +60,9 @@ from .qops import (
     trace_distance,
 )
 from .shadows import (
-    ShadowSample,
     effective_depolarizing_q,
-    median_of_means_estimate,
     private_shadow_p_hat,
     shadow_required_samples,
-    shadow_sample,
-    snapshot_inverse,
 )
 from .utility import (
     UtilityReport,

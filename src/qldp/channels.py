@@ -29,12 +29,14 @@ its superoperator there.  The objectives take their eigenvalues at Kraus
 rank: when k < d_out, :func:`output_spectrum` reads them off the k x k core
 of a thin QR of A instead of solving the d_out x d_out problem.
 :func:`pure_fidelities` reads the fidelity objective <psi|N(psi psi^dag)|psi>
-off the Kraus factor, forming no output.  :func:`is_depolarizing` screens a
-Kraus channel at Kraus rank before it builds the superoperator.
+off the Kraus factor, forming no output.  :func:`fit_depolarizing` and
+:func:`is_depolarizing` read the Kraus stack only, one matrix unit at a time.
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +66,8 @@ class QuantumChannel:
         self.dim_out, self.dim_in = k.shape[1], k.shape[2]
         if not np.isfinite(k).all():
             raise InvalidInputError("Kraus operators must have finite entries")
-        tp = np.einsum("kji,kjl->il", k.conj(), k, optimize=True)
-        dev = np.abs(tp - np.eye(self.dim_in)).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or NaN deviation fails below
+            dev = np.abs(np.einsum("kji,kjl->il", k.conj(), k, optimize=True) - np.eye(self.dim_in)).max()
         if not dev <= TRACE_TOL:
             raise InvalidInputError(f"Kraus set is not trace preserving (max deviation {dev:.3e})")
         self._p: float | None = None  # the depolarizing parameter, for depolarizing() only
@@ -123,13 +125,14 @@ def _kraus_superoperator(k: np.ndarray) -> np.ndarray:
 
 
 def _check_unitary(u) -> np.ndarray:
-    """Validate a finite square unitary (U^dag U = I within UNITARY_TOL) and return it."""
+    """Validate a finite square unitary, or a stack of them (U^dag U = I within UNITARY_TOL), and return it."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
+    if u.ndim not in (2, 3) or 0 in u.shape or u.shape[-2] != u.shape[-1]:
+        raise InvalidInputError(f"expected a square matrix or a stack of them, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise InvalidInputError("matrix has non-finite (NaN or inf) entries")
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or NaN deviation fails below
+        dev = np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(u.shape[-1])).max()
     if not dev <= UNITARY_TOL:
         raise InvalidInputError(f"matrix is not unitary (max deviation {dev:.3e})")
     return u
@@ -137,24 +140,26 @@ def _check_unitary(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteUnitaryGroup:
-    """A finite set of unitaries used for exact twirling."""
+    """A finite set of unitaries used for exact twirling, stored as one read-only (G, dim, dim) array."""
 
     dim: int
-    elements: list = field(repr=False)
+    elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.elements:
+        if len(self.elements) == 0:
             raise InvalidInputError("group must be nonempty")
-        for u in self.elements:
-            if u.shape != (self.dim, self.dim):
-                raise InvalidInputError(f"element shape {u.shape} does not match dim {self.dim}")
-            _check_unitary(u)
+        try:
+            u = np.array(self.elements, dtype=complex)
+        except ValueError:  # elements of different shapes
+            raise InvalidInputError(f"element shapes differ; each must match dim {self.dim}") from None
+        if u.shape[1:] != (self.dim, self.dim):
+            raise InvalidInputError(f"element shape {u.shape[1:]} does not match dim {self.dim}")
+        _check_unitary(u)
+        u.flags.writeable = False
+        object.__setattr__(self, "elements", u)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def stack(self) -> np.ndarray:
-        return np.stack(self.elements)
 
 
 def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -251,10 +256,11 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     Kraus set, built on first access to ``.kraus``: sqrt(1-p) I together with
     sqrt(p/d) |i><j| for all i, j.
     """
-    if d < 2:
-        raise InvalidInputError(f"d must be >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must be in [0, 1], got {p}")
+    d = int(d)
 
     def kraus():
         ops = np.zeros((d * d + 1, d, d), dtype=complex)
@@ -303,7 +309,9 @@ def pauli_measurement_channel(p: np.ndarray) -> QuantumChannel:
     """
     p = qops.check_hermitian(p, tol=1e-9)
     d = p.shape[0]
-    if np.abs(p @ p - np.eye(d)).max() > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(p @ p - np.eye(d)).max()
+    if not dev <= 1e-9:
         raise InvalidInputError("operator is not an involution (P^2 != I)")
     w, v = np.linalg.eigh(p)
     ops = []
@@ -326,7 +334,7 @@ def twirl(ch: QuantumChannel, group: FiniteUnitaryGroup) -> QuantumChannel:
     """Uniform group average of the conjugated channels U^dag N(U . U^dag) U."""
     if ch.dim_in != ch.dim_out or ch.dim_in != group.dim:
         raise InvalidInputError("twirl needs a square channel matching the group dimension")
-    us = group.stack()
+    us = group.elements
     scale = 1.0 / np.sqrt(len(group))
     # Kraus set {U_g^dag K_k U_g / sqrt(|G|)}; rank is not minimized.
     ops = np.einsum("gji,kjl,glm->gkim", us.conj(), ch.kraus, us) * scale
@@ -337,61 +345,53 @@ def fit_depolarizing(ch: QuantumChannel) -> tuple[float, float]:
     """Least-squares fit of a depolarizing parameter to a square channel.
 
     Returns ``(p, residual)`` where residual is the max-abs superoperator
-    deviation from the fitted depolarizing channel.  With v = vec(I),
-    p = [(v^dag S v - d)/d - (Tr S - d^2)] / (d^2 - 1) reads O(d^2) entries
-    of S, and the residual is taken d rows at a time.  A depolarizing channel
-    is its own fit: ``(p, 0.0)``, with no superoperator.
+    deviation from the fitted depolarizing channel, read off the Kraus stack
+    (:func:`_depolarizing_fit`).  A depolarizing channel is its own fit:
+    ``(p, 0.0)``.
     """
     if ch.dim_in != ch.dim_out:
         raise InvalidInputError("fit requires a square channel")
-    d = ch.dim_in
-    if d < 2:
-        raise InvalidInputError(f"fit requires d >= 2, got {d}")
+    if ch.dim_in < 2:
+        raise InvalidInputError(f"fit requires d >= 2, got {ch.dim_in}")
+    return _depolarizing_fit(ch, np.inf)
+
+
+def _depolarizing_fit(ch: QuantumChannel, stop: float) -> tuple[float, float]:
+    """(p, residual) of the depolarizing fit, returning once the residual passes ``stop``.
+
+    With v = vec(I), p = [(v^dag S v - d)/d - (Tr S - d^2)] / (d^2 - 1), where
+    v^dag S v = sum_k ||K_k||_F^2 and Tr S = sum_k |Tr K_k|^2.  The d^2 images
+    N(|a><b|) = sum_k K_k[:, a] K_k[:, b]^dag hold exactly the entries of S;
+    each is one (d, r) x (r, d) product, compared with (1-p)|a><b| + p delta_ab I/d,
+    starting at N(|0><0|).
+    """
     if ch._p is not None:
         return ch._p, 0.0
-    s = ch.superoperator
-    diag = np.arange(d) * (d + 1)  # positions of the ones in vec(I)
-    vsv = s[diag[:, None], diag].sum().real
-    p = float(((vsv - d) / d - (np.trace(s).real - d * d)) / (d * d - 1))
-    # row block a holds rows a d .. a d + d - 1; its row a is row diag[a]
-    rows = np.arange(d)
+    k = ch.kraus
+    d = ch.dim_in
+    traces = k.trace(axis1=1, axis2=2)
+    p = float(((np.vdot(k, k).real - d) / d - (np.vdot(traces, traces).real - d * d)) / (d * d - 1))
     residual = 0.0
-    for a in range(d):
-        blk = s[a * d:(a + 1) * d].copy()
-        blk[rows, a * d + rows] -= 1 - p
-        blk[a, diag] -= p / d
-        residual = max(residual, float(np.abs(blk).max()))
+    for a, b in itertools.product(range(d), repeat=2):
+        out = k[:, :, a].T @ k[:, :, b].conj()
+        out[a, b] -= 1 - p
+        if a == b:
+            out.ravel()[:: d + 1] -= p / d
+        residual = max(residual, float(np.abs(out).max()))
+        if residual > stop:
+            break
     return p, residual
-
-
-def _may_be_depolarizing(ch: QuantumChannel) -> bool:
-    """Necessary condition for a fit residual <= SUPEROP_TOL, read from N(|0><0|) at cost r d^2.
-
-    N(|0><0|) is column 0 of the superoperator, and a depolarizing channel maps
-    it to (1-p)|0><0| + p I/d.  Within SUPEROP_TOL of a fit, every off-diagonal
-    entry is within SUPEROP_TOL of 0 and diagonal entries 1..d-1 are within
-    SUPEROP_TOL of p/d, so within 2 SUPEROP_TOL of each other.  The screen
-    allows twice both bounds, which covers rounding.
-    """
-    col = ch.kraus[:, :, 0]
-    out = np.einsum("ki,kj->ij", col, col.conj())
-    diag = out.diagonal().real
-    off = np.abs(out - np.diag(out.diagonal())).max()
-    return bool(off <= 2 * SUPEROP_TOL and np.ptp(diag[1:]) <= 4 * SUPEROP_TOL)
 
 
 def is_depolarizing(ch: QuantumChannel) -> bool:
     """True for a square channel, d >= 2, within SUPEROP_TOL of its depolarizing fit.
 
-    A Kraus channel that fails the r d^2 screen :func:`_may_be_depolarizing`
-    is ruled out before the fit reads (or builds) its superoperator; a
-    depolarizing channel is answered from p, with no screen.
+    The fit stops at the first matrix unit past SUPEROP_TOL, so most other
+    channels are ruled out by N(|0><0|) at cost r d^2.
     """
     if not ch.dim_in == ch.dim_out >= 2:
         return False
-    if ch._p is None and not _may_be_depolarizing(ch):
-        return False
-    return fit_depolarizing(ch)[1] <= SUPEROP_TOL
+    return _depolarizing_fit(ch, SUPEROP_TOL)[1] <= SUPEROP_TOL
 
 
 def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> QuantumChannel:

@@ -51,14 +51,12 @@ def _default_seed() -> int:
 
 
 # Per-command option tables: name -> (converter, default, help).
-_COMMON = {
-    "seed": (int, None, "RNG seed (default: env QLDP_SEED or 0)"),
-    "output_dir": (str, "out", "directory for emitted files"),
-}
+_SEED = {"seed": (int, None, "RNG seed (default: env QLDP_SEED or 0)")}
+_OUTPUT_DIR = {"output_dir": (str, "out", "directory for emitted files")}
 
 _OPTS = {
     "utility-curve": {
-        **_COMMON,
+        **_OUTPUT_DIR,
         "d": (int, 10, "system dimension for the per-delta curves"),
         "deltas": (_float_list, [0.0, 0.1, 0.3], "delta values, comma-separated"),
         "eps_start": (float, 0.0, "epsilon grid start"),
@@ -68,7 +66,7 @@ _OPTS = {
         "delta_fixed": (float, 0.1, "delta for the per-d curves"),
     },
     "certify": {
-        **_COMMON,
+        **_SEED,
         "channel": (str, "depolarizing 2 0.5", "builtin spec: 'depolarizing D P'"),
         "kraus_file": (str, None, "channel as a Kraus text file (overrides --channel)"),
         "epsilon": (float, 1.0, "privacy epsilon"),
@@ -77,7 +75,7 @@ _OPTS = {
         "local_steps": (int, 200, "refinement steps per restart"),
     },
     "estimate": {
-        **_COMMON,
+        **_SEED, **_OUTPUT_DIR,
         "observable": (str, "Z", "Pauli list 'Z:1,X:0.5', bare label, or 'file:PATH'"),
         "state": (str, "zero", "zero | mixed | random-pure | diag:p0,p1,..."),
         "epsilon": (float, 1.0, "privacy epsilon"),
@@ -88,7 +86,7 @@ _OPTS = {
         "n": (int, None, "override the per-trial sample count"),
     },
     "shadows": {
-        **_COMMON,
+        **_SEED, **_OUTPUT_DIR,
         "m": (int, 1, "number of qubits (<= 4)"),
         "observable": (str, "Z", "Pauli list, bare label, or 'file:PATH'"),
         "state": (str, "zero", "zero | mixed | random-pure | diag:p0,p1,..."),
@@ -100,12 +98,12 @@ _OPTS = {
         "ell": (int, None, "batch size override (must divide N)"),
     },
     "cost-report": {
-        **_COMMON,
+        **_OUTPUT_DIR,
         "m_list": (_int_list, [1, 2, 3, 4], "qubit counts to tabulate"),
         "bits_per_complex": (int, 128, "precision charged per complex entry"),
     },
     "bounds": {
-        **_COMMON,
+        **_OUTPUT_DIR,
         "observable": (str, "Z", "Pauli list, bare label, or 'file:PATH'"),
         "eps_list": (_float_list, [0.25, 0.5, 1.0], "epsilon grid"),
         "beta_list": (_float_list, [0.05, 0.1], "beta grid"),
@@ -140,7 +138,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
             out[name] = conv(cfg[name])
         else:
             out[name] = default
-    if out.get("seed") is None:
+    if "seed" in table and out["seed"] is None:
         out["seed"] = _default_seed()
     return out
 

@@ -89,7 +89,7 @@ def depolarizing_privacy_profile(d: int, p: float, gamma: float) -> float:
         raise InvalidInputError(f"d must be >= 2, got {d}")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must be in [0, 1], got {p}")
-    if gamma < 1:
+    if not gamma >= 1:
         raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
     return max(0.0, 1.0 - p * (d - 1.0 + gamma) / d)
 

@@ -77,7 +77,7 @@ def effective_depolarizing_q(p_hat: float, d: int) -> float:
 
 def clifford_unitary_group(m: int) -> FiniteUnitaryGroup:
     """Enumerated Clifford group packaged for twirling (m in {1, 2})."""
-    return FiniteUnitaryGroup(dim=2**m, elements=list(enumerate_cliffords(m)))
+    return FiniteUnitaryGroup(dim=2**m, elements=enumerate_cliffords(m))
 
 
 def _born_probs(rho: np.ndarray, u: np.ndarray, p_hat: float) -> np.ndarray:
@@ -250,8 +250,10 @@ def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
     (:func:`_trial_estimates`), in O(n/ell * min(ell, cells)) time and
     memory.  Per-trial RNG streams spawn from the seed.
     """
-    if p_hat >= 1.0:
+    if p_hat == 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")
+    if not 0.0 <= p_hat <= 1.0:
+        raise InvalidInputError(f"p_hat must be in [0, 1], got {p_hat}")
     d = rho.shape[0]
     m = int(round(math.log2(d)))
     if 2**m != d or not 1 <= m <= 4:

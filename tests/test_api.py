@@ -1,25 +1,28 @@
+import ast
+import sys
 import types
+from pathlib import Path
 
 import qldp
 
 # Every public name of the package, modules aside.  Adding or removing an
 # export is a deliberate edit of this list.
 PUBLIC_EXPORTS = [
-    "AccuracyDemand", "CertificationResult", "ChannelParseError", "DegenerateObservableError",
-    "FiniteUnitaryGroup", "InfeasibleError", "InvalidInputError", "NoninvertibleError",
-    "OutOfRegimeError", "PauliDecomposition", "PrivacyBudget", "QhtBounds", "QhtReduction",
-    "QldpError", "QuantumChannel", "SearchConfig", "ShadowSample", "UtilityReport",
-    "apply", "build_qht_reduction", "certify_qldp", "compose", "conjugated_channel",
-    "decompose", "depolarizing", "depolarizing_privacy_profile", "effective_depolarizing_q",
-    "enumerate_cliffords", "fidelity", "fidelity_lower_bound", "fit_depolarizing",
-    "from_coeffs", "hockey_stick", "identity_channel", "measurement_operator_protocol",
-    "median_of_means_estimate", "optimal_depolarizing_p", "optimal_fidelity_utility",
-    "optimal_trace_utility", "pauli_matrix", "pauli_measurement_channel", "positive_part",
-    "private_shadow_p_hat", "qht_sample_bounds", "random_channel", "random_clifford",
-    "random_density", "random_pure", "replacement_channel", "required_samples_lower",
-    "required_samples_upper", "shadow_required_samples", "shadow_sample", "snapshot_inverse",
-    "threshold_test", "trace_distance", "twirl", "unitary_conjugate", "utility_curve",
-    "utility_report",
+    "AccuracyDemand", "CertificationResult", "ChannelParseError",
+    "DegenerateObservableError", "FiniteUnitaryGroup", "InfeasibleError",
+    "InvalidInputError", "NoninvertibleError", "OutOfRegimeError", "PauliDecomposition",
+    "PrivacyBudget", "QhtBounds", "QhtReduction", "QldpError", "QuantumChannel",
+    "SearchConfig", "UtilityReport", "apply", "build_qht_reduction", "certify_qldp",
+    "compose", "conjugated_channel", "decompose", "depolarizing",
+    "depolarizing_privacy_profile", "effective_depolarizing_q", "enumerate_cliffords",
+    "fidelity", "fidelity_lower_bound", "fit_depolarizing", "from_coeffs", "hockey_stick",
+    "identity_channel", "measurement_operator_protocol", "optimal_depolarizing_p",
+    "optimal_fidelity_utility", "optimal_trace_utility", "pauli_matrix",
+    "pauli_measurement_channel", "positive_part", "private_shadow_p_hat",
+    "qht_sample_bounds", "random_channel", "random_density", "random_pure",
+    "replacement_channel", "required_samples_lower", "required_samples_upper",
+    "shadow_required_samples", "threshold_test", "trace_distance", "twirl",
+    "unitary_conjugate", "utility_curve", "utility_report",
 ]
 
 
@@ -27,4 +30,20 @@ def test_public_exports_are_pinned():
     exports = sorted(name for name, value in vars(qldp).items()
                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exports == sorted(PUBLIC_EXPORTS)
-    assert len(PUBLIC_EXPORTS) == len(set(PUBLIC_EXPORTS)) == 60
+    assert len(PUBLIC_EXPORTS) == len(set(PUBLIC_EXPORTS)) == 55
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one declared dependency; scipy may appear only as a skipping test oracle
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qldp"}
+    sources = sorted(Path(qldp.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert set(roots) <= allowed, f"{path.name}:{node.lineno} imports {roots}"

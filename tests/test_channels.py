@@ -268,6 +268,47 @@ def test_unitary_checks_reject_non_finite_entries(build, bad):
         build(u)
 
 
+@pytest.mark.parametrize("build, matrix", [
+    (lambda m: ch.QuantumChannel(m[None]), [[1e200, 0], [0, 1]]),
+    (lambda m: ch.FiniteUnitaryGroup(dim=2, elements=[np.eye(2), m]), [[1e200, 0], [0, 1]]),
+    (ch.unitary_conjugate, [[1e200, 0], [0, 1]]),
+    (lambda m: ch.conjugated_channel(ch.depolarizing(2, 0.3), m), [[1e200, 0], [0, 1]]),
+    (ch.pauli_measurement_channel, [[1e200, 0], [0, 1]]),
+    # P^2 has inf - inf = NaN off the diagonal; a NaN deviation must not pass as an involution
+    (ch.pauli_measurement_channel, [[1e200, 1e200], [1e200, -1e200]]),
+], ids=["kraus", "group", "unitary_conjugate", "conjugated_channel", "involution", "involution-nan"])
+def test_huge_finite_entries_are_rejected_without_numpy_warnings(build, matrix):
+    # Tier-1 turns RuntimeWarning into an error, so an overflow warning fails here
+    with pytest.raises(InvalidInputError):
+        build(np.array(matrix, dtype=complex))
+
+
+def test_depolarizing_needs_an_integer_dimension():
+    # a float d once built a channel that failed later with a TypeError
+    for d in (2.5, 3.0, "3"):
+        with pytest.raises(InvalidInputError, match="integer"):
+            ch.depolarizing(d, 0.5)
+    dep = ch.depolarizing(np.int64(3), 0.5)
+    assert type(dep.dim_in) is int and dep.kraus.shape == (10, 3, 3)
+    assert ch.is_depolarizing(dep)
+
+
+def test_group_is_one_read_only_stack():
+    cliffords = enumerate_cliffords(1)
+    for elements in (cliffords, list(cliffords)):
+        g = ch.FiniteUnitaryGroup(dim=2, elements=elements)
+        assert g.elements.shape == (24, 2, 2) and g.elements.dtype == complex
+        assert not g.elements.flags.writeable and np.array_equal(g.elements, cliffords)
+    with pytest.raises(InvalidInputError, match="nonempty"):
+        ch.FiniteUnitaryGroup(dim=2, elements=[])
+    for elements in (cliffords, [np.eye(2), np.eye(4)]):
+        with pytest.raises(InvalidInputError, match="dim 4"):
+            ch.FiniteUnitaryGroup(dim=4, elements=elements)
+    writable = np.eye(2, dtype=complex)[None]
+    ch.FiniteUnitaryGroup(dim=2, elements=writable)
+    assert writable.flags.writeable
+
+
 def test_superoperator_composition_identity():
     rng = np.random.default_rng(13)
     a = ch.random_channel(2, 2, rng)
@@ -477,7 +518,7 @@ def within_fit_tolerance_kraus_sets():
                    ch.identity_channel(5).kraus,
                    ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()).kraus]
     # a depolarizing channel mixed with a small weight t of a unitary that tips |0> towards |1>:
-    # N(|0><0|) moves off (1-p)|0><0| + p I/d by t in both screened entries, and the fit
+    # N(|0><0|) moves off (1-p)|0><0| + p I/d by t in two entries, and the fit
     # residual lands in (SUPEROP_TOL / 2, SUPEROP_TOL]
     theta = 0.7
     tip = np.eye(4, dtype=complex)
@@ -492,7 +533,7 @@ def within_fit_tolerance_kraus_sets():
 
 
 def near_depolarizing_channel():
-    """A channel that passes the screen but not the fit: a phase on one level of depolarizing(3)."""
+    """A channel whose N(|0><0|) is depolarizing but whose fit is not: a phase on one level of depolarizing(3)."""
     return ch.compose(ch.depolarizing(3, 0.5), ch.unitary_conjugate(np.diag([1.0, 1.0, 1j])))
 
 
@@ -500,45 +541,60 @@ def test_depolarizing_screen_never_rejects_a_channel_within_the_fit_tolerance():
     for kraus in within_fit_tolerance_kraus_sets():
         _, residual = ch.fit_depolarizing(ch.QuantumChannel(kraus))
         assert residual <= ch.SUPEROP_TOL
-        fresh = ch.QuantumChannel(kraus)
-        assert ch._may_be_depolarizing(fresh)
-        assert ch.is_depolarizing(fresh)
+        assert ch.is_depolarizing(ch.QuantumChannel(kraus))
 
 
 def test_screen_keeps_non_depolarizing_searches_off_the_superoperator():
     rng = np.random.default_rng(24)
     channel = ch.random_channel(48, 2, rng)
     cfg = privacy.SearchConfig(restarts=4, local_steps=2)
-    assert not ch._may_be_depolarizing(channel)
+    assert not ch.is_depolarizing(channel)
     privacy.certify_qldp(channel, privacy.PrivacyBudget(1.0, 0.0), cfg)
     utility.utility_report(channel, cfg)
     assert channel._superop is None
-    # the screen is only necessary: a channel that passes it still gets the full fit
+    # N(|0><0|) of this channel is depolarizing; a later matrix unit rules it out
     near = near_depolarizing_channel()
-    assert ch._may_be_depolarizing(near) and not ch.is_depolarizing(near)
-    assert near._superop is not None
+    assert not ch.is_depolarizing(near)
+    assert near._superop is None
 
 
-def test_cached_superoperator_is_screened(monkeypatch):
+def test_cached_superoperator_is_screened():
     rng = np.random.default_rng(25)
     kraus_sets = within_fit_tolerance_kraus_sets() + [
         ch.random_channel(3, 2, rng).kraus, ch.random_channel(8, 2, rng).kraus,
         near_depolarizing_channel().kraus]
     verdicts = [ch.is_depolarizing(ch.QuantumChannel(k)) for k in kraus_sets]
     assert verdicts == [True] * (len(kraus_sets) - 3) + [False] * 3
-    screened = []
-    screen = ch._may_be_depolarizing
-    monkeypatch.setattr(ch, "_may_be_depolarizing", lambda c: screened.append(c) or screen(c))
     cached = [ch.QuantumChannel(k) for k in kraus_sets]
     for channel in cached:
         channel.superoperator
     assert [ch.is_depolarizing(c) for c in cached] == verdicts
-    assert screened == cached
-    # a trace-affine channel is answered from its form, cached superoperator or not
+    # a depolarizing channel is answered from p, cached superoperator or not
     dep = ch.depolarizing(3, 0.2)
     dep.superoperator
     assert ch.is_depolarizing(dep) and ch.is_depolarizing(ch.depolarizing(3, 0.2))
-    assert screened == cached
+
+
+def test_depolarizing_fit_reads_only_the_kraus_stack(monkeypatch):
+    rng = np.random.default_rng(26)
+    accepted = [ch.QuantumChannel(k) for k in within_fit_tolerance_kraus_sets()]
+    accepted.append(ch.twirl(ch.random_channel(2, 3, rng), qubit_clifford_group()))
+    rejected = [near_depolarizing_channel()] + [ch.random_channel(d, 2, rng) for d in (3, 8, 48)]
+    # the oracle reads the d^4 superoperator of a copy; at d = 48 that is 85 MB, so it is skipped
+    oracle = {id(c): _fit_depolarizing_oracle(ch.QuantumChannel(c.kraus)) for c in accepted + rejected[:-1]}
+
+    def refuse(k):
+        raise AssertionError("the depolarizing fit built a superoperator")
+
+    monkeypatch.setattr(ch, "_kraus_superoperator", refuse)
+    verdicts = [ch.is_depolarizing(c) for c in accepted + rejected]
+    assert verdicts == [True] * len(accepted) + [False] * len(rejected)
+    for c, verdict in zip(accepted + rejected, verdicts):
+        p, residual = ch.fit_depolarizing(c)
+        assert (residual <= ch.SUPEROP_TOL) == verdict
+        if id(c) in oracle:
+            assert abs(p - oracle[id(c)][0]) < 1e-12 and abs(residual - oracle[id(c)][1]) < 1e-12
+        assert c._superop is None
 
 
 # --- trace-affine channels against their Kraus stacks --------------------------
@@ -606,7 +662,7 @@ def test_trace_affine_kernels_match_their_kraus_stack():
         p_ref, residual_ref = ch.fit_depolarizing(oracle)
         assert abs(p - p_ref) < 1e-12 and abs(residual - residual_ref) < 1e-12
         assert ch.is_depolarizing(channel) == ch.is_depolarizing(oracle)
-        # the closed form answers apply, the fit and the screen from p, building nothing
+        # the closed form answers apply, the fit and is_depolarizing from p, building nothing
         assert not closed or (channel._kraus is None and channel._superop is None)
         assert np.abs(channel.superoperator - oracle.superoperator).max() < 1e-12
         assert not closed or channel._kraus is None

@@ -645,3 +645,39 @@ def test_tiny_epsilon_sample_size_names_the_budget(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == EXIT_REGIME
     assert err.count("\n") == 1 and "epsilon = 1e-300 and delta = 0 admit no finite sample size" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("utility-curve", "seed"), ("cost-report", "seed"), ("bounds", "seed"), ("certify", "output_dir"),
+])
+def test_options_a_command_does_not_read_are_not_settable(tmp_path, capsys, command, option):
+    # none of utility-curve, cost-report and bounds draws a random number, and certify writes no file
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{option.replace('_', '-')}", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text(f"{option} = 1\n")
+    rc = main([command, "--config", str(tmp_path / "run.cfg")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.count("\n") == 1 and f"unknown config keys for {command}: ['{option}']" in err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    # sum_k K_k^dag K_k overflows: numpy printed two RuntimeWarnings before the error line
+    ("dims 2 2\nkraus\n1e200 0\n0 1\n", ["certify", "--kraus-file", "{path}"],
+     "line 1: Kraus set is not trace preserving (max deviation inf)"),
+    # O - O^dag overflows
+    ("0 1.7e308\n-1.7e308 0\n",
+     ["estimate", "--trials", "1", "--observable", "file:{path}", "--output-dir", "{tmp}/e"],
+     "matrix is not Hermitian (max deviation inf)"),
+], ids=["kraus-file", "observable-file"])
+def test_huge_file_entries_print_one_stderr_line(tmp_path, text, argv, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    src = Path(qldp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qldp", *(a.format(path=path, tmp=tmp_path) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:") and message in proc.stderr

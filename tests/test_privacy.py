@@ -66,6 +66,12 @@ def test_profile_examples():
     assert abs(depolarizing_privacy_profile(2, 0.5, 1.0) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), 0.5])
+def test_profile_rejects_nan_or_sub_unit_gamma(gamma):
+    with pytest.raises(InvalidInputError, match="gamma"):
+        depolarizing_privacy_profile(2, 0.5, gamma)
+
+
 def test_profile_matches_direct_hockey_stick():
     phi1 = np.diag([1.0, 0.0]).astype(complex)
     phi2 = np.diag([0.0, 1.0]).astype(complex)

@@ -44,6 +44,12 @@ def test_check_hermitian_rejects_non_finite_entries(bad):
             qops.check_hermitian(a)
 
 
+def test_check_hermitian_rejects_huge_entries_without_numpy_warnings():
+    # A - A^dag overflows to inf; Tier-1 turns the RuntimeWarning into an error
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        qops.check_hermitian(np.array([[0, 1.7e308], [-1.7e308, 0]], dtype=complex))
+
+
 def test_trace_distance_basics():
     rng = np.random.default_rng(2)
     rho = qops.random_density(3, 2, rng)
@@ -108,8 +114,10 @@ def test_hockey_stick_depolarized_orthogonal_pair():
 
 def test_hockey_stick_rejects_gamma_below_one():
     rho = np.eye(2) / 2
-    with pytest.raises(InvalidInputError):
-        qops.hockey_stick(rho, rho, 0.9)
+    # nan < 1 is False, so a NaN gamma once passed the guard and gave 0.0
+    for gamma in (0.9, float("nan")):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            qops.hockey_stick(rho, rho, gamma)
 
 
 @settings(max_examples=20, deadline=None)

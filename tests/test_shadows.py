@@ -258,6 +258,11 @@ def test_run_shadow_trials_validation():
         run_shadow_trials(np.eye(32) / 32, np.eye(32), 0.3, 100, 10, 2, seed=0)
     with pytest.raises(NoninvertibleError):
         run_shadow_trials(ZERO, Z, 1.0, 100, 10, 2, seed=0)
+    # p_hat = -0.5 once averaged 0.778 on Tr[Z |0><0|] = 1, and NaN reached numpy's multinomial
+    for p_hat in (-0.5, float("nan"), 1.5):
+        with pytest.raises(InvalidInputError, match="p_hat must be in"):
+            run_shadow_trials(ZERO, Z, p_hat, 200, 200, 200, seed=0)
+    assert abs(run_shadow_trials(ZERO, Z, 0.0, 200, 200, 200, seed=0).mean() - 1.0) < 0.05
 
 
 def joint_snapshot_table(rho, obs, p_hat, m):
@@ -348,7 +353,7 @@ def test_run_shadow_trials_at_three_qubits():
 def test_clifford_unitary_group_wrapper():
     g = clifford_unitary_group(1)
     assert g.dim == 2 and len(g) == 24
-    assert np.array_equal(g.stack(), enumerate_cliffords(1))
+    assert np.array_equal(g.elements, enumerate_cliffords(1))
 
 
 def test_single_snapshot_trials_follow_the_grouped_table():
