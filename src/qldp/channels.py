@@ -138,9 +138,12 @@ def _check_unitary(u) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteUnitaryGroup:
-    """A finite set of unitaries used for exact twirling, stored as one read-only (G, dim, dim) array."""
+    """A finite set of unitaries used for exact twirling, stored as one read-only (G, dim, dim) array.
+
+    Equality and hashing are by identity: an array field has no truth value to compare.
+    """
 
     dim: int
     elements: np.ndarray = field(repr=False)
@@ -363,7 +366,9 @@ def _depolarizing_fit(ch: QuantumChannel, stop: float) -> tuple[float, float]:
     v^dag S v = sum_k ||K_k||_F^2 and Tr S = sum_k |Tr K_k|^2.  The d^2 images
     N(|a><b|) = sum_k K_k[:, a] K_k[:, b]^dag hold exactly the entries of S;
     each is one (d, r) x (r, d) product, compared with (1-p)|a><b| + p delta_ab I/d,
-    starting at N(|0><0|).
+    starting at N(|0><0|).  Past that first unit the columns are read from one
+    contiguous (d, d, r) copy of the stack, so a channel N(|0><0|) rules out
+    pays for no copy.
     """
     if ch._p is not None:
         return ch._p, 0.0
@@ -372,14 +377,17 @@ def _depolarizing_fit(ch: QuantumChannel, stop: float) -> tuple[float, float]:
     traces = k.trace(axis1=1, axis2=2)
     p = float(((np.vdot(k, k).real - d) / d - (np.vdot(traces, traces).real - d * d)) / (d * d - 1))
     residual = 0.0
+    cols = k.transpose(2, 1, 0)  # cols[a] holds the columns K_k[:, a] as a (d, r) matrix
     for a, b in itertools.product(range(d), repeat=2):
-        out = k[:, :, a].T @ k[:, :, b].conj()
+        out = cols[a] @ cols[b].conj().T
         out[a, b] -= 1 - p
         if a == b:
             out.ravel()[:: d + 1] -= p / d
         residual = max(residual, float(np.abs(out).max()))
         if residual > stop:
             break
+        if a == b == 0:  # N(|0><0|) passed: read the other units from one contiguous copy
+            cols = np.ascontiguousarray(cols)
     return p, residual
 
 

@@ -11,6 +11,7 @@ a coverage verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -269,16 +270,13 @@ def parse_state(spec: str, d: int, rng: np.random.Generator) -> np.ndarray:
     raise InvalidInputError(f"unknown state spec {spec!r}")
 
 
-def _prepare_outdir(path: str) -> Path:
-    out = Path(path)
+def _write_output(path: Path, text: str) -> None:
+    """Make the file's directory and write it; an OSError is a usage error naming the path."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     except OSError as exc:
-        raise InvalidInputError(f"output directory {path!r} is not writable: {exc}") from exc
-    return out
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _trial_inputs(opts: dict):
@@ -308,8 +306,8 @@ def _report_trials(opts: dict, name: str, estimates: np.ndarray, n: int,
     """
     errors = np.abs(estimates - true_value)
     coverage = float(np.mean(errors <= demand.beta))
-    path = _prepare_outdir(opts["output_dir"]) / name
-    path.write_text(est.trials_to_csv(estimates, n, true_value, demand.beta))
+    path = Path(opts["output_dir"]) / name
+    _write_output(path, est.trials_to_csv(estimates, n, true_value, demand.beta))
     eta = demand.eta
     threshold = 1.0 - eta - 3.0 * math.sqrt(eta * (1.0 - eta) / len(estimates))
     if threshold <= 0.0:
@@ -325,23 +323,23 @@ def cmd_utility_curve(opts: dict) -> int:
     rows = utility.utility_curve(d, opts["deltas"], eps_grid)
     dim_rows = [(dd, utility.utility_curve(dd, [opts["delta_fixed"]], eps_grid))
                 for dd in opts["dims"]]
-    out = _prepare_outdir(opts["output_dir"])
-    (out / "utility_curve.csv").write_text(utility.curve_to_csv(rows))
+    out = Path(opts["output_dir"])
+    _write_output(out / "utility_curve.csv", utility.curve_to_csv(rows))
     lines = ["epsilon,dimension,optimal_fidelity,optimal_trace"]
     for dd, curve in dim_rows:
         lines += [f"{eps:.12g},{dd},{f:.12g},{t:.12g}" for eps, _, f, t in curve]
-    (out / "utility_curve_dims.csv").write_text("\n".join(lines) + "\n")
+    _write_output(out / "utility_curve_dims.csv", "\n".join(lines) + "\n")
 
     series = []
     for delta in opts["deltas"]:
         ys = [r[2] for r in rows if r[1] == delta]
         series.append((f"delta={delta:g}", eps_grid, ys))
-    (out / "fig_optimal_fidelity_by_delta.svg").write_text(
-        svg_line_chart(series, f"Optimal fidelity utility (d={d})", "epsilon", "optimal fidelity"))
+    _write_output(out / "fig_optimal_fidelity_by_delta.svg", svg_line_chart(
+        series, f"Optimal fidelity utility (d={d})", "epsilon", "optimal fidelity"))
     series = [(f"d={dd}", eps_grid, [r[2] for r in curve]) for dd, curve in dim_rows]
-    (out / "fig_optimal_fidelity_by_dimension.svg").write_text(
-        svg_line_chart(series, f"Optimal fidelity utility (delta={opts['delta_fixed']:g})",
-                       "epsilon", "optimal fidelity"))
+    _write_output(out / "fig_optimal_fidelity_by_dimension.svg", svg_line_chart(
+        series, f"Optimal fidelity utility (delta={opts['delta_fixed']:g})",
+        "epsilon", "optimal fidelity"))
     print(f"wrote {len(rows)} rows to {out / 'utility_curve.csv'} (+dims CSV, 2 SVG charts)")
     return EXIT_OK
 
@@ -419,11 +417,11 @@ def cmd_cost_report(opts: dict) -> int:
     print("note: sending the depolarized state itself costs quantum communication,")
     print("      not classical bits; it is not priced in this table.")
     if opts["output_dir"]:
-        out = _prepare_outdir(opts["output_dir"])
+        path = Path(opts["output_dir"]) / "cost_report.csv"
         lines = ["m,pauli_bits,shadow_complex_entries,shadow_bits"]
         lines += [f"{m},{pb},{se},{sb}" for m, pb, se, sb in rows]
-        (out / "cost_report.csv").write_text("\n".join(lines) + "\n")
-        print(f"wrote {out / 'cost_report.csv'}")
+        _write_output(path, "\n".join(lines) + "\n")
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -473,11 +471,11 @@ def cmd_bounds(opts: dict) -> int:
     for r in rows:
         print("  ".join(r[c].ljust(widths[c]) for c in cols))
     if opts["output_dir"]:
-        out = _prepare_outdir(opts["output_dir"])
+        path = Path(opts["output_dir"]) / "bounds.csv"
         lines = [",".join(cols)]
         lines += [",".join('"' + r[c] + '"' if "," in r[c] else r[c] for c in cols) for r in rows]
-        (out / "bounds.csv").write_text("\n".join(lines) + "\n")
-        print(f"wrote {out / 'bounds.csv'}")
+        _write_output(path, "\n".join(lines) + "\n")
+        print(f"wrote {path}")
     return EXIT_VIOLATED if violations else EXIT_OK
 
 
@@ -491,7 +489,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built once per process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(prog="qldp", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

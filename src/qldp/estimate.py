@@ -298,9 +298,19 @@ def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
 
 
 def trials_to_csv(estimates: np.ndarray, n: int, true_value: float, beta: float) -> str:
-    """CSV rows ``trial,n,estimate,true_value,abs_error,within_beta``."""
-    lines = ["trial,n,estimate,true_value,abs_error,within_beta"]
-    for i, est in enumerate(estimates):
-        err = abs(est - true_value)
-        lines.append(f"{i},{n},{est:.12g},{true_value:.12g},{err:.12g},{int(err <= beta)}")
-    return "\n".join(lines) + "\n"
+    """CSV rows ``trial,n,estimate,true_value,abs_error,within_beta``, one per estimate.
+
+    Each row's tail after the trial index depends on the estimate alone, so
+    each distinct estimate is formatted once, keyed by its float64 bit pattern
+    (which keeps 0.0 and -0.0, and NaN payloads, apart), and the file is one
+    join.  The text is fixed by the estimates: a seeded run writes the same bytes.
+    """
+    est = np.asarray(estimates, dtype=np.float64)
+    keys = est.view(np.int64).tolist()
+    truth = f"{true_value:.12g}"
+    tails = {}
+    for key, x in dict(zip(keys, est.tolist())).items():
+        err = abs(x - true_value)
+        tails[key] = f",{n},{x:.12g},{truth},{err:.12g},{int(err <= beta)}\n"
+    rows = [f"{i}{tails[key]}" for i, key in enumerate(keys)]
+    return "trial,n,estimate,true_value,abs_error,within_beta\n" + "".join(rows)

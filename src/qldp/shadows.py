@@ -109,8 +109,10 @@ def snapshot_inverse(sample: ShadowSample, p_hat: float, d: int) -> np.ndarray:
     by construction; the average over Cliffords and outcomes reproduces the
     input state exactly.
     """
-    if p_hat >= 1.0:
+    if p_hat == 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")
+    if not 0.0 <= p_hat < 1.0:
+        raise InvalidInputError(f"p_hat must be in [0, 1), got {p_hat}")
     u = sample.clifford
     if u.shape[0] != d:
         raise InvalidInputError(f"snapshot dimension {u.shape[0]} does not match d={d}")

@@ -309,6 +309,13 @@ def test_group_is_one_read_only_stack():
     assert writable.flags.writeable
 
 
+def test_group_equality_and_hashing_are_by_identity():
+    a = ch.FiniteUnitaryGroup(dim=2, elements=enumerate_cliffords(1))
+    b = ch.FiniteUnitaryGroup(dim=2, elements=enumerate_cliffords(1))
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_superoperator_composition_identity():
     rng = np.random.default_rng(13)
     a = ch.random_channel(2, 2, rng)

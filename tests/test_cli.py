@@ -292,6 +292,38 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
     assert float(rows[0][2]) == pytest.approx(optimal_fidelity_utility(6, b), abs=1e-11)  # d from CLI
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    base = ["estimate", "--trials", "30", "--output-dir", str(tmp_path / "e")]
+    assert main(base + ["--n", "5"]) in (EXIT_OK, EXIT_VIOLATED)
+    assert "n_used = 5\n" in capsys.readouterr().out
+    main(base)
+    text = capsys.readouterr().out
+    n_upper = text.split("n_upper = ")[1].split()[0]
+    assert f"n_used = {n_upper}\n" in text and n_upper != "5"
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 4\neps_points = 3\n")
+    assert main(["utility-curve", "--config", str(cfg), "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["utility-curve", "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+    _, rows = read_csv(tmp_path / "b" / "utility_curve.csv")
+    assert len(rows) == 3 * 51  # three default deltas on the default 51-point grid
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["utility-curve", "--eps-points", "3"], "utility_curve.csv"),
+    (["estimate", "--trials", "3"], "estimate_trials.csv"),
+    (["shadows", "--trials", "3"], "shadow_trials.csv"),
+    (["cost-report"], "cost_report.csv"),
+    (["bounds"], "bounds.csv"),
+])
+def test_failed_output_write_is_a_one_line_usage_error(tmp_path, capsys, argv, name):
+    (tmp_path / name).mkdir()  # a directory where the output file goes
+    assert main([*argv, "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / name}: ") and err.count("\n") == 1
+
+
 def test_config_errors_name_the_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nd = 4\n\nbogus line  # trailing comment\n")

@@ -475,6 +475,33 @@ def test_trials_reject_bad_record_count_and_state():
         run_estimation_trials(ZERO, dec, PrivacyBudget(0.0, 0.0), dem, 2, seed=0, n=10)
 
 
+def trials_to_csv_rows(estimates, n, true_value, beta):
+    """Oracle: the trials CSV formatted one row at a time."""
+    lines = ["trial,n,estimate,true_value,abs_error,within_beta"]
+    for i, est in enumerate(estimates):
+        err = abs(est - true_value)
+        lines.append(f"{i},{n},{est:.12g},{true_value:.12g},{err:.12g},{int(err <= beta)}")
+    return "\n".join(lines) + "\n"
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("estimates, n, true_value, beta", [
+    (2.0 * np.random.default_rng(1).binomial(40, 0.7, 3000) / 40 - 1.0, 40, 0.4, 0.1),
+    (np.random.default_rng(2).standard_normal(500), 9, 0.0, 1.0),
+    (np.array([0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf, 1e-300, -1e-300, 0.0]),
+     3, 0.0, 0.1),
+    (np.array([]), 5, 1.0, 0.1),
+    (np.array([0.3, 0.5, 0.3]), 5, math.nan, 0.1),
+    (np.array([1.25, 0.75, 1.0, 1.25]), 4, 1.0, 0.25),  # errors exactly equal to beta
+], ids=["binomial-grid", "distinct-normals", "signed-zeros-nan-inf", "empty", "nan-truth",
+        "error-equals-beta"])
+def test_trials_csv_matches_the_per_row_oracle(estimates, n, true_value, beta):
+    assert trials_to_csv(estimates, n, true_value, beta) == trials_to_csv_rows(
+        estimates, n, true_value, beta)
+
+
 def test_trials_csv_schema():
     text = trials_to_csv(np.array([0.95, 1.2]), 100, 1.0, 0.1)
     lines = text.strip().splitlines()

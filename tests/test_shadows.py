@@ -136,6 +136,13 @@ def test_snapshot_inverse_rejects_p_hat_one():
         snapshot_inverse(s, 1.0, 2)
 
 
+@pytest.mark.parametrize("p_hat", [float("nan"), float("inf"), float("-inf"), -0.5, 1.5])
+def test_snapshot_inverse_rejects_p_hat_outside_the_unit_interval(p_hat):
+    s = shadow_sample(ZERO, 0.5, np.random.default_rng(3))
+    with pytest.raises(InvalidInputError, match="p_hat"):
+        snapshot_inverse(s, p_hat, 2)
+
+
 @pytest.mark.parametrize("p_hat", [0.0, 0.3, 0.5, 0.85])
 def test_snapshot_average_recovers_state(p_hat):
     rng = np.random.default_rng(4)
