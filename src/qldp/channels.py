@@ -138,12 +138,9 @@ def _check_unitary(u) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)  # equal and hashed by identity: an array has no truth value
 class FiniteUnitaryGroup:
-    """A finite set of unitaries used for exact twirling, stored as one read-only (G, dim, dim) array.
-
-    Equality and hashing are by identity: an array field has no truth value to compare.
-    """
+    """A finite set of unitaries used for exact twirling, stored as one read-only (G, dim, dim) array."""
 
     dim: int
     elements: np.ndarray = field(repr=False)
@@ -366,9 +363,7 @@ def _depolarizing_fit(ch: QuantumChannel, stop: float) -> tuple[float, float]:
     v^dag S v = sum_k ||K_k||_F^2 and Tr S = sum_k |Tr K_k|^2.  The d^2 images
     N(|a><b|) = sum_k K_k[:, a] K_k[:, b]^dag hold exactly the entries of S;
     each is one (d, r) x (r, d) product, compared with (1-p)|a><b| + p delta_ab I/d,
-    starting at N(|0><0|).  Past that first unit the columns are read from one
-    contiguous (d, d, r) copy of the stack, so a channel N(|0><0|) rules out
-    pays for no copy.
+    starting at N(|0><0|).
     """
     if ch._p is not None:
         return ch._p, 0.0
@@ -386,7 +381,7 @@ def _depolarizing_fit(ch: QuantumChannel, stop: float) -> tuple[float, float]:
         residual = max(residual, float(np.abs(out).max()))
         if residual > stop:
             break
-        if a == b == 0:  # N(|0><0|) passed: read the other units from one contiguous copy
+        if a == b == 0:  # N(|0><0|) passed: copy now, so a rejected channel never pays for it
             cols = np.ascontiguousarray(cols)
     return p, residual
 
