@@ -88,7 +88,7 @@ _OPTS = {
     },
     "shadows": {
         **_SEED, **_OUTPUT_DIR,
-        "m": (int, 1, "number of qubits (<= 4)"),
+        "m": (int, 1, "number of qubits (<= 4 unless the observable has one non-identity Pauli term)"),
         "observable": (str, "Z", "Pauli list, bare label, or 'file:PATH'"),
         "state": (str, "zero", "zero | mixed | random-pure | diag:p0,p1,..."),
         "epsilon": (float, 0.5, "privacy epsilon"),

@@ -54,7 +54,7 @@ class AccuracyDemand:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise InvalidInputError(f"beta must be finite and > 0, got {self.beta}")
-        if self.beta**2 == 0.0:  # the sample-size formulas divide by beta^2
+        if self.beta * self.beta == 0.0:  # the sample-size formulas divide by beta^2
             raise OutOfRegimeError(f"beta^2 underflows to 0 at beta = {self.beta:g}")
         if not (math.isfinite(self.eta) and 0.0 < self.eta < 1.0):
             raise InvalidInputError(f"eta must be in (0, 1), got {self.eta}")
@@ -109,7 +109,11 @@ def estimate_from_batch(y: np.ndarray, idx: np.ndarray, decomp: PauliDecompositi
 
 
 def sample_count(v: float, source: str) -> int:
-    """ceil(v) for a sample-size formula; a size that overflows a float is out of regime."""
+    """ceil(v) for a sample-size formula; a size that overflows a float is out of regime.
+
+    The formulas square by multiplication: a Python float's ``**`` raises
+    OverflowError where ``*`` gives the inf that this check reports.
+    """
     if not math.isfinite(v):
         raise OutOfRegimeError(f"the sample size overflows a float ({source})")
     return math.ceil(v)
@@ -127,7 +131,7 @@ def required_samples_upper(s_weight: float, budget: PrivacyBudget,
             f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
     r = s_weight * (budget.gamma + 1.0) / (demand.beta * denom)
     v = 2.0 * r * r * math.log(2.0 / demand.eta)
-    return sample_count(v, f"Hoeffding bound, S = {s_weight:g}")
+    return max(1, sample_count(v, f"Hoeffding bound, S = {s_weight:g}"))
 
 
 def required_samples_lower(lmax: float, lmin: float, budget: PrivacyBudget,
@@ -151,8 +155,8 @@ def required_samples_lower(lmax: float, lmin: float, budget: PrivacyBudget,
     e = budget.gamma
     if e == 1.0:  # epsilon > 0, but below about 2.2e-16 e^epsilon rounds to 1
         raise OutOfRegimeError(f"e^epsilon - 1 is 0 in floating point at epsilon = {budget.epsilon:g}")
-    v = math.log(1.0 / (4.0 * demand.eta * (1.0 - demand.eta))) * e * gap**2 \
-        / (32.0 * (e - 1.0) ** 2 * demand.beta**2)
+    v = math.log(1.0 / (4.0 * demand.eta * (1.0 - demand.eta))) * e * (gap * gap) \
+        / (32.0 * ((e - 1.0) * (e - 1.0)) * (demand.beta * demand.beta))
     return sample_count(v, "testing lower bound")
 
 

@@ -7,15 +7,18 @@ channel with q = 1 - (1 - p_hat)/(d + 1), which is what makes the linear
 snapshot inversion unbiased and pins the privacy calibration.
 
 The inverted snapshot depends on the Clifford U and outcome b only through
-the stabilizer state s = U^dag|b>, whose exact distribution over the
-2^m prod_k (2^k + 1) stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4)
-gives the law of the snapshot value Tr[O rho_hat].  :func:`_snapshot_tables`
-reads those states chunk by chunk from the closed-form enumeration
-:func:`qldp.pauli.stabilizer_states`; no Clifford group is built.  A
-median-of-means batch reads its snapshots only through the count of each
-distinct value, so :func:`_trial_estimates` draws those counts from one
-multinomial per batch (or, for a batch smaller than the number of values,
-its snapshots' values), in O(batches * min(ell, values)) time and memory.
+the stabilizer state s = U^dag|b>, whose exact distribution gives the law of
+the snapshot value Tr[O rho_hat].  For O = c_0 I + c P with P one Pauli
+string, :func:`_pauli_string_cells` writes that law in closed form: three
+values, c_0 and c_0 +- x c, at any m.  For any other observable,
+:func:`_snapshot_tables` reads all 2^m prod_k (2^k + 1) stabilizer states
+(6 / 60 / 1080 / 36720 for m = 1..4) chunk by chunk from the closed-form
+enumeration :func:`qldp.pauli.stabilizer_states`; no Clifford group is
+built.  A median-of-means batch reads its snapshots only through the count
+of each distinct value, so :func:`_trial_estimates` draws those counts from
+a multinomial (or, for a batch smaller than the number of values, its
+snapshots' values), in O(batches * min(ell, values)) time per trial, with
+all trials drawn in bounded blocks from one RNG stream.
 :func:`shadow_sample` and :func:`snapshot_inverse` draw and invert one
 (Clifford, outcome) record at a time for m <= 2, with the Clifford as a plain
 d x d array, an independent path that tests compare against.
@@ -37,9 +40,21 @@ from .channels import (
     pauli_measurement_channel,
     twirl,
 )
-from .errors import InfeasibleError, InvalidInputError, NoninvertibleError, OutOfRegimeError
+from .errors import (
+    DegenerateObservableError,
+    InfeasibleError,
+    InvalidInputError,
+    NoninvertibleError,
+    OutOfRegimeError,
+)
 from .estimate import AccuracyDemand, sample_count
-from .pauli import enumerate_cliffords, pauli_matrix, random_clifford, stabilizer_states
+from .pauli import (
+    enumerate_cliffords,
+    pauli_coefficients,
+    pauli_matrix,
+    random_clifford,
+    stabilizer_states,
+)
 from .privacy import PrivacyBudget
 
 
@@ -146,8 +161,9 @@ def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
         raise InfeasibleError(
             f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
     ratio = (budget.gamma + d - 1.0) / (denom * (d + 1.0))
-    v = 204.0 * tr_obs_sq / demand.beta**2 * max(1.0, ratio**2) * math.log(2.0 / demand.eta)
-    return sample_count(v, f"shadow bound, Tr[O^2] = {tr_obs_sq:g}")
+    v = 204.0 * tr_obs_sq / (demand.beta * demand.beta) * max(1.0, ratio * ratio) \
+        * math.log(2.0 / demand.eta)
+    return max(1, sample_count(v, f"shadow bound, Tr[O^2] = {tr_obs_sq:g}"))
 
 
 def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
@@ -162,8 +178,8 @@ def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudge
         raise InfeasibleError(
             f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
     ratio = (budget.gamma + d - 1.0) / denom
-    v = 204.0 * tr_obs_sq / demand.beta**2 * ratio**2 * math.log(2.0 / demand.eta)
-    return sample_count(v, f"naive shadow bound, Tr[O^2] = {tr_obs_sq:g}")
+    v = 204.0 * tr_obs_sq / (demand.beta * demand.beta) * (ratio * ratio) * math.log(2.0 / demand.eta)
+    return max(1, sample_count(v, f"naive shadow bound, Tr[O^2] = {tr_obs_sq:g}"))
 
 
 def default_batch_count(n: int, eta: float) -> int:
@@ -212,6 +228,34 @@ def _snapshot_tables(rho: np.ndarray, obs: np.ndarray, p_hat: float, m: int):
     return probs, vals
 
 
+def _pauli_string_cells(rho: np.ndarray, coeffs: np.ndarray, p_hat: float, m: int):
+    """Snapshot law of O = c_0 I + c_k P_k, read off O's Pauli coefficients ``coeffs``.
+
+    A uniform Clifford maps the non-identity P_k to a Z-type string with
+    probability 1/(d + 1), and the stabilizer state s then has <s|P_k|s> = +-1;
+    otherwise <s|P_k|s> = 0.  So Tr[O rho_hat] = c_0 + x c_k <s|P_k|s> takes
+    the value c_0 +- x c_k with probability (1 +- t)/(2(d + 1)), where
+    t = (1 - p_hat) Tr[P_k rho], and c_0 with probability d/(d + 1).  With no
+    non-identity term the value is c_0.  ``coeffs`` must have at most one
+    nonzero entry past the identity's.
+    """
+    d = 2**m
+    c0 = coeffs[0]
+    terms = np.flatnonzero(coeffs[1:])
+    if terms.size == 0:
+        return np.ones(1), np.array([c0])
+    k = terms[0] + 1
+    t = (1.0 - p_hat) * d * pauli_coefficients(rho, m)[k].real
+    probs = np.clip([(1.0 + t) / (2.0 * (d + 1.0)), (1.0 - t) / (2.0 * (d + 1.0)), d / (d + 1.0)],
+                    0.0, None)
+    xc = (d + 1.0) / (1.0 - p_hat) * coeffs[k]
+    return probs / probs.sum(), np.array([c0 + xc, c0 - xc, c0])
+
+
+# A block of trials holds at most about this many draws (uniforms or cell counts).
+_BLOCK_DRAWS = 2**16
+
+
 def _trial_estimates(cell_probs: np.ndarray, cell_vals: np.ndarray, n: int, ell: int,
                      trials: int, seed: int) -> np.ndarray:
     """Median-of-means estimates, one per trial, drawn exactly from per-cell laws.
@@ -221,36 +265,45 @@ def _trial_estimates(cell_probs: np.ndarray, cell_vals: np.ndarray, n: int, ell:
     returns the median over batches of the batch means.  A batch with at least
     as many snapshots as cells draws its per-cell counts from one multinomial;
     a smaller one draws its snapshots' cells by inverse CDF.  Both give the
-    same law, in O(n/ell * min(ell, cells)) time and memory per trial.  Each
-    trial owns an RNG stream spawned from the seed, so trials are
-    order-independent.
+    same law.  All trials read one stream, ``default_rng(seed)``, a block of
+    trials per call: a block holds at most about ``_BLOCK_DRAWS`` draws and at
+    least one trial, so memory is O(max(_BLOCK_DRAWS, n/ell * min(ell, cells)))
+    for any trial count.  The block size does not depend on ``trials`` and
+    each call fills its block in order, so the first k trials of a run equal a
+    k-trial run at the same seed.
     """
     if n > np.iinfo(np.int64).max:
         raise OutOfRegimeError(f"n = {n} records exceed the 2**63 - 1 a trial can count")
     batches = n // ell
+    cells = len(cell_probs)
+    block = max(1, _BLOCK_DRAWS // (batches * min(ell, cells)))
     cum = np.cumsum(cell_probs)
     cum[-1] = 1.0
+    rng = np.random.default_rng(seed)
     out = np.empty(trials)
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(ss)
-        if ell < len(cell_probs):
-            idx = np.searchsorted(cum, rng.random((batches, ell)), side="right")
-            sums = cell_vals[idx].sum(axis=1)
+    for start in range(0, trials, block):
+        k = min(block, trials - start)
+        if ell < cells:
+            idx = np.searchsorted(cum, rng.random((k, batches, ell)), side="right")
+            sums = cell_vals[idx].sum(axis=2)
         else:
-            sums = rng.multinomial(ell, cell_probs, size=batches) @ cell_vals
-        sums.sort()  # median by hand: np.median costs ~20 us a call, most of a trial
-        out[i] = (sums[(batches - 1) // 2] + sums[batches // 2]) / 2.0 / ell
+            sums = rng.multinomial(ell, cell_probs, size=(k, batches)) @ cell_vals
+        sums.sort(axis=1)
+        out[start:start + k] = (sums[:, (batches - 1) // 2] + sums[:, batches // 2]) / 2.0 / ell
     return out
 
 
 def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
                       ell: int, trials: int, seed: int) -> np.ndarray:
-    """Monte Carlo median-of-means estimates, one per trial (m <= 4).
+    """Monte Carlo median-of-means estimates, one per trial.
 
-    Merges the stabilizer states with bit-equal values Tr[O rho_hat] into
-    one cell each and draws every batch exactly from that cell law
-    (:func:`_trial_estimates`), in O(n/ell * min(ell, cells)) time and
-    memory.  Per-trial RNG streams spawn from the seed.
+    The snapshot law comes from :func:`_pauli_string_cells` when O has at most
+    one non-identity Pauli term, at any m; otherwise from the stabilizer-state
+    table :func:`_snapshot_tables`, which covers m <= 4.  Equal values merge
+    into one cell, and :func:`_trial_estimates` draws every batch exactly from
+    that cell law, in O(n/ell * min(ell, cells)) time per trial.  All trials
+    read one RNG stream seeded by ``seed``, and the first k trials of a run
+    equal a k-trial run at the same seed.
     """
     if p_hat == 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")
@@ -258,10 +311,20 @@ def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
         raise InvalidInputError(f"p_hat must be in [0, 1], got {p_hat}")
     d = rho.shape[0]
     m = int(round(math.log2(d)))
-    if 2**m != d or not 1 <= m <= 4:
-        raise InvalidInputError(f"shadow trials support m in 1..4, got dimension {d}")
+    if 2**m != d or m < 1:
+        raise InvalidInputError(f"state dimension {d} is not a power of two >= 2")
     if n < 1 or ell < 1 or n % ell != 0:
         raise InvalidInputError(f"batch size {ell} does not divide n={n}")
-    probs, vals = _snapshot_tables(rho, obs, p_hat, m)
+    coeffs = pauli_coefficients(obs, m).real
+    if not coeffs.any():
+        raise DegenerateObservableError("observable has zero Pauli weight")
+    if np.count_nonzero(coeffs[1:]) <= 1:  # exact zeros only: rounding noise keeps the table
+        probs, vals = _pauli_string_cells(rho, coeffs, p_hat, m)
+    elif m <= 4:
+        probs, vals = _snapshot_tables(rho, obs, p_hat, m)
+    else:
+        raise InvalidInputError(
+            f"an observable with more than one non-identity Pauli term needs the "
+            f"stabilizer-state table, which covers m in 1..4; got m = {m}")
     vals, cell = np.unique(vals, return_inverse=True)
     return _trial_estimates(np.bincount(cell, weights=probs), vals, n, ell, trials, seed)

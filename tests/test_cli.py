@@ -196,6 +196,22 @@ def test_shadows_command_runs_at_three_and_four_qubits(tmp_path, capsys, m, labe
     assert "coverage = " in capsys.readouterr().out
 
 
+def test_shadows_command_lifts_the_qubit_cap_for_one_pauli_term(tmp_path, capsys):
+    out = tmp_path / "m8"
+    rc = main(["shadows", "--m", "8", "--observable", "ZZZZZZZZ", "--state", "random-pure",
+               "--output-dir", str(out)])
+    assert rc == EXIT_OK
+    header, rows = read_csv(out / "shadow_trials.csv")
+    assert len(rows) == 500
+    assert "coverage = " in capsys.readouterr().out
+    rc = main(["shadows", "--m", "5", "--observable", "ZZZZZ,XIIII", "--trials", "3",
+               "--output-dir", str(tmp_path / "m5")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.count("\n") == 1 and "more than one non-identity Pauli term" in err
+    assert "m in 1..4" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, flag", [("estimate", "--trials"), ("shadows", "--trials"),
                                            ("estimate", "--n"), ("shadows", "--ell")])
 def test_zero_count_is_a_usage_error(tmp_path, command, flag):
@@ -429,6 +445,42 @@ def test_zero_weight_observable_exits_3_with_one_line(tmp_path, capsys):
     assert rc == EXIT_REGIME
     assert err.count("\n") == 1 and err.startswith("out of regime:") and "zero Pauli weight" in err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "shadows"])
+def test_zero_observable_at_the_computed_sample_size_exits_3_with_one_line(tmp_path, capsys, command):
+    # a zero Tr[O^2] or Pauli weight once gave a sufficient size of 0, and the
+    # runners' "n must be >= 1" usage error instead of the zero-weight line
+    rc = main([command, "--observable", "Z:0", "--trials", "3", "--output-dir", str(tmp_path / "z")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and err.startswith("out of regime:") and "zero Pauli weight" in err
+    assert not (tmp_path / "z").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--beta", "1e200"],
+    ["shadows", "--beta", "1e200"],
+    ["bounds", "--beta-list", "1e155"],
+    ["estimate", "--observable", "Z:1e155", "--beta", "1e154"],
+    ["estimate", "--epsilon", "400"],
+    ["bounds", "--eps-list", "400"],
+], ids=["estimate-beta", "shadows-beta", "bounds-beta", "estimate-gap", "estimate-epsilon",
+        "bounds-epsilon"])
+def test_squares_past_the_float_range_give_no_traceback(tmp_path, capsys, argv):
+    # beta^2, (lambda_max - lambda_min)^2 or (e^eps - 1)^2 overflows: a Python float's
+    # ** raised OverflowError, a traceback with the "violated" exit code 1
+    rc = main([*argv, "--output-dir", str(tmp_path / "b")])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_overflowing_shadow_privacy_factor_exits_3_with_one_line(tmp_path, capsys):
+    # eps = 0 and delta = 1e-300: ((e^eps + d - 1)/((e^eps - 1 + d delta)(d + 1)))^2 overflows
+    rc = main(["shadows", "--epsilon", "0", "--delta", "1e-300", "--output-dir", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_REGIME
+    assert err.count("\n") == 1 and "sample size overflows a float" in err
 
 
 _PACKAGE_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, QldpError)]

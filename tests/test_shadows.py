@@ -5,14 +5,17 @@ import pytest
 
 from qldp import qops
 from qldp.channels import depolarizing
-from qldp.errors import InfeasibleError, InvalidInputError, NoninvertibleError
-from qldp.estimate import AccuracyDemand
+from qldp.errors import DegenerateObservableError, InfeasibleError, InvalidInputError, NoninvertibleError
+from qldp.estimate import AccuracyDemand, required_samples_upper
 from test_estimate import traced_peak_mb
 from test_pauli import orbit_states
-from qldp.pauli import enumerate_cliffords, pauli_matrix
+from qldp.pauli import enumerate_cliffords, pauli_coefficients, pauli_labels, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
+    _BLOCK_DRAWS,
+    _pauli_string_cells,
     _snapshot_tables,
+    _trial_estimates,
     ShadowSample,
     clifford_unitary_group,
     composite_shadow_channel,
@@ -261,8 +264,17 @@ def test_run_shadow_trials_validation():
     for n, ell in ((100, 0), (0, 1)):
         with pytest.raises(InvalidInputError):
             run_shadow_trials(ZERO, Z, 0.3, n, ell, 2, seed=0)
-    with pytest.raises(InvalidInputError):
-        run_shadow_trials(np.eye(32) / 32, np.eye(32), 0.3, 100, 10, 2, seed=0)
+    with pytest.raises(InvalidInputError, match="not a power of two"):
+        run_shadow_trials(np.eye(3) / 3, np.eye(3), 0.3, 100, 10, 2, seed=0)
+    # past m = 4 only an observable with at most one non-identity Pauli term has a law
+    # (a second term of 1e-300 counts too: the closed form is exact or not taken)
+    for second in (1.0, 1e-300):
+        two_terms = pauli_matrix("ZIIII") + second * pauli_matrix("IXIII")
+        with pytest.raises(InvalidInputError, match="more than one non-identity Pauli term"):
+            run_shadow_trials(np.eye(32) / 32, two_terms, 0.3, 100, 10, 2, seed=0)
+    assert np.all(run_shadow_trials(np.eye(32) / 32, np.eye(32), 0.3, 100, 10, 2, seed=0) == 1.0)
+    with pytest.raises(DegenerateObservableError, match="zero Pauli weight"):
+        run_shadow_trials(ZERO, 0 * Z, 0.3, 100, 10, 2, seed=0)
     with pytest.raises(NoninvertibleError):
         run_shadow_trials(ZERO, Z, 1.0, 100, 10, 2, seed=0)
     # p_hat = -0.5 once averaged 0.778 on Tr[Z |0><0|] = 1, and NaN reached numpy's multinomial
@@ -387,11 +399,85 @@ def test_shadow_trials_at_a_billion_snapshots_cost_no_memory_in_n():
 def test_single_snapshot_batches_cost_no_more_than_the_snapshots():
     # ell = 1 with a dense 3-qubit observable: 20 000 batches over 1080 distinct
     # values.  Per-batch counts would take 20 000 x 1080 x 8 B = 173 MB; drawing
-    # the snapshots' values takes O(N).
+    # the snapshots' values takes O(N), and the 500 trials are drawn a bounded
+    # block at a time, so their number adds nothing but the output.
     rng = np.random.default_rng(43)
     rho = qops.random_density(8, 8, rng)
     obs = qops.hermitize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     assert len(np.unique(_snapshot_tables(rho, obs, 0.3, 3)[1])) == 1080
-    ests, peak = traced_peak_mb(lambda: run_shadow_trials(rho, obs, 0.3, 20_000, 1, 3, seed=44))
-    assert peak < 32.0
-    assert np.all(np.isfinite(ests))
+    ests, peak = traced_peak_mb(lambda: run_shadow_trials(rho, obs, 0.3, 20_000, 1, 500, seed=44))
+    assert peak < 16.0
+    assert ests.shape == (500,) and np.all(np.isfinite(ests))
+
+
+def pauli_term_observable(label, rng):
+    """c_0 I + c P with a signed c and a nonzero identity offset c_0, and its coefficients."""
+    m = len(label)
+    c0 = float(rng.normal())
+    c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
+    obs = c0 * np.eye(2**m) + c * pauli_matrix(label)
+    coeffs = pauli_coefficients(obs, m).real
+    assert np.count_nonzero(coeffs[1:]) == (0 if set(label) == {"I"} else 1)
+    return obs, coeffs
+
+
+def assert_three_cells_match_the_table(rho, label, p_hat, rng):
+    m = len(label)
+    obs, coeffs = pauli_term_observable(label, rng)
+    got = value_distribution(*_pauli_string_cells(rho, coeffs, p_hat, m))
+    want = value_distribution(*_snapshot_tables(rho, obs, p_hat, m))
+    assert np.array_equal(got[0], want[0]), label
+    assert np.abs(got[1] - want[1]).max() < 1e-14, label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_three_cell_law_matches_the_table_at_every_pauli_string(m):
+    rng = np.random.default_rng(50 + m)
+    d = 2**m
+    for p_hat in (0.0, 0.45):
+        rho = qops.random_density(d, 2, rng)
+        for label in pauli_labels(m):
+            assert_three_cells_match_the_table(rho, label, p_hat, rng)
+
+
+def test_three_cell_law_matches_the_table_at_four_qubits():
+    rng = np.random.default_rng(54)
+    labels = pauli_labels(4)
+    sample = ["ZZZZ", "XXXX", "YYYY", *(labels[k] for k in rng.choice(len(labels), 5, replace=False))]
+    rho = qops.random_density(16, 3, rng)
+    for label in sample:
+        assert_three_cells_match_the_table(rho, label, 0.3, rng)
+
+
+def test_one_pauli_term_runs_past_four_qubits():
+    # the table would enumerate 2^8 prod_k (2^k + 1) > 10^12 stabilizer states
+    rng = np.random.default_rng(55)
+    rho = qops.projector(qops.random_pure(256, rng))
+    obs = 0.5 * np.eye(256) - pauli_matrix("Z" * 8)
+    truth = float(np.trace(obs @ rho).real)
+    ests = run_shadow_trials(rho, obs, 0.2, 2_000_000, 400_000, 40, seed=56)
+    assert np.abs(ests - truth).max() < 0.3
+
+
+@pytest.mark.parametrize("ell", [63, 64])
+def test_trials_are_prefix_stable_across_a_block_boundary(ell):
+    # 64 cells: ell = 63 draws uniforms, ell = 64 draws multinomial counts.  A block
+    # holds a few trials here, so a run of 2 blocks + 1 trials crosses two boundaries.
+    rng = np.random.default_rng(57)
+    probs, vals = rng.dirichlet(np.ones(64)), rng.standard_normal(64)
+    batches = 300
+    block = _BLOCK_DRAWS // (batches * min(ell, len(probs)))
+    assert block >= 2
+    trials = 2 * block + 1
+    full = _trial_estimates(probs, vals, batches * ell, ell, trials, seed=58)
+    assert len(np.unique(full)) == trials
+    for k in (1, block - 1, block, block + 1, trials):
+        assert np.array_equal(_trial_estimates(probs, vals, batches * ell, ell, k, seed=58), full[:k]), k
+
+
+def test_sufficient_sample_counts_that_underflow_give_one():
+    # beta * beta overflows to inf, so each formula rounds to 0 before its ceiling
+    budget, demand = PrivacyBudget(1.0, 0.0), AccuracyDemand(1e200, 0.1)
+    assert required_samples_upper(1.0, budget, demand) == 1
+    assert shadow_required_samples(2.0, 2, budget, demand) == 1
+    assert naive_shadow_required_samples(2.0, 2, budget, demand) == 1
