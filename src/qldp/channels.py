@@ -16,20 +16,18 @@ Superoperators use the column-stacking convention
 straight into its (d_out^2, d_in^2) result, one output row block at a time,
 each block one matrix product over the Kraus index (cost r * d_out^2 * d_in^2
 for r Kraus operators in all, O(d^3) scratch).  The depolarizing channel has
-the closed form ``S = (1-p) I + (p/d) vec(I) vec(I)^T``.
+the closed form ``S = (1-p) I + (p/d) vec(I) vec(I)^T``.  No function in
+this package reads ``.superoperator``; it is there for callers.
 
-:func:`batch_outputs`, :func:`output_spectrum` and :func:`pure_fidelities`
-are the kernels behind the search objectives; they read only ``.kraus`` and
-``.superoperator``.  All start from one factor: for a stack of frames V and
-weights w, N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus
-operators stacked against the c columns of V, so k = r c columns and u = w
-tiled r times.  :func:`batch_outputs` forms that d_out x d_out matrix at
-Kraus rank when the Kraus stack is small, so a low-rank channel never needs
-its superoperator there.  The objectives take their eigenvalues at Kraus
-rank: when k < d_out, :func:`output_spectrum` reads them off the k x k core
-of a thin QR of A instead of solving the d_out x d_out problem.
+:func:`output_spectrum` and :func:`pure_fidelities` are the kernels behind
+the search objectives; they read only ``.kraus``, never the superoperator.
+Both start from one factor: for a stack of frames V and weights w,
+N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus operators
+stacked against the c columns of V, so k = r c columns and u = w tiled r
+times.  :func:`output_spectrum` solves one eigenproblem per frame: the k x k
+core of a thin QR of A when k < d_out, else the d_out x d_out product itself.
 :func:`pure_fidelities` reads the fidelity objective <psi|N(psi psi^dag)|psi>
-off the Kraus factor, forming no output.  :func:`fit_depolarizing` and
+off the factor, forming no output.  :func:`fit_depolarizing` and
 :func:`is_depolarizing` read the Kraus stack only, one matrix unit at a time.
 """
 
@@ -184,25 +182,6 @@ def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     return (stacked @ frames).reshape(b, do, r * c)
 
 
-def batch_outputs(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray:
-    """N(V diag(w) V^dag) for a (B, d_in, c) stack of frames V and c real weights w.
-
-    It goes through the r Kraus operators when 8 r c <= d_in d_out, at cost
-    B r c d_in d_out (plus B r c d_out^2 for the product); otherwise through
-    the superoperator, applied once to X = V diag(w) V^dag.
-    """
-    b, d, c = frames.shape
-    w = np.asarray(weights, dtype=float)
-    do = ch.dim_out
-    if 8 * len(ch.kraus) * c <= d * do:
-        a = _kraus_factor(ch, frames)
-        return (a * np.tile(w, len(ch.kraus))) @ a.conj().transpose(0, 2, 1)
-    x = (frames * w) @ frames.conj().transpose(0, 2, 1)
-    v = x.transpose(0, 2, 1).reshape(b, d * d)  # column-stacked
-    out = v @ ch.superoperator.T
-    return out.reshape(b, do, do).transpose(0, 2, 1)
-
-
 def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weights=None) -> np.ndarray:
     """Eigenvalues of N(V diag(w) V^dag) + V diag(s) V^dag, one ascending row per frame.
 
@@ -213,37 +192,24 @@ def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weigh
     k < d_out, a thin QR A = QR gives its k eigenvalues that may be nonzero as
     the spectrum of the k x k core R diag(u) R^dag, at cost B d_out k^2; the
     d_out - k zeros are left out.  Otherwise all d_out come from eigvalsh of
-    the :func:`batch_outputs` matrix.
+    A diag(u) A^dag itself, at cost B d_out^2 k.
     """
-    w = np.asarray(weights, dtype=float)
-    s = None if input_weights is None else np.asarray(input_weights, dtype=float)
-    c = frames.shape[2]
-    if len(ch.kraus) * c + (0 if s is None else c) < ch.dim_out:
-        a, u = _kraus_factor(ch, frames), np.tile(w, len(ch.kraus))
-        if s is not None:
-            a, u = np.concatenate([a, frames], axis=2), np.concatenate([u, s])
-        core = np.linalg.qr(a, mode="r")
-        return np.linalg.eigvalsh((core * u) @ core.conj().transpose(0, 2, 1))
-    out = batch_outputs(ch, frames, w)
-    if s is not None:
-        out = out + (frames * s) @ frames.conj().transpose(0, 2, 1)
-    return np.linalg.eigvalsh(out)
+    a, u = _kraus_factor(ch, frames), np.tile(np.asarray(weights, dtype=float), len(ch.kraus))
+    if input_weights is not None:
+        a, u = np.concatenate([a, frames], axis=2), np.concatenate([u, np.asarray(input_weights, dtype=float)])
+    if a.shape[2] < ch.dim_out:
+        a = np.linalg.qr(a, mode="r")
+    return np.linalg.eigvalsh((a * u) @ a.conj().transpose(0, 2, 1))
 
 
 def pure_fidelities(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     """<psi| N(psi psi^dag) |psi> for a (B, d, 1) stack of pure states psi, square channels.
 
-    With r <= d^2 Kraus operators it gives sum_k |<psi|K_k psi>|^2 off the
-    (B, d, r) Kraus factor at cost B r d^2, with no output matrix.  A longer
-    stack than the superoperator has rows takes the output from
-    :func:`batch_outputs`.
+    It is sum_k |<psi|K_k psi>|^2, read off the (B, d, r) Kraus factor at cost
+    B r d^2, with no output matrix.
     """
-    psi = frames[:, :, 0]
-    if len(ch.kraus) <= ch.dim_in * ch.dim_out:
-        overlaps = np.einsum("bi,bik->bk", psi.conj(), _kraus_factor(ch, frames))
-        return (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
-    out = batch_outputs(ch, frames, np.ones(1))
-    return np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
+    overlaps = np.einsum("bi,bik->bk", frames[:, :, 0].conj(), _kraus_factor(ch, frames))
+    return (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
 
 
 def identity_channel(d: int) -> QuantumChannel:
@@ -254,7 +220,8 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     """Depolarizing channel rho -> (1-p) rho + p Tr(rho) I/d, stored as p.
 
     Kraus set, built on first access to ``.kraus``: sqrt(1-p) I together with
-    sqrt(p/d) |i><j| for all i, j.
+    sqrt(p/d) |i><j| for all i, j.  The searches never build it: certification
+    and utility evaluate a depolarizing channel once, through :func:`apply`.
     """
     if not isinstance(d, numbers.Integral) or d < 2:
         raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")

@@ -190,25 +190,32 @@ def qht_sample_bounds(trace_dist: float, eps: float, p: float, alpha: float) -> 
     """
     if not 0.0 < trace_dist <= 1.0:
         raise InvalidInputError(f"trace distance must be in (0, 1], got {trace_dist}")
-    if eps <= 0:
-        raise InvalidInputError(f"eps must be > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"p must be in (0, 1), got {p}")
     q = 1.0 - p
     if not 0.0 < alpha < p * q:
         raise OutOfRegimeError(f"alpha must lie in (0, pq) = (0, {p * q}), got {alpha}")
-    e, e_half = math.exp(eps), math.exp(eps / 2.0)
+    try:
+        e, e_half = math.exp(eps), math.exp(eps / 2.0)
+    except OverflowError:
+        raise OutOfRegimeError(f"e^epsilon overflows a float at epsilon = {eps}") from None
     if e_half == 1.0:  # e^eps >= e^(eps/2), so e^eps - 1 is 0 only where this one is
         raise OutOfRegimeError(f"e^(epsilon/2) - 1 is 0 in floating point at epsilon = {eps:g}")
     t = trace_dist
+    # squares by products: a Python float's ** raises OverflowError where * gives inf
+    den = 2.0 * ((e - 1.0) * (e - 1.0)) * (t * t)
+    if not 0.0 < den < math.inf:
+        raise OutOfRegimeError(f"2 (e^eps - 1)^2 T^2 is {den:g} in floating point at epsilon = {eps:g}, T = {t:g}")
     log_ratio = math.log(p * q / (alpha * (1.0 - alpha)))
     c_const = max(
         log_ratio * (e + 1.0) / (eps * (e - 1.0)),
-        (1.0 - alpha * (1.0 - alpha) / (p * q)) * (e + 1.0) / (2.0 * (e_half - 1.0) ** 2),
+        (1.0 - alpha * (1.0 - alpha) / (p * q)) * (e + 1.0) / (2.0 * ((e_half - 1.0) * (e_half - 1.0))),
     )
-    lower = max(c_const / t, log_ratio * e / (2.0 * (e - 1.0) ** 2 * t**2))
-    upper = float(sample_count(2.0 * math.log(math.sqrt(p * q) / alpha)
-                               * ((e + 1.0) / ((e - 1.0) * t)) ** 2, "private-testing upper bound"))
+    lower = max(c_const / t, log_ratio * e / den)
+    r = (e + 1.0) / ((e - 1.0) * t)
+    upper = float(sample_count(2.0 * math.log(math.sqrt(p * q) / alpha) * (r * r), "private-testing upper bound"))
     return QhtBounds(lower=lower, upper=upper, c_const=c_const)
 
 

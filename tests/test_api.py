@@ -47,3 +47,21 @@ def test_package_imports_only_the_standard_library_and_numpy():
             else:
                 continue
             assert set(roots) <= allowed, f"{path.name}:{node.lineno} imports {roots}"
+
+
+def test_only_the_superoperator_property_builds_or_reads_the_superoperator():
+    # the search kernels read the Kraus stack; the d^4 superoperator is built only on demand
+    found = []
+    for path in sorted(Path(qldp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set()
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "QuantumChannel"):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "superoperator"):
+                exempt.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in ("superoperator", "_kraus_superoperator")
+                    or isinstance(node, ast.Name) and node.id == "_kraus_superoperator"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

@@ -3,7 +3,7 @@ import pytest
 
 import qldp
 from qldp import channels as ch
-from qldp import privacy, qops, utility
+from qldp import privacy, qops, shadows, utility
 from qldp.errors import InvalidInputError
 from qldp.pauli import enumerate_cliffords, pauli_matrix
 
@@ -25,6 +25,12 @@ def apply_superop(channel, rho):
     """Oracle: the channel's action through its superoperator, independent of ch.apply."""
     rho = np.asarray(rho, dtype=complex)
     return qops.hermitize(unvec(channel.superoperator @ vec(rho), channel.dim_out))
+
+
+def frame_outputs(channel, frames, weights):
+    """Oracle: N(V diag(w) V^dag) per frame, as sum_j w_j apply(channel, v_j v_j^dag)."""
+    return np.stack([sum(w * ch.apply(channel, qops.projector(v)) for w, v in zip(weights, f.T))
+                     for f in frames])
 
 
 def channels_close(a, b, tol=ch.SUPEROP_TOL):
@@ -387,38 +393,6 @@ def _isometry_channel(d_in, d_out, r, rng):
     return ch.QuantumChannel(v.reshape(r, d_out, d_in))
 
 
-def test_batch_outputs_matches_per_state_apply():
-    rng = np.random.default_rng(16)
-    gamma = np.exp(0.7)
-    # (channel, branch): "kraus" when 8 r c <= d_in d_out at c = 1 and 2, "superop" when
-    # not; the depolarizing channel's 17 Kraus operators take it to the superoperator
-    cases = [(ch.random_channel(16, 3, rng), "kraus"), (_isometry_channel(8, 16, 2, rng), "kraus"),
-             (ch.random_channel(3, 2, rng), "superop"), (ch.depolarizing(4, 0.35), "superop"),
-             (ch.pauli_measurement_channel(pauli_matrix("XZ")), "superop")]
-    for channel, branch in cases:
-        g = rng.standard_normal((6, channel.dim_in, 2)) + 1j * rng.standard_normal((6, channel.dim_in, 2))
-        frames = np.linalg.qr(g)[0]
-        one = ch.batch_outputs(channel, frames[:, :, :1], [1.0])
-        two = ch.batch_outputs(channel, frames, [1.0, -gamma])
-        assert one.shape == two.shape == (6, channel.dim_out, channel.dim_out)
-        for f, o1, o2 in zip(frames, one, two):
-            n1 = ch.apply(channel, qops.projector(f[:, 0]))
-            n2 = ch.apply(channel, qops.projector(f[:, 1]))
-            assert np.abs(o1 - n1).max() < 1e-12
-            assert np.abs(o2 - (n1 - gamma * n2)).max() < 1e-12
-        # the Kraus branch never builds the superoperator; every kernel reads the Kraus stack
-        assert (channel._superop is None) == (branch != "superop")
-        assert channel._kraus is not None
-    # one kernel per job: the eigenvalue objectives share the spectrum kernel, the
-    # fidelity objective its own kernel, and all stay out of the package API
-    assert privacy.output_spectrum is utility.output_spectrum is ch.output_spectrum
-    assert utility.pure_fidelities is ch.pure_fidelities
-    assert not hasattr(privacy, "_batch_outputs") and not hasattr(utility, "_batch_out")
-    assert not hasattr(utility, "batch_outputs") and not hasattr(utility, "_fidelity_values")
-    for name in ("batch_outputs", "output_spectrum", "pure_fidelities"):
-        assert not hasattr(qldp, name)
-
-
 def _fit_depolarizing_oracle(channel):
     """Least squares against the full d^4 basis (S - I) = p (|v><v|/d - I), v = vec(I)."""
     d = channel.dim_in
@@ -455,21 +429,26 @@ def test_fit_rejects_one_dimensional_and_non_square_channels():
 
 
 def _full_spectrum(channel, frames, weights, input_weights=None):
-    """Every eigenvalue of the d_out x d_out matrix, the oracle for the k x k core."""
-    out = ch.batch_outputs(channel, frames, weights)
+    """Every eigenvalue of the d_out x d_out matrix, built by the apply oracle."""
+    out = frame_outputs(channel, frames, weights)
     if input_weights is not None:
         out = out + (frames * input_weights) @ frames.conj().transpose(0, 2, 1)
     return np.linalg.eigvalsh(out)
 
 
-def _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights=None):
-    core = ch.output_spectrum(channel, frames, weights, input_weights)
+def _assert_spectrum_matches_the_oracle(channel, frames, weights, input_weights=None):
+    """The kernel's eigenvalues, with the d_out - k zeros of a k x k core put back, are the full spectrum."""
+    spec = ch.output_spectrum(channel, frames, weights, input_weights)
     full = _full_spectrum(channel, frames, weights, input_weights)
     k = len(channel.kraus) * frames.shape[2] + (0 if input_weights is None else frames.shape[2])
-    assert k < channel.dim_out and core.shape == (len(frames), k)
-    # the core's k eigenvalues, with the d_out - k zeros put back, are the full spectrum
-    padded = np.sort(np.concatenate([core, np.zeros((len(frames), channel.dim_out - k))], axis=1))
+    assert spec.shape == (len(frames), min(k, channel.dim_out))
+    padded = np.sort(np.concatenate([spec, np.zeros((len(frames), channel.dim_out - spec.shape[1]))], axis=1))
     assert np.abs(padded - full).max() < 1e-12
+    return k
+
+
+def _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights=None):
+    assert _assert_spectrum_matches_the_oracle(channel, frames, weights, input_weights) < channel.dim_out
 
 
 def test_output_spectrum_core_matches_the_full_eigen_solve():
@@ -505,16 +484,33 @@ def test_output_spectrum_core_of_a_rank_deficient_factor():
 
 def test_output_spectrum_falls_back_to_the_full_eigen_solve():
     rng = np.random.default_rng(22)
-    # k >= d_out: certify at (4, 3) and (8, 4), trace at (4, 3), a depolarizing channel
-    for channel, c, input_weights in [(ch.random_channel(4, 3, rng), 2, None),
-                                      (ch.random_channel(8, 4, rng), 2, None),
-                                      (ch.random_channel(4, 3, rng), 1, [-1.0]),
-                                      (ch.depolarizing(3, 0.4), 1, [-1.0])]:
+    # (channel, frame columns, input weights, sign of k - d_out)
+    cases = [(ch.random_channel(8, 3, rng), 2, None, -1),
+             (_isometry_channel(8, 16, 2, rng), 2, None, -1),
+             (ch.random_channel(4, 2, rng), 2, None, 0),  # certify at k = r c = d_out
+             (ch.random_channel(4, 3, rng), 1, [-1.0], 0),  # trace at k = r + 1 = d_out
+             (ch.random_channel(8, 4, rng), 2, None, 0),
+             (ch.random_channel(4, 3, rng), 2, None, 1),
+             (ch.random_channel(3, 2, rng), 2, [0.5, -0.25], 1),
+             (ch.pauli_measurement_channel(pauli_matrix("XZ")), 2, None, 1),  # 4 -> 2
+             (ch.depolarizing(3, 0.4), 1, [-1.0], 1),  # 10 Kraus operators
+             (ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()), 2, None, 1)]  # 48 operators
+    for channel, c, input_weights, sign in cases:
         frames = np.linalg.qr(rng.standard_normal((3, channel.dim_in, c))
                               + 1j * rng.standard_normal((3, channel.dim_in, c)))[0]
-        weights = [1.0, -2.0][:c]
-        spec = ch.output_spectrum(channel, frames, weights, input_weights)
-        assert np.array_equal(spec, _full_spectrum(channel, frames, np.array(weights), input_weights))
+        k = _assert_spectrum_matches_the_oracle(channel, frames, [1.0, -2.0][:c], input_weights)
+        assert np.sign(k - channel.dim_out) == sign
+        # the full eigen-solve reads the Kraus stack, never the superoperator
+        assert channel._kraus is not None and channel._superop is None
+    # one kernel per job: the eigenvalue objectives share the spectrum kernel, the
+    # fidelity objective its own kernel, and all stay out of the package API
+    assert privacy.output_spectrum is utility.output_spectrum is ch.output_spectrum
+    assert utility.pure_fidelities is ch.pure_fidelities
+    assert not hasattr(ch, "batch_outputs") and not hasattr(privacy, "_batch_outputs")
+    assert not hasattr(utility, "_batch_out")
+    assert not hasattr(utility, "batch_outputs") and not hasattr(utility, "_fidelity_values")
+    for name in ("output_spectrum", "pure_fidelities"):
+        assert not hasattr(qldp, name)
 
 
 def within_fit_tolerance_kraus_sets():
@@ -563,6 +559,28 @@ def test_screen_keeps_non_depolarizing_searches_off_the_superoperator():
     near = near_depolarizing_channel()
     assert not ch.is_depolarizing(near)
     assert near._superop is None
+
+
+def test_kraus_channel_searches_never_build_the_superoperator(monkeypatch):
+    def refuse(k):
+        raise AssertionError("a search built a superoperator")
+
+    monkeypatch.setattr(ch, "_kraus_superoperator", refuse)
+    rng = np.random.default_rng(30)
+    pauli_group = ch.FiniteUnitaryGroup(dim=2, elements=[pauli_matrix(a) for a in "IXYZ"])
+    # stacks on both sides of d_out and of d_in d_out; the Pauli twirl (16 qubit operators),
+    # the composition (9) and random_channel(3, 12) are long stacks that the searches reach
+    searched = [ch.random_channel(d, r, rng) for d, r in [(2, 2), (4, 3), (4, 16), (8, 4), (16, 3), (3, 12)]]
+    searched += [ch.twirl(ch.random_channel(2, 4, rng), pauli_group),
+                 ch.compose(ch.random_channel(2, 3, rng), ch.random_channel(2, 3, rng))]
+    # depolarizing long stacks, answered by the screen: a Clifford twirl (48) and the shadow channel (240)
+    screened = [ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()), shadows.composite_shadow_channel(0.3)]
+    cfg = privacy.SearchConfig(restarts=4, local_steps=3)
+    for channel in searched + screened:
+        res = privacy.certify_qldp(channel, privacy.PrivacyBudget(1.0, 0.0), cfg)
+        utility.utility_report(channel, cfg)
+        assert channel._superop is None
+        assert res.restarts_used == (cfg.restarts if channel in searched else 0)
 
 
 def test_cached_superoperator_is_screened():
@@ -674,9 +692,7 @@ def test_trace_affine_kernels_match_their_kraus_stack():
         assert np.abs(channel.superoperator - oracle.superoperator).max() < 1e-12
         assert not closed or channel._kraus is None
         # the search kernels read the Kraus stack
-        pairs = [(ch.batch_outputs, (frames[:, :, :1], [1.0])),
-                 (ch.batch_outputs, (frames, [1.0, -gamma])),
-                 (ch.output_spectrum, (frames[:, :, :1], [1.0])),
+        pairs = [(ch.output_spectrum, (frames[:, :, :1], [1.0])),
                  (ch.output_spectrum, (frames, [1.0, -gamma])),
                  (ch.output_spectrum, (frames[:, :, :1], [1.0], [-1.0])),
                  (ch.output_spectrum, (frames, [1.0, -gamma], [0.5, -0.25])),
@@ -716,7 +732,7 @@ def test_blocked_superoperator_matches_the_einsum_oracle():
 
 def test_pure_fidelities_match_the_output_overlap():
     rng = np.random.default_rng(29)
-    # Kraus factor (r <= d^2), superoperator route (a twirl has r = 24 r_0 > 4), trace-affine form
+    # short and long stacks (a twirl has r = 24 r_0 > d^2), the trace-affine form
     cases = [ch.random_channel(16, 3, rng), ch.random_channel(3, 9, rng),
              ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()),
              ch.depolarizing(5, 0.35), ch.replacement_channel(qops.random_density(4, 2, rng))]
@@ -745,7 +761,7 @@ def test_depolarizing_channels_are_evaluated_once_without_the_search_kernels(mon
         raise AssertionError("a search kernel was called")
 
     for module in (ch, privacy, utility):
-        for name in ("batch_outputs", "output_spectrum", "pure_fidelities"):
+        for name in ("output_spectrum", "pure_fidelities"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     budget = privacy.PrivacyBudget(0.7, 0.0)

@@ -338,6 +338,27 @@ def test_qht_bounds_grid_ordering():
             assert res.lower <= res.upper
 
 
+def test_qht_bounds_raise_package_errors_where_the_floats_give_out():
+    # e^eps - 1 squared overflows; e^eps overflows; T^2 underflows to 0
+    for args in [(0.5, 400.0, 0.5, 0.1), (0.5, 800.0, 0.5, 0.1), (1e-200, 1.0, 0.5, 0.1)]:
+        with pytest.raises(OutOfRegimeError):
+            qht_sample_bounds(*args)
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match="finite"):
+            qht_sample_bounds(0.5, eps, 0.5, 0.1)
+    # the grid values, squared by products, are those of the ** formulas
+    for eps in np.arange(0.1, 2.01, 0.1):
+        for t in np.arange(0.1, 1.001, 0.1):
+            eps, t = float(eps), float(t)
+            e, e_half = math.exp(eps), math.exp(eps / 2.0)
+            res = qht_sample_bounds(t, eps, 0.5, 0.125)
+            log_ratio = math.log(0.25 / (0.125 * 0.875))
+            assert res.c_const == max(log_ratio * (e + 1.0) / (eps * (e - 1.0)),
+                                      (1.0 - 0.125 * 0.875 / 0.25) * (e + 1.0) / (2.0 * (e_half - 1.0) ** 2))
+            assert res.lower == max(res.c_const / t, log_ratio * e / (2.0 * (e - 1.0) ** 2 * t**2))
+            assert res.upper == math.ceil(2.0 * math.log(0.5 / 0.125) * ((e + 1.0) / ((e - 1.0) * t)) ** 2)
+
+
 def test_qht_bounds_alpha_regime():
     with pytest.raises(OutOfRegimeError):
         qht_sample_bounds(1.0, 1.0, 0.5, 0.25)

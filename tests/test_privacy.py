@@ -18,6 +18,7 @@ from qldp.privacy import (
     refine_extremum,
 )
 from qldp.utility import utility_report
+from test_channels import frame_outputs
 
 
 def hockey_stick_on_pair(channel, phi1, phi2, gamma):
@@ -242,16 +243,16 @@ def _full_eigen_objectives(channel, gamma):
     weights = np.array([1.0, -gamma])
 
     def cert(pairs):
-        w = np.linalg.eigvalsh(ch.batch_outputs(channel, pairs, weights))
+        w = np.linalg.eigvalsh(frame_outputs(channel, pairs, weights))
         return np.where(w > 0, w, 0.0).sum(axis=1)
 
     def fidelity(frames):
         psi = frames[:, :, 0]
-        out = ch.batch_outputs(channel, frames, [1.0])
+        out = frame_outputs(channel, frames, [1.0])
         return np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
 
     def trace(frames):
-        out = ch.batch_outputs(channel, frames, [1.0])
+        out = frame_outputs(channel, frames, [1.0])
         w = np.linalg.eigvalsh(out - frames @ frames.conj().transpose(0, 2, 1))
         return np.abs(w).sum(axis=1) / 2
 
