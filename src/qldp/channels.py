@@ -177,9 +177,10 @@ def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     """The (B, d_out, r c) factor A = K V with N(V diag(w) V^dag) = A diag(tile(w, r)) A^dag."""
     b, d, c = frames.shape
     r, do = len(ch.kraus), ch.dim_out
-    # rows i r + k hold row i of K_k, so the product reshapes to columns k c + j
+    # rows i r + k hold row i of K_k: one product for all B c frame columns, reshaped to columns k c + j
     stacked = ch.kraus.transpose(1, 0, 2).reshape(do * r, d)
-    return (stacked @ frames).reshape(b, do, r * c)
+    out = stacked @ frames.transpose(1, 0, 2).reshape(d, b * c)
+    return out.reshape(do * r, b, c).transpose(1, 0, 2).reshape(b, do, r * c)
 
 
 def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weights=None) -> np.ndarray:

@@ -24,7 +24,7 @@ from . import qops, shadows, utility
 from .channels import QuantumChannel, depolarizing
 from .charts import svg_line_chart
 from .errors import ChannelParseError, InvalidInputError, QldpError
-from .pauli import decompose, from_coeffs
+from .pauli import PauliDecomposition, decompose, from_coeffs
 from .privacy import PrivacyBudget, SearchConfig, certify_qldp
 
 EXIT_OK = 0
@@ -211,8 +211,8 @@ def parse_channel_spec(spec: str) -> QuantumChannel:
     raise InvalidInputError(f"unknown channel spec {spec!r}; use 'depolarizing D P' or --kraus-file")
 
 
-def parse_observable(spec: str):
-    """Returns (decomposition, matrix)."""
+def parse_observable(spec: str) -> PauliDecomposition:
+    """The Pauli decomposition of a ``file:`` matrix or label list; matrix and spectrum wait for first read."""
     if spec.startswith("file:"):
         path = spec[5:]
         rows = _content_lines(path)
@@ -224,7 +224,7 @@ def parse_observable(spec: str):
         if 2**m != d:
             raise InvalidInputError(f"observable dimension {d} is not a power of two")
         try:
-            return decompose(mat, m), mat
+            return decompose(mat, m)
         except InvalidInputError as exc:
             raise InvalidInputError(f"observable file {path}: {exc}") from exc
     coeffs = {}
@@ -237,8 +237,7 @@ def parse_observable(spec: str):
             coeffs[lab.strip()] = float(val)
         else:
             coeffs[part] = 1.0
-    decomp = from_coeffs(coeffs)
-    return decomp, decomp.reconstruct()
+    return from_coeffs(coeffs)
 
 
 def _trace_square(decomp) -> float:
@@ -282,19 +281,19 @@ def _write_output(path: Path, text: str) -> None:
 def _trial_inputs(opts: dict):
     """Check trials >= 1, parse the observable and the state, build budget and demand.
 
-    Returns (decomposition, observable, state, true value, budget, demand).
+    Returns (decomposition, state, true value, budget, demand); only the true value reads the matrix.
     """
     if opts["trials"] < 1:
         raise InvalidInputError(f"trials must be >= 1, got {opts['trials']}")
-    decomp, obs = parse_observable(opts["observable"])
+    decomp = parse_observable(opts["observable"])
     m = opts.get("m", decomp.m)  # shadows fixes m by option; estimate reads it off the observable
     if decomp.m != m:
         raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
     rho = parse_state(opts["state"], 2**m, np.random.default_rng(opts["seed"]))
-    true_value = float((obs * rho.T).sum().real)  # Tr[O rho] in O(d^2)
+    true_value = float((decomp.reconstruct() * rho.T).sum().real)  # Tr[O rho] in O(d^2)
     budget = PrivacyBudget(opts["epsilon"], opts["delta"])
     demand = est.AccuracyDemand(opts["beta"], opts["eta"])
-    return decomp, obs, rho, true_value, budget, demand
+    return decomp, rho, true_value, budget, demand
 
 
 def _report_trials(opts: dict, name: str, estimates: np.ndarray, n: int,
@@ -364,7 +363,7 @@ def cmd_certify(opts: dict) -> int:
 
 
 def cmd_estimate(opts: dict) -> int:
-    decomp, _, rho, true_value, budget, demand = _trial_inputs(opts)
+    decomp, rho, true_value, budget, demand = _trial_inputs(opts)
     n_upper = est.required_samples_upper(decomp.weight, budget, demand)
     try:
         n_lower_note = str(est.required_samples_lower(decomp.lambda_max, decomp.lambda_min,
@@ -385,12 +384,12 @@ def cmd_estimate(opts: dict) -> int:
 
 
 def cmd_shadows(opts: dict) -> int:
-    decomp, obs, rho, true_value, budget, demand = _trial_inputs(opts)
+    decomp, rho, true_value, budget, demand = _trial_inputs(opts)
     d = 2**decomp.m
     p_hat = shadows.private_shadow_p_hat(d, budget)
     n = shadows.shadow_required_samples(_trace_square(decomp), d, budget, demand)
     ell = opts["ell"] if opts["ell"] is not None else n // shadows.default_batch_count(n, demand.eta)
-    estimates = shadows.run_shadow_trials(rho, obs, p_hat, n, ell, opts["trials"], opts["seed"])
+    estimates = shadows.run_shadow_trials(rho, decomp.reconstruct(), p_hat, n, ell, opts["trials"], opts["seed"])
     path, _, verdict, code = _report_trials(opts, "shadow_trials.csv", estimates, n,
                                             true_value, demand)
     print(f"N = {n}   ell = {ell}   batches = {n // ell}")
@@ -426,7 +425,7 @@ def cmd_cost_report(opts: dict) -> int:
 
 
 def cmd_bounds(opts: dict) -> int:
-    decomp, _ = parse_observable(opts["observable"])
+    decomp = parse_observable(opts["observable"])
     d = 2**decomp.m
     tr_sq = _trace_square(decomp)
     eta = opts["eta"]

@@ -5,8 +5,8 @@ Label k of :func:`pauli_labels` has the base-4 digits of k, leading qubit
 first, with I, X, Y, Z as 0..3.  A matrix converts to its 4^m coefficients
 Tr[P A]/2^m in that order, and back, through one transform pair,
 :func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4 product per
-qubit.  A :class:`PauliDecomposition` holds the coefficient vector itself;
-label strings are made only for its nonzero entries.
+qubit.  A :class:`PauliDecomposition` holds the coefficient vector itself and
+builds its matrix on first read; label strings are made only for its nonzero entries.
 :func:`stabilizer_states` writes every n-qubit stabilizer state in closed
 form, 2^(-k/2) sum_y i^(l.y) (-1)^(y^T Q y) |t xor y.B>, in bounded chunks.
 Clifford elements are dense unitaries: :func:`enumerate_cliffords` reads the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,19 +101,33 @@ def _label(index: int, m: int) -> str:
 class PauliDecomposition:
     """Real coefficients alpha_P of a Hermitian observable in the Pauli basis.
 
-    ``coeffs`` is a read-only float64 array of all 4^m coefficients in
-    :func:`pauli_labels` order, the order of the transform pair.
+    ``coeffs`` is a read-only float64 array of all 4^m coefficients in :func:`pauli_labels`
+    order.  The matrix and its spectrum ``lambda_max``/``lambda_min`` are built on first
+    read and cached; a spectrum that is not finite raises OutOfRegimeError there.
     """
 
     m: int
     coeffs: np.ndarray
     weight: float          # S = sum |alpha_P|
-    lambda_max: float
-    lambda_min: float
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        obs = pauli_sum(self.coeffs, self.m)
+        obs.flags.writeable = False
+        return obs
+
+    @functools.cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        w = np.linalg.eigvalsh(self._matrix)
+        if not np.isfinite(w).all():
+            raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
+        return w
+
+    lambda_max = property(lambda self: float(self._eigenvalues[-1]))
+    lambda_min = property(lambda self: float(self._eigenvalues[0]))
 
     def reconstruct(self) -> np.ndarray:
-        """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues came from."""
+        """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues come from."""
         return self._matrix
 
     def support(self) -> list[str]:
@@ -121,14 +135,10 @@ class PauliDecomposition:
         return [_label(k, self.m) for k in np.flatnonzero(self.coeffs).tolist()]
 
 
-def _decomposition(m: int, coeffs: np.ndarray, obs: np.ndarray) -> PauliDecomposition:
-    """Decomposition from all 4^m coefficients in label order and the matrix they sum to.
+def _decomposition(m: int, coeffs: np.ndarray) -> PauliDecomposition:
+    """Decomposition from all 4^m coefficients in label order; matrix and spectrum wait for first read.
 
-    Keeps ``obs``, made read-only, as the matrix :meth:`PauliDecomposition.reconstruct`
-    returns; callers pass a matrix of their own.
-
-    Raises OutOfRegimeError when the weight S = sum |alpha_P| or an eigenvalue
-    is not a finite float.
+    Raises OutOfRegimeError when the weight S = sum |alpha_P| is not a finite float.
     """
     coeffs = np.array(coeffs, dtype=float)
     coeffs.flags.writeable = False
@@ -137,26 +147,14 @@ def _decomposition(m: int, coeffs: np.ndarray, obs: np.ndarray) -> PauliDecompos
     weight = float(sum(np.abs(coeffs[coeffs != 0.0]).tolist()))
     if not math.isfinite(weight):
         raise OutOfRegimeError(f"Pauli weight sum |alpha_P| = {weight} is not a finite float")
-    w = np.linalg.eigvalsh(obs)
-    if not np.isfinite(w).all():
-        raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
-    decomp = PauliDecomposition(
-        m=m,
-        coeffs=coeffs,
-        weight=weight,
-        lambda_max=float(w[-1]),
-        lambda_min=float(w[0]),
-    )
-    obs.flags.writeable = False
-    object.__setattr__(decomp, "_matrix", obs)
-    return decomp
+    return PauliDecomposition(m=m, coeffs=coeffs, weight=weight)
 
 
 def decompose(obs: np.ndarray, m: int) -> PauliDecomposition:
     """Expand a Hermitian observable as sum_P alpha_P P with alpha_P = Tr[P O]/2^m."""
     obs = qops.check_hermitian(obs)
     # obs is exactly Hermitian, so every Tr[P O] is real
-    return _decomposition(m, pauli_coefficients(obs, m).real, obs)
+    return _decomposition(m, pauli_coefficients(obs, m).real)
 
 
 def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
@@ -175,7 +173,7 @@ def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
         vec[k] = float(a)
         if not math.isfinite(vec[k]):
             raise InvalidInputError(f"coefficient of {lab!r} is not finite: {a!r}")
-    return _decomposition(m, vec, pauli_sum(vec, m))
+    return _decomposition(m, vec)
 
 
 def sampling_distribution(decomp: PauliDecomposition) -> tuple[list[str], np.ndarray]:

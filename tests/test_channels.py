@@ -454,11 +454,13 @@ def _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights
 def test_output_spectrum_core_matches_the_full_eigen_solve():
     rng = np.random.default_rng(20)
     gamma = np.exp(0.8)
-    # (channel, frame columns, input weights); k = r c (+ c) < d_out, the last three at d_out - 1
+    # (channel, frame columns, input weights); k = r c (+ c) < d_out, cases 5-7 at d_out - 1,
+    # and d = 64, where the Kraus factor is one product over many frame columns
     cases = [(ch.random_channel(16, 3, rng), 1, None), (ch.random_channel(16, 3, rng), 2, None),
              (ch.random_channel(16, 3, rng), 1, [-1.0]), (_isometry_channel(8, 16, 2, rng), 2, None),
              (ch.random_channel(7, 3, rng), 2, None), (ch.random_channel(8, 7, rng), 1, None),
-             (ch.random_channel(8, 6, rng), 1, [-1.0])]
+             (ch.random_channel(8, 6, rng), 1, [-1.0]),
+             (ch.random_channel(64, 4, rng), 1, None), (ch.random_channel(64, 4, rng), 2, None)]
     for channel, c, input_weights in cases:
         g = rng.standard_normal((5, channel.dim_in, c)) + 1j * rng.standard_normal((5, channel.dim_in, c))
         frames = np.linalg.qr(g)[0]

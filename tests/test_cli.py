@@ -367,26 +367,55 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_parse_observable_forms(tmp_path):
-    dec, obs = parse_observable("Z")
+    dec = parse_observable("Z")
     assert dec.weight == 1.0
-    dec2, obs2 = parse_observable("Z:1.0,X:0.5")
+    dec2 = parse_observable("Z:1.0,X:0.5")
     assert abs(dec2.weight - 1.5) < 1e-12
     path = tmp_path / "obs.txt"
     path.write_text("1 0\n0 -1\n")
-    dec3, obs3 = parse_observable(f"file:{path}")
-    assert np.abs(obs3 - obs).max() < 1e-12
+    dec3 = parse_observable(f"file:{path}")
+    assert np.abs(dec3.reconstruct() - dec.reconstruct()).max() < 1e-12
 
 
 def test_parse_observable_builds_a_pauli_list_matrix_once(monkeypatch):
     calls = []
     pauli_sum = qldp.pauli.pauli_sum
     monkeypatch.setattr(qldp.pauli, "pauli_sum", lambda c, m: calls.append(m) or pauli_sum(c, m))
-    dec, obs = parse_observable("ZI:0.5,XX:-0.3")
+    dec = parse_observable("ZI:0.5,XX:-0.3")
+    obs = dec.reconstruct()
     assert calls == [2]
     assert obs is dec.reconstruct() and not obs.flags.writeable
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
     expected = 0.5 * np.kron(z, np.eye(2)) - 0.3 * np.kron(x, x)
     assert np.abs(obs - expected).max() < 1e-15
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["shadows", "--m", "6", "--observable", "ZZZZZZ", "--trials", "3"], 0),
+    (["estimate", "--observable", "ZI:0.5,XX:-0.3", "--trials", "3", "--n", "50"], 1),
+    (["bounds", "--observable", "ZI:0.5,XX:-0.3", "--eps-list", "0.25,0.5,1", "--beta-list", "0.05,0.1"], 1),
+])
+def test_each_command_solves_the_observable_spectrum_at_most_once(tmp_path, monkeypatch, capsys, argv, solves):
+    # shadows never reads the spectrum; estimate and bounds read the cached one
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *rest: calls.append(a.shape) or eigvalsh(a, *rest))
+    assert main(argv + ["--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_VIOLATED)
+    assert len(calls) == solves, calls
+
+
+def test_a_non_finite_spectrum_surfaces_in_the_lower_bound_lines(tmp_path, monkeypatch, capsys):
+    # S is finite, so only the eigen-solve can give this; it is read in try blocks
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
+    message = "observable has an eigenvalue that is not a finite float"
+    assert main(["estimate", "--observable", "Z", "--trials", "3", "--n", "50",
+                 "--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_VIOLATED)
+    assert f"n_lower = unavailable ({message})" in capsys.readouterr().out
+    assert main(["bounds", "--observable", "Z", "--eps-list", "0.5", "--beta-list", "0.1",
+                 "--output-dir", str(tmp_path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "bounds.csv")
+    for col in ("lower_qht", "lower_fidelity"):
+        assert rows[0][header.index(col)] == f"out-of-regime ({message})"
 
 
 def test_true_value_is_the_trace_of_the_product(tmp_path):
@@ -397,8 +426,8 @@ def test_true_value_is_the_trace_of_the_product(tmp_path):
     path.write_text("\n".join(rows))
     opts = {"trials": 1, "observable": f"file:{path}", "state": "random-pure", "seed": 4,
             "epsilon": 1.0, "delta": 0.0, "beta": 0.1, "eta": 0.05}
-    _, obs, rho, true_value, _, _ = cli._trial_inputs(opts)
-    assert abs(true_value - np.trace(obs @ rho).real) < 1e-12
+    _, rho, true_value, _, _ = cli._trial_inputs(opts)
+    assert abs(true_value - np.trace((g + g.conj().T) @ rho).real) < 1e-12
 
 
 def test_parse_state_forms():
@@ -557,8 +586,8 @@ def test_estimate_rejects_non_finite_observable_file(tmp_path, capsys, entry):
 def test_observable_file_comments_and_line_numbers(tmp_path):
     path = tmp_path / "obs.txt"
     path.write_text("# Pauli Z\n1 0  # first row\n\n0 -1  # second row\n")
-    dec, obs = parse_observable(f"file:{path}")
-    assert np.array_equal(obs, np.diag([1.0, -1.0]).astype(complex))
+    dec = parse_observable(f"file:{path}")
+    assert np.array_equal(dec.reconstruct(), np.diag([1.0, -1.0]).astype(complex))
     assert dec.coeffs[pauli_labels(1).index("Z")] == 1.0
     path.write_text("# header\n\n1 0\n0 oops\n")
     with pytest.raises(ChannelParseError, match="line 4"):
