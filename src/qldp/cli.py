@@ -240,16 +240,6 @@ def parse_observable(spec: str) -> PauliDecomposition:
     return from_coeffs(coeffs)
 
 
-def _trace_square(decomp) -> float:
-    """Tr[O^2] = 2^m sum_P alpha_P^2; past the float range it is inf, with no warning.
-
-    A left-to-right sum of Python floats over the nonzero coefficients: the
-    zeros would add nothing, and Python float products overflow silently.
-    """
-    alphas = decomp.coeffs[decomp.coeffs != 0.0].tolist()
-    return 2**decomp.m * sum(a * a for a in alphas)
-
-
 def parse_state(spec: str, d: int, rng: np.random.Generator) -> np.ndarray:
     if spec == "zero":
         rho = np.zeros((d, d), dtype=complex)
@@ -281,7 +271,7 @@ def _write_output(path: Path, text: str) -> None:
 def _trial_inputs(opts: dict):
     """Check trials >= 1, parse the observable and the state, build budget and demand.
 
-    Returns (decomposition, state, true value, budget, demand); only the true value reads the matrix.
+    Returns (decomposition, state, true value Tr[O rho] from ``decomp.expectation``, budget, demand).
     """
     if opts["trials"] < 1:
         raise InvalidInputError(f"trials must be >= 1, got {opts['trials']}")
@@ -290,7 +280,7 @@ def _trial_inputs(opts: dict):
     if decomp.m != m:
         raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
     rho = parse_state(opts["state"], 2**m, np.random.default_rng(opts["seed"]))
-    true_value = float((decomp.reconstruct() * rho.T).sum().real)  # Tr[O rho] in O(d^2)
+    true_value = decomp.expectation(rho)
     budget = PrivacyBudget(opts["epsilon"], opts["delta"])
     demand = est.AccuracyDemand(opts["beta"], opts["eta"])
     return decomp, rho, true_value, budget, demand
@@ -387,9 +377,9 @@ def cmd_shadows(opts: dict) -> int:
     decomp, rho, true_value, budget, demand = _trial_inputs(opts)
     d = 2**decomp.m
     p_hat = shadows.private_shadow_p_hat(d, budget)
-    n = shadows.shadow_required_samples(_trace_square(decomp), d, budget, demand)
+    n = shadows.shadow_required_samples(decomp.trace_square, d, budget, demand)
     ell = opts["ell"] if opts["ell"] is not None else n // shadows.default_batch_count(n, demand.eta)
-    estimates = shadows.run_shadow_trials(rho, decomp.reconstruct(), p_hat, n, ell, opts["trials"], opts["seed"])
+    estimates = shadows.run_shadow_trials(rho, decomp, p_hat, n, ell, opts["trials"], opts["seed"])
     path, _, verdict, code = _report_trials(opts, "shadow_trials.csv", estimates, n,
                                             true_value, demand)
     print(f"N = {n}   ell = {ell}   batches = {n // ell}")
@@ -427,7 +417,7 @@ def cmd_cost_report(opts: dict) -> int:
 def cmd_bounds(opts: dict) -> int:
     decomp = parse_observable(opts["observable"])
     d = 2**decomp.m
-    tr_sq = _trace_square(decomp)
+    tr_sq = decomp.trace_square
     eta = opts["eta"]
     delta = opts["delta"]
     rows = []

@@ -5,9 +5,9 @@ the observable's coefficient magnitudes and one depolarized measurement bit.
 The estimator consumes those released records only; it never sees the state.
 The observable enters through its coefficient vector alpha
 (:class:`~qldp.pauli.PauliDecomposition`): every record is worth +-S/(1-q)
-with S = sum |alpha_P|, and Tr[O rho] = 2^m alpha . c with c the state's own
-Pauli coefficients, so Monte Carlo trials draw the count of positive records
-from one binomial instead of the records.  :func:`simulate_privatized_batch`
+with S = sum |alpha_P|, and Tr[O rho] is ``decomp.expectation(rho)``, so
+Monte Carlo trials draw the count of positive records from one binomial
+instead of the records.  :func:`simulate_privatized_batch`
 and :func:`estimate_from_batch` sample and score records, as an independent
 check on that law; the one-record-at-a-time oracles are in the test suite.
 Sample-size calculators cover the achievable Hoeffding bound, the
@@ -32,12 +32,7 @@ from .errors import (
     NoninvertibleError,
     OutOfRegimeError,
 )
-from .pauli import (
-    PauliDecomposition,
-    pauli_coefficients,
-    pauli_matrix,
-    sampling_distribution,
-)
+from .pauli import PauliDecomposition, pauli_matrix, sampling_distribution
 from .privacy import PrivacyBudget, optimal_depolarizing_p
 
 H0 = "H0"
@@ -282,9 +277,10 @@ def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
 
     Every record is worth +-S/(1-q), positive with probability
     p+ = 1/2 + (1-q) Tr[O rho]/(2S), so a trial is S/(1-q) (2K/n - 1) with
-    K ~ Binomial(n, p+): one draw for all trials, whatever n is.  The
-    record-level :func:`simulate_privatized_batch` and
-    :func:`estimate_from_batch` sample the same law one record at a time.
+    K ~ Binomial(n, p+): one draw for all trials, whatever n is.  Tr[O rho]
+    is ``decomp.expectation(rho)``, which checks the state.  The record-level
+    :func:`simulate_privatized_batch` and :func:`estimate_from_batch` sample
+    the same law one record at a time.
     """
     if n is None:
         n = required_samples_upper(decomp.weight, budget, demand)
@@ -295,12 +291,9 @@ def run_estimation_trials(rho: np.ndarray, decomp: PauliDecomposition,
     q = optimal_depolarizing_p(2, budget)
     if q >= 1.0:
         raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
-    d = 2**decomp.m
-    if rho.shape != (d, d):
-        raise InvalidInputError(f"state shape {rho.shape} does not match m={decomp.m}")
     if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    expectation = d * float(np.dot(decomp.coeffs, pauli_coefficients(rho, decomp.m).real))
+    expectation = decomp.expectation(rho)
     # the clip absorbs |Tr[O rho]| rounding just past S; unlike min/max it passes
     # NaN on, so binomial() rejects it instead of drawing from p+ = 0
     p_plus = np.clip(0.5 + (1.0 - q) * expectation / (2.0 * decomp.weight), 0.0, 1.0)

@@ -102,8 +102,9 @@ class PauliDecomposition:
     """Real coefficients alpha_P of a Hermitian observable in the Pauli basis.
 
     ``coeffs`` is a read-only float64 array of all 4^m coefficients in :func:`pauli_labels`
-    order.  The matrix and its spectrum ``lambda_max``/``lambda_min`` are built on first
-    read and cached; a spectrum that is not finite raises OutOfRegimeError there.
+    order, read alone by ``trace_square``.  The matrix (:meth:`expectation`) and spectrum
+    ``lambda_max``/``lambda_min`` are built on first read and cached; a spectrum that is not
+    finite raises OutOfRegimeError there.
     """
 
     m: int
@@ -125,6 +126,22 @@ class PauliDecomposition:
 
     lambda_max = property(lambda self: float(self._eigenvalues[-1]))
     lambda_min = property(lambda self: float(self._eigenvalues[0]))
+
+    @property
+    def trace_square(self) -> float:
+        """Tr[O^2] = 2^m sum_P alpha_P^2 in Python floats, which give inf past their range, no warning."""
+        return 2**self.m * sum(a * a for a in self.coeffs[self.coeffs != 0.0].tolist())
+
+    def check_state(self, rho: np.ndarray) -> np.ndarray:
+        """``rho`` as an array; InvalidInputError unless it is 2^m x 2^m with finite entries, O(d^2)."""
+        rho = np.asarray(rho)
+        if rho.shape != (2**self.m,) * 2 or not np.isfinite(rho).all():
+            raise InvalidInputError(f"state of shape {rho.shape} is not a finite {2**self.m} x {2**self.m} matrix")
+        return rho
+
+    def expectation(self, rho: np.ndarray) -> float:
+        """Tr[O rho] = sum_ij O_ij rho_ji over the cached matrix, O(d^2), after :meth:`check_state`."""
+        return float((self._matrix * self.check_state(rho).T).sum().real)
 
     def reconstruct(self) -> np.ndarray:
         """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues come from."""

@@ -8,20 +8,21 @@ snapshot inversion unbiased and pins the privacy calibration.
 
 The inverted snapshot depends on the Clifford U and outcome b only through
 the stabilizer state s = U^dag|b>, whose exact distribution gives the law of
-the snapshot value Tr[O rho_hat].  For O = c_0 I + c P with P one Pauli
-string, :func:`_pauli_string_cells` writes that law in closed form: three
-values, c_0 and c_0 +- x c, at any m.  For any other observable,
-:func:`_snapshot_tables` reads all 2^m prod_k (2^k + 1) stabilizer states
-(6 / 60 / 1080 / 36720 for m = 1..4) chunk by chunk from the closed-form
-enumeration :func:`qldp.pauli.stabilizer_states`; no Clifford group is
-built.  A median-of-means batch reads its snapshots only through the count
-of each distinct value, so :func:`_trial_estimates` draws those counts from
-a multinomial (or, for a batch smaller than the number of values, its
-snapshots' values), in O(batches * min(ell, values)) time per trial, with
-all trials drawn in bounded blocks from one RNG stream.
-:func:`shadow_sample` and :func:`snapshot_inverse` draw and invert one
-(Clifford, outcome) record at a time for m <= 2, with the Clifford as a plain
-d x d array, an independent path that tests compare against.
+the snapshot value Tr[O rho_hat], O given as a
+:class:`~qldp.pauli.PauliDecomposition`.  For O = c_0 I + c P with P one
+Pauli string, :func:`_pauli_string_cells` writes that law in closed form from
+O's coefficients: three values, c_0 and c_0 +- x c, at any m.  For any other
+observable, :func:`_snapshot_tables` reads all 2^m prod_k (2^k + 1)
+stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4) chunk by chunk from
+the closed-form enumeration :func:`qldp.pauli.stabilizer_states`; no Clifford
+group is built.  A median-of-means batch reads its snapshots only through the
+count of each distinct value, so :func:`_trial_estimates` draws those counts
+from a multinomial (or, for a batch smaller than the number of values, its
+snapshots' values), in O(batches * min(ell, values)) time per trial, with all
+trials drawn in bounded blocks from one RNG stream.  :func:`shadow_sample`
+and :func:`snapshot_inverse` draw and invert one (Clifford, outcome) record
+at a time for m <= 2, with the Clifford as a plain d x d array, an
+independent path that tests compare against.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
 )
 from .estimate import AccuracyDemand, sample_count
 from .pauli import (
+    PauliDecomposition,
     enumerate_cliffords,
     pauli_coefficients,
     pauli_matrix,
@@ -293,38 +295,35 @@ def _trial_estimates(cell_probs: np.ndarray, cell_vals: np.ndarray, n: int, ell:
     return out
 
 
-def run_shadow_trials(rho: np.ndarray, obs: np.ndarray, p_hat: float, n: int,
+def run_shadow_trials(rho: np.ndarray, decomp: PauliDecomposition, p_hat: float, n: int,
                       ell: int, trials: int, seed: int) -> np.ndarray:
-    """Monte Carlo median-of-means estimates, one per trial.
+    """Monte Carlo median-of-means estimates of Tr[O rho], one per trial, for O = ``decomp``.
 
-    The snapshot law comes from :func:`_pauli_string_cells` when O has at most
-    one non-identity Pauli term, at any m; otherwise from the stabilizer-state
-    table :func:`_snapshot_tables`, which covers m <= 4.  Equal values merge
-    into one cell, and :func:`_trial_estimates` draws every batch exactly from
-    that cell law, in O(n/ell * min(ell, cells)) time per trial.  All trials
-    read one RNG stream seeded by ``seed``, and the first k trials of a run
-    equal a k-trial run at the same seed.
+    The snapshot law comes from :func:`_pauli_string_cells`, on O's
+    coefficients, when O has at most one non-identity Pauli term, at any m;
+    otherwise from the stabilizer-state table :func:`_snapshot_tables` on O's
+    matrix, which covers m <= 4.  Equal values merge into one cell, and
+    :func:`_trial_estimates` draws every batch exactly from that cell law, in
+    O(n/ell * min(ell, cells)) time per trial.  All trials read one RNG stream
+    seeded by ``seed``, and the first k trials of a run equal a k-trial run at
+    the same seed.
     """
     if p_hat == 1.0:
         raise NoninvertibleError("p_hat = 1 erases the state; snapshots cannot be inverted")
     if not 0.0 <= p_hat <= 1.0:
         raise InvalidInputError(f"p_hat must be in [0, 1], got {p_hat}")
-    d = rho.shape[0]
-    m = int(round(math.log2(d)))
-    if 2**m != d or m < 1:
-        raise InvalidInputError(f"state dimension {d} is not a power of two >= 2")
+    rho = decomp.check_state(rho)
     if n < 1 or ell < 1 or n % ell != 0:
         raise InvalidInputError(f"batch size {ell} does not divide n={n}")
-    coeffs = pauli_coefficients(obs, m).real
-    if not coeffs.any():
+    if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    if np.count_nonzero(coeffs[1:]) <= 1:  # exact zeros only: rounding noise keeps the table
-        probs, vals = _pauli_string_cells(rho, coeffs, p_hat, m)
-    elif m <= 4:
-        probs, vals = _snapshot_tables(rho, obs, p_hat, m)
+    if np.count_nonzero(decomp.coeffs[1:]) <= 1:  # exact zeros only: rounding noise keeps the table
+        probs, vals = _pauli_string_cells(rho, decomp.coeffs, p_hat, decomp.m)
+    elif decomp.m <= 4:
+        probs, vals = _snapshot_tables(rho, decomp.reconstruct(), p_hat, decomp.m)
     else:
         raise InvalidInputError(
             f"an observable with more than one non-identity Pauli term needs the "
-            f"stabilizer-state table, which covers m in 1..4; got m = {m}")
+            f"stabilizer-state table, which covers m in 1..4; got m = {decomp.m}")
     vals, cell = np.unique(vals, return_inverse=True)
     return _trial_estimates(np.bincount(cell, weights=probs), vals, n, ell, trials, seed)

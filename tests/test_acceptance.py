@@ -207,7 +207,7 @@ def test_criterion_09_shadow_pipeline_coverage():
     n = shadow_required_samples(float(np.trace(Z @ Z).real), 2, b, dem)
     ell = n // default_batch_count(n, dem.eta)
     trials = 500
-    ests = run_shadow_trials(ZERO, Z, p_hat, n, ell, trials, seed=9)
+    ests = run_shadow_trials(ZERO, decompose(Z, 1), p_hat, n, ell, trials, seed=9)
     coverage = float(np.mean(np.abs(ests - 1.0) <= dem.beta))
     sigma = math.sqrt(dem.eta * (1 - dem.eta) / trials)
     assert coverage >= 1 - dem.eta - 3 * sigma

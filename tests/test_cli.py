@@ -404,6 +404,30 @@ def test_each_command_solves_the_observable_spectrum_at_most_once(tmp_path, monk
     assert len(calls) == solves, calls
 
 
+@pytest.mark.parametrize("argv, transforms", [
+    (["shadows", "--m", "6", "--observable", "ZZZZZZ", "--trials", "3"], 1),
+    (["estimate", "--observable", "ZI:0.5,XX:-0.3", "--trials", "3", "--n", "50"], 0),
+    (["bounds", "--observable", "ZI:0.5,XX:-0.3", "--eps-list", "0.5", "--beta-list", "0.1"], 0),
+])
+def test_each_command_reads_the_observable_through_its_coefficients(tmp_path, monkeypatch, capsys,
+                                                                    argv, transforms):
+    # one pauli_sum builds the observable's matrix; the one matrix-to-coefficients
+    # transform left is the state's, for the three-cell shadow law
+    calls = {"pauli_coefficients": [], "pauli_sum": []}
+    for name, seen in calls.items():
+        original = getattr(qldp.pauli, name)
+
+        def spy(a, m, original=original, seen=seen):
+            seen.append(m)
+            return original(a, m)
+        for module in [mod for key, mod in sys.modules.items() if key.startswith("qldp")]:
+            if getattr(module, name, None) is original:  # every module that binds the name
+                monkeypatch.setattr(module, name, spy)
+    assert main(argv + ["--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_VIOLATED)
+    assert len(calls["pauli_coefficients"]) == transforms, calls
+    assert len(calls["pauli_sum"]) == 1, calls
+
+
 def test_a_non_finite_spectrum_surfaces_in_the_lower_bound_lines(tmp_path, monkeypatch, capsys):
     # S is finite, so only the eigen-solve can give this; it is read in try blocks
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))

@@ -243,6 +243,9 @@ def test_decompose_reconstruct_roundtrip(m):
     # the kept matrix is a read-only copy; the caller's matrix stays writable
     assert not dec.reconstruct().flags.writeable and obs.flags.writeable
     assert dec.reconstruct() is not obs
+    rho = qops.random_density(2**m, 2, rng)
+    assert abs(dec.expectation(rho) - np.trace(obs @ rho).real) < 1e-10
+    assert abs(dec.trace_square - np.trace(obs @ obs).real) < 1e-12 * np.trace(obs @ obs).real
 
 
 def test_from_coeffs_matches_decompose():

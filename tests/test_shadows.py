@@ -6,10 +6,10 @@ import pytest
 from qldp import qops
 from qldp.channels import depolarizing
 from qldp.errors import DegenerateObservableError, InfeasibleError, InvalidInputError, NoninvertibleError
-from qldp.estimate import AccuracyDemand, required_samples_upper
+from qldp.estimate import AccuracyDemand, required_samples_upper, run_estimation_trials
 from test_estimate import traced_peak_mb
 from test_pauli import orbit_states
-from qldp.pauli import enumerate_cliffords, pauli_coefficients, pauli_labels, pauli_matrix
+from qldp.pauli import decompose, enumerate_cliffords, pauli_coefficients, pauli_labels, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
     _BLOCK_DRAWS,
@@ -251,37 +251,50 @@ def test_default_batch_count_matches_all_divisors_and_ignores_n_size():
 
 def test_run_shadow_trials_deterministic_and_accurate():
     p_hat = 0.3
-    a = run_shadow_trials(ZERO, Z, p_hat, 1200, 300, 8, seed=6)
-    b = run_shadow_trials(ZERO, Z, p_hat, 1200, 300, 8, seed=6)
+    a = run_shadow_trials(ZERO, decompose(Z, 1), p_hat, 1200, 300, 8, seed=6)
+    b = run_shadow_trials(ZERO, decompose(Z, 1), p_hat, 1200, 300, 8, seed=6)
     assert np.array_equal(a, b)
-    big = run_shadow_trials(ZERO, Z, p_hat, 20_000, 5000, 4, seed=7)
+    big = run_shadow_trials(ZERO, decompose(Z, 1), p_hat, 20_000, 5000, 4, seed=7)
     assert np.abs(big - 1.0).max() < 0.25
 
 
 def test_run_shadow_trials_validation():
     with pytest.raises(InvalidInputError):
-        run_shadow_trials(ZERO, Z, 0.3, 100, 33, 2, seed=0)
+        run_shadow_trials(ZERO, decompose(Z, 1), 0.3, 100, 33, 2, seed=0)
     for n, ell in ((100, 0), (0, 1)):
         with pytest.raises(InvalidInputError):
-            run_shadow_trials(ZERO, Z, 0.3, n, ell, 2, seed=0)
-    with pytest.raises(InvalidInputError, match="not a power of two"):
-        run_shadow_trials(np.eye(3) / 3, np.eye(3), 0.3, 100, 10, 2, seed=0)
+            run_shadow_trials(ZERO, decompose(Z, 1), 0.3, n, ell, 2, seed=0)
+    with pytest.raises(InvalidInputError, match="state of shape"):
+        run_shadow_trials(np.eye(3) / 3, decompose(np.eye(2), 1), 0.3, 100, 10, 2, seed=0)
     # past m = 4 only an observable with at most one non-identity Pauli term has a law
     # (a second term of 1e-300 counts too: the closed form is exact or not taken)
     for second in (1.0, 1e-300):
         two_terms = pauli_matrix("ZIIII") + second * pauli_matrix("IXIII")
         with pytest.raises(InvalidInputError, match="more than one non-identity Pauli term"):
-            run_shadow_trials(np.eye(32) / 32, two_terms, 0.3, 100, 10, 2, seed=0)
-    assert np.all(run_shadow_trials(np.eye(32) / 32, np.eye(32), 0.3, 100, 10, 2, seed=0) == 1.0)
+            run_shadow_trials(np.eye(32) / 32, decompose(two_terms, 5), 0.3, 100, 10, 2, seed=0)
+    assert np.all(run_shadow_trials(np.eye(32) / 32, decompose(np.eye(32), 5), 0.3, 100, 10, 2, seed=0) == 1.0)
     with pytest.raises(DegenerateObservableError, match="zero Pauli weight"):
-        run_shadow_trials(ZERO, 0 * Z, 0.3, 100, 10, 2, seed=0)
+        run_shadow_trials(ZERO, decompose(0 * Z, 1), 0.3, 100, 10, 2, seed=0)
     with pytest.raises(NoninvertibleError):
-        run_shadow_trials(ZERO, Z, 1.0, 100, 10, 2, seed=0)
+        run_shadow_trials(ZERO, decompose(Z, 1), 1.0, 100, 10, 2, seed=0)
     # p_hat = -0.5 once averaged 0.778 on Tr[Z |0><0|] = 1, and NaN reached numpy's multinomial
     for p_hat in (-0.5, float("nan"), 1.5):
         with pytest.raises(InvalidInputError, match="p_hat must be in"):
-            run_shadow_trials(ZERO, Z, p_hat, 200, 200, 200, seed=0)
-    assert abs(run_shadow_trials(ZERO, Z, 0.0, 200, 200, 200, seed=0).mean() - 1.0) < 0.05
+            run_shadow_trials(ZERO, decompose(Z, 1), p_hat, 200, 200, 200, seed=0)
+    assert abs(run_shadow_trials(ZERO, decompose(Z, 1), 0.0, 200, 200, 200, seed=0).mean() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trial_kernels_reject_a_non_finite_or_misshapen_state(bad):
+    # a NaN state once reached numpy's binomial and multinomial as a bare ValueError
+    dec = decompose(Z, 1)
+    for rho in (np.array([[bad, 0.0], [0.0, 0.5]]), np.ones((1, 1)), np.eye(4) / 4):
+        with pytest.raises(InvalidInputError, match="state of shape"):
+            run_shadow_trials(rho, dec, 0.3, 100, 10, 2, seed=0)
+        with pytest.raises(InvalidInputError, match="state of shape"):
+            run_estimation_trials(rho, dec, PrivacyBudget(1.0, 0.0), AccuracyDemand(0.1, 0.1), 2, seed=0, n=10)
+        with pytest.raises(InvalidInputError, match="state of shape"):
+            dec.expectation(rho)
 
 
 def joint_snapshot_table(rho, obs, p_hat, m):
@@ -365,7 +378,7 @@ def test_snapshot_table_pauli_values_are_exact(m):
 def test_run_shadow_trials_at_three_qubits():
     rho = np.diag([0.5, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05]).astype(complex)
     obs = pauli_matrix("ZII")
-    est = run_shadow_trials(rho, obs, 0.2, 6000, 1000, 4, seed=12)
+    est = run_shadow_trials(rho, decompose(obs, 3), 0.2, 6000, 1000, 4, seed=12)
     assert np.abs(est - np.trace(obs @ rho).real).max() < 0.25
 
 
@@ -382,7 +395,7 @@ def test_single_snapshot_trials_follow_the_grouped_table():
     obs = qops.hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     keys, mass = value_distribution(*_snapshot_tables(rho, obs, 0.3, 2))
     trials = 20_000
-    ests = run_shadow_trials(rho, obs, 0.3, 1, 1, trials, seed=41)
+    ests = run_shadow_trials(rho, decompose(obs, 2), 0.3, 1, 1, trials, seed=41)
     got, counts = np.unique(np.round(ests, 9), return_counts=True)
     assert set(got) <= set(keys)
     for key, p in zip(keys, mass):
@@ -391,7 +404,7 @@ def test_single_snapshot_trials_follow_the_grouped_table():
 
 
 def test_shadow_trials_at_a_billion_snapshots_cost_no_memory_in_n():
-    ests, peak = traced_peak_mb(lambda: run_shadow_trials(ZERO, Z, 0.3, 10**9, 10**8, 3, seed=42))
+    ests, peak = traced_peak_mb(lambda: run_shadow_trials(ZERO, decompose(Z, 1), 0.3, 10**9, 10**8, 3, seed=42))
     assert peak < 32.0  # n records as float64 would take 8000 MB
     assert np.all(np.isfinite(ests)) and np.abs(ests - 1.0).max() < 1e-2
 
@@ -405,7 +418,7 @@ def test_single_snapshot_batches_cost_no_more_than_the_snapshots():
     rho = qops.random_density(8, 8, rng)
     obs = qops.hermitize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     assert len(np.unique(_snapshot_tables(rho, obs, 0.3, 3)[1])) == 1080
-    ests, peak = traced_peak_mb(lambda: run_shadow_trials(rho, obs, 0.3, 20_000, 1, 500, seed=44))
+    ests, peak = traced_peak_mb(lambda: run_shadow_trials(rho, decompose(obs, 3), 0.3, 20_000, 1, 500, seed=44))
     assert peak < 16.0
     assert ests.shape == (500,) and np.all(np.isfinite(ests))
 
@@ -455,7 +468,7 @@ def test_one_pauli_term_runs_past_four_qubits():
     rho = qops.projector(qops.random_pure(256, rng))
     obs = 0.5 * np.eye(256) - pauli_matrix("Z" * 8)
     truth = float(np.trace(obs @ rho).real)
-    ests = run_shadow_trials(rho, obs, 0.2, 2_000_000, 400_000, 40, seed=56)
+    ests = run_shadow_trials(rho, decompose(obs, 8), 0.2, 2_000_000, 400_000, 40, seed=56)
     assert np.abs(ests - truth).max() < 0.3
 
 
