@@ -47,12 +47,14 @@ def _int_list(s: str) -> list[int]:
     return _nonempty([int(x) for x in s.split(",") if x.strip() != ""], s)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QLDP_SEED", "0"))
+def _seed(s: str, source: str = "--seed") -> int:
+    if not s.strip().isdecimal():
+        raise InvalidInputError(f"{source} must be a non-negative integer, got {s!r}")
+    return int(s)
 
 
 # Per-command option tables: name -> (converter, default, help).
-_SEED = {"seed": (int, None, "RNG seed (default: env QLDP_SEED or 0)")}
+_SEED = {"seed": (_seed, None, "RNG seed (default: env QLDP_SEED or 0)")}
 _OUTPUT_DIR = {"output_dir": (str, "out", "directory for emitted files")}
 
 _OPTS = {
@@ -140,7 +142,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         else:
             out[name] = default
     if "seed" in table and out["seed"] is None:
-        out["seed"] = _default_seed()
+        out["seed"] = _seed(os.environ.get("QLDP_SEED", "0"), "QLDP_SEED")
     return out
 
 
@@ -228,15 +230,12 @@ def parse_observable(spec: str) -> PauliDecomposition:
         except InvalidInputError as exc:
             raise InvalidInputError(f"observable file {path}: {exc}") from exc
     coeffs = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lab, val = part.split(":", 1)
-            coeffs[lab.strip()] = float(val)
-        else:
-            coeffs[part] = 1.0
+    for part in filter(str.strip, spec.split(",")):
+        lab, colon, val = part.partition(":")
+        lab = lab.strip()
+        if lab in coeffs:
+            raise InvalidInputError(f"Pauli label {lab!r} appears more than once in {spec!r}")
+        coeffs[lab] = float(val) if colon else 1.0
     return from_coeffs(coeffs)
 
 

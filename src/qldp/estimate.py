@@ -7,9 +7,10 @@ The observable enters through its coefficient vector alpha
 (:class:`~qldp.pauli.PauliDecomposition`): every record is worth +-S/(1-q)
 with S = sum |alpha_P|, and Tr[O rho] is ``decomp.expectation(rho)``, so
 Monte Carlo trials draw the count of positive records from one binomial
-instead of the records.  :func:`simulate_privatized_batch`
-and :func:`estimate_from_batch` sample and score records, as an independent
-check on that law; the one-record-at-a-time oracles are in the test suite.
+instead of the records.  :func:`simulate_privatized_batch` (Tr[P rho] from
+:func:`~qldp.pauli.pauli_trace`) and :func:`estimate_from_batch` sample and
+score records, as an independent check on that law; the one-record-at-a-time
+oracles are in the test suite.
 Sample-size calculators cover the achievable Hoeffding bound, the
 hypothesis-testing lower bound, its privacy-independent fidelity variant, and
 the generic private-testing bounds they derive from.  Out-of-regime
@@ -32,7 +33,7 @@ from .errors import (
     NoninvertibleError,
     OutOfRegimeError,
 )
-from .pauli import PauliDecomposition, pauli_matrix, sampling_distribution
+from .pauli import PauliDecomposition, pauli_trace
 from .privacy import PrivacyBudget, optimal_depolarizing_p
 
 H0 = "H0"
@@ -76,17 +77,19 @@ def simulate_privatized_batch(rho: np.ndarray, decomp: PauliDecomposition, q: fl
                               n: int, rng: np.random.Generator):
     """Vectorized sampler: n records as (bit array, support-index array).
 
-    Each record draws P with probability |alpha_P|/S, measures P, and flips
-    the bit with probability q/2 (qubit depolarizing noise on a classical
-    bit); the flip is folded into the outcome probability
-    ``1/2 + (1-q)/2 Tr[P rho]``.
+    Each record draws P from the support (nonzero alpha_P, label order) with
+    probability |alpha_P|/S, measures P, and flips the bit with probability
+    q/2 (qubit depolarizing noise on a classical bit), folded into the outcome
+    probability ``1/2 + (1-q)/2 Tr[P rho]``; Tr[P rho] is :func:`pauli_trace`'s.
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"q must be in [0, 1], got {q}")
-    labels, probs = sampling_distribution(decomp)
-    t = np.array([0.5 + (1.0 - q) / 2.0 * np.trace(pauli_matrix(lab) @ rho).real
-                  for lab in labels])
-    idx = rng.choice(len(labels), size=n, p=probs)
+    if decomp.weight <= 0:
+        raise DegenerateObservableError("observable has zero Pauli weight")
+    support = np.flatnonzero(decomp.coeffs)
+    t = np.array([0.5 + (1.0 - q) / 2.0 * pauli_trace(rho, k, decomp.m).real
+                  for k in support.tolist()])
+    idx = rng.choice(len(support), size=n, p=np.abs(decomp.coeffs[support]) / decomp.weight)
     y = (rng.random(n) >= t[idx]).astype(np.int8)
     return y, idx
 

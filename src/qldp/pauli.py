@@ -1,12 +1,13 @@
 """Pauli strings, observable decompositions, stabilizer states and the Clifford group.
 
 Pauli labels are plain strings over {I, X, Y, Z} ("XZ" means X tensor Z).
-Label k of :func:`pauli_labels` has the base-4 digits of k, leading qubit
-first, with I, X, Y, Z as 0..3.  A matrix converts to its 4^m coefficients
+In label order, label k spells the base-4 digits of k, leading qubit first,
+with I, X, Y, Z as 0..3.  A matrix converts to its 4^m coefficients
 Tr[P A]/2^m in that order, and back, through one transform pair,
 :func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4 product per
-qubit.  A :class:`PauliDecomposition` holds the coefficient vector itself and
-builds its matrix on first read; label strings are made only for its nonzero entries.
+qubit; :func:`pauli_trace` reads one of them, Tr[P A], in O(2^m): a Pauli
+string meets a state only there.  A :class:`PauliDecomposition` holds the
+coefficient vector itself and builds its matrix on first read.
 :func:`stabilizer_states` writes every n-qubit stabilizer state in closed
 form, 2^(-k/2) sum_y i^(l.y) (-1)^(y^T Q y) |t xor y.B>, in bounded chunks.
 Clifford elements are dense unitaries: :func:`enumerate_cliffords` reads the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qops
-from .errors import DegenerateObservableError, InvalidInputError, OutOfRegimeError
+from .errors import InvalidInputError, OutOfRegimeError
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -32,13 +33,6 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-def pauli_labels(m: int) -> list[str]:
-    """All 4^m labels in lexicographic I, X, Y, Z order."""
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    return ["".join(t) for t in itertools.product("IXYZ", repeat=m)]
-
 
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Pauli matrices for a label like "XZI"."""
@@ -53,6 +47,8 @@ def pauli_matrix(label: str) -> np.ndarray:
 _PAULI_STACK = np.stack([PAULI_1Q[c] for c in "IXYZ"])
 _TO_PAULI = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4) / 2
 _FROM_PAULI = _PAULI_STACK.reshape(4, 4).T
+_LETTER_TO_DIGIT = str.maketrans("IXYZ", "0123")
+_UNIT = np.array([1, 1j, -1, -1j])  # i^j for j = 0..3
 
 
 def _per_qubit(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -67,7 +63,7 @@ def _per_qubit(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 
 
 def pauli_coefficients(a: np.ndarray, m: int) -> np.ndarray:
-    """Tr[P A] / 2^m for every P in :func:`pauli_labels` order, any 2^m x 2^m A.
+    """Tr[P A] / 2^m for every P in label order, any 2^m x 2^m A.
 
     Reorders A's indices to one (row bit, column bit) digit per qubit and
     applies one 4x4 product per qubit, O(m 4^m) instead of 4^m dense products.
@@ -81,27 +77,38 @@ def pauli_coefficients(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def pauli_sum(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """sum_P coeffs[P] P over :func:`pauli_labels` order; inverse of :func:`pauli_coefficients`."""
+    """sum_P coeffs[P] P over label order; inverse of :func:`pauli_coefficients`."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients give inf/NaN entries
         x = _per_qubit(_FROM_PAULI, np.asarray(coeffs, dtype=complex), m)
     rows_then_cols = np.arange(2 * m).reshape(m, 2).T.ravel()
     return x.reshape((2,) * (2 * m)).transpose(rows_then_cols).reshape(2**m, 2**m)
 
 
-_DIGIT_TO_LETTER = str.maketrans("0123", "IXYZ")
-_LETTER_TO_DIGIT = str.maketrans("IXYZ", "0123")
+def pauli_trace(a: np.ndarray, k: int, m: int) -> complex:
+    """Tr[P_k A] for label k and any 2^m x 2^m A, in O(2^m).
 
-
-def _label(index: int, m: int) -> str:
-    """Label ``index`` of :func:`pauli_labels` (m), from its base-4 digits."""
-    return np.base_repr(index, 4).rjust(m, "0").translate(_DIGIT_TO_LETTER)
+    P_k|w> = i^#Y (-1)^(z.w) |w xor x>, with x marking its X/Y qubits and z its Y/Z
+    qubits, so Tr[P_k A] = i^#Y sum_w (-1)^(z.w) A[w, w xor x], summed in halves one
+    qubit at a time, leading qubit first: the order of :func:`pauli_coefficients`,
+    whose entry k times 2^m it equals bit for bit.
+    """
+    a, d = np.asarray(a), 2**m
+    if a.shape != (d, d) or not 0 <= k < d * d:
+        raise InvalidInputError(f"no Pauli index {k} for a matrix of shape {a.shape} at m={m}")
+    digits = [(k >> 2 * q) & 3 for q in range(m - 1, -1, -1)]  # leading qubit first
+    w = np.arange(d)
+    v = a[w, w ^ sum(1 << (m - 1 - q) for q, p in enumerate(digits) if p in (1, 2))].astype(complex)
+    for p in digits:
+        v = v.reshape(2, -1)
+        v = v[0] - v[1] if p >= 2 else v[0] + v[1]
+    return complex(_UNIT[digits.count(2) % 4] * v[0])
 
 
 @dataclass(frozen=True)
 class PauliDecomposition:
     """Real coefficients alpha_P of a Hermitian observable in the Pauli basis.
 
-    ``coeffs`` is a read-only float64 array of all 4^m coefficients in :func:`pauli_labels`
+    ``coeffs`` is a read-only float64 array of all 4^m coefficients in label
     order, read alone by ``trace_square``.  The matrix (:meth:`expectation`) and spectrum
     ``lambda_max``/``lambda_min`` are built on first read and cached; a spectrum that is not
     finite raises OutOfRegimeError there.
@@ -147,10 +154,6 @@ class PauliDecomposition:
         """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues come from."""
         return self._matrix
 
-    def support(self) -> list[str]:
-        """Labels of the nonzero coefficients, in :func:`pauli_labels` order."""
-        return [_label(k, self.m) for k in np.flatnonzero(self.coeffs).tolist()]
-
 
 def _decomposition(m: int, coeffs: np.ndarray) -> PauliDecomposition:
     """Decomposition from all 4^m coefficients in label order; matrix and spectrum wait for first read.
@@ -191,16 +194,6 @@ def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
         if not math.isfinite(vec[k]):
             raise InvalidInputError(f"coefficient of {lab!r} is not finite: {a!r}")
     return _decomposition(m, vec)
-
-
-def sampling_distribution(decomp: PauliDecomposition) -> tuple[list[str], np.ndarray]:
-    """Support labels and probabilities |alpha_P| / S."""
-    if decomp.weight <= 0:
-        raise DegenerateObservableError("observable has zero Pauli weight")
-    return decomp.support(), np.abs(decomp.coeffs[decomp.coeffs != 0.0]) / decomp.weight
-
-
-_UNIT = np.array([1, 1j, -1, -1j])  # i^j for j = 0..3
 
 
 def _bits(k: int) -> np.ndarray:

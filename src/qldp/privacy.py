@@ -58,6 +58,8 @@ class SearchConfig:
             raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
         if self.local_steps < 0:
             raise InvalidInputError(f"local_steps must be >= 0, got {self.local_steps}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

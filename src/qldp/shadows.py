@@ -11,7 +11,8 @@ the stabilizer state s = U^dag|b>, whose exact distribution gives the law of
 the snapshot value Tr[O rho_hat], O given as a
 :class:`~qldp.pauli.PauliDecomposition`.  For O = c_0 I + c P with P one
 Pauli string, :func:`_pauli_string_cells` writes that law in closed form from
-O's coefficients: three values, c_0 and c_0 +- x c, at any m.  For any other
+O's coefficients and Tr[P rho], one O(d) :func:`~qldp.pauli.pauli_trace`:
+three values, c_0 and c_0 +- x c, at any m.  For any other
 observable, :func:`_snapshot_tables` reads all 2^m prod_k (2^k + 1)
 stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4) chunk by chunk from
 the closed-form enumeration :func:`qldp.pauli.stabilizer_states`; no Clifford
@@ -52,8 +53,8 @@ from .estimate import AccuracyDemand, sample_count
 from .pauli import (
     PauliDecomposition,
     enumerate_cliffords,
-    pauli_coefficients,
     pauli_matrix,
+    pauli_trace,
     random_clifford,
     stabilizer_states,
 )
@@ -237,9 +238,9 @@ def _pauli_string_cells(rho: np.ndarray, coeffs: np.ndarray, p_hat: float, m: in
     probability 1/(d + 1), and the stabilizer state s then has <s|P_k|s> = +-1;
     otherwise <s|P_k|s> = 0.  So Tr[O rho_hat] = c_0 + x c_k <s|P_k|s> takes
     the value c_0 +- x c_k with probability (1 +- t)/(2(d + 1)), where
-    t = (1 - p_hat) Tr[P_k rho], and c_0 with probability d/(d + 1).  With no
-    non-identity term the value is c_0.  ``coeffs`` must have at most one
-    nonzero entry past the identity's.
+    t = (1 - p_hat) Tr[P_k rho] (one O(d) :func:`~qldp.pauli.pauli_trace`), and
+    c_0 with probability d/(d + 1).  With no non-identity term the value is
+    c_0.  ``coeffs`` must have at most one nonzero entry past the identity's.
     """
     d = 2**m
     c0 = coeffs[0]
@@ -247,7 +248,7 @@ def _pauli_string_cells(rho: np.ndarray, coeffs: np.ndarray, p_hat: float, m: in
     if terms.size == 0:
         return np.ones(1), np.array([c0])
     k = terms[0] + 1
-    t = (1.0 - p_hat) * d * pauli_coefficients(rho, m)[k].real
+    t = (1.0 - p_hat) * pauli_trace(rho, k, m).real
     probs = np.clip([(1.0 + t) / (2.0 * (d + 1.0)), (1.0 - t) / (2.0 * (d + 1.0)), d / (d + 1.0)],
                     0.0, None)
     xc = (d + 1.0) / (1.0 - p_hat) * coeffs[k]

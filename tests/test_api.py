@@ -65,3 +65,21 @@ def test_only_the_superoperator_property_builds_or_reads_the_superoperator():
                     or isinstance(node, ast.Name) and node.id == "_kraus_superoperator"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_only_decompose_transforms_a_matrix_to_pauli_coefficients():
+    # a state meets a Pauli string through pauli_trace; the whole-basis transform is decompose's
+    found = []
+    for path in sorted(Path(qldp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set()
+        for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "decompose"):
+            exempt.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if id(node) in exempt or not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "pauli_coefficients":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

@@ -24,7 +24,7 @@ from qldp.cli import (
     parse_state,
 )
 from qldp.errors import ChannelParseError, InvalidInputError, QldpError
-from qldp.pauli import pauli_labels
+from test_pauli import pauli_labels
 from qldp.utility import optimal_fidelity_utility
 from qldp.privacy import PrivacyBudget, depolarizing_privacy_profile
 
@@ -404,28 +404,30 @@ def test_each_command_solves_the_observable_spectrum_at_most_once(tmp_path, monk
     assert len(calls) == solves, calls
 
 
-@pytest.mark.parametrize("argv, transforms", [
+@pytest.mark.parametrize("argv, traces", [
     (["shadows", "--m", "6", "--observable", "ZZZZZZ", "--trials", "3"], 1),
     (["estimate", "--observable", "ZI:0.5,XX:-0.3", "--trials", "3", "--n", "50"], 0),
     (["bounds", "--observable", "ZI:0.5,XX:-0.3", "--eps-list", "0.5", "--beta-list", "0.1"], 0),
 ])
 def test_each_command_reads_the_observable_through_its_coefficients(tmp_path, monkeypatch, capsys,
-                                                                    argv, transforms):
-    # one pauli_sum builds the observable's matrix; the one matrix-to-coefficients
-    # transform left is the state's, for the three-cell shadow law
-    calls = {"pauli_coefficients": [], "pauli_sum": []}
+                                                                    argv, traces):
+    # one pauli_sum builds the observable's matrix for the true value, and no
+    # command transforms a matrix: the state meets a Pauli string only in
+    # pauli_trace, once for the three-cell shadow law
+    calls = {"pauli_coefficients": [], "pauli_sum": [], "pauli_trace": []}
     for name, seen in calls.items():
         original = getattr(qldp.pauli, name)
 
-        def spy(a, m, original=original, seen=seen):
-            seen.append(m)
-            return original(a, m)
+        def spy(*args, original=original, seen=seen):
+            seen.append(args[-1])
+            return original(*args)
         for module in [mod for key, mod in sys.modules.items() if key.startswith("qldp")]:
             if getattr(module, name, None) is original:  # every module that binds the name
                 monkeypatch.setattr(module, name, spy)
     assert main(argv + ["--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_VIOLATED)
-    assert len(calls["pauli_coefficients"]) == transforms, calls
+    assert len(calls["pauli_coefficients"]) == 0, calls
     assert len(calls["pauli_sum"]) == 1, calls
+    assert len(calls["pauli_trace"]) == traces, calls
 
 
 def test_a_non_finite_spectrum_surfaces_in_the_lower_bound_lines(tmp_path, monkeypatch, capsys):
@@ -558,6 +560,61 @@ def test_seed_env_default(tmp_path, monkeypatch, capsys):
     assert main(base + ["--output-dir", str(out1)]) == EXIT_OK
     assert main(base + ["--output-dir", str(out2)]) == EXIT_OK
     assert (out1 / "estimate_trials.csv").read_bytes() == (out2 / "estimate_trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("estimate", ["--trials", "3", "--n", "50"]),
+    ("shadows", ["--trials", "3"]),
+    ("bounds", []),
+])
+@pytest.mark.parametrize("observable, label", [
+    ("Z:1,Z:-1", "Z"), ("Z,Z", "Z"), ("X:0.5, Z:1 ,X :0.5", "X"), ("ZI:1,XX,ZI", "ZI"),
+])
+def test_a_repeated_pauli_label_is_a_usage_error(tmp_path, capsys, command, extra, observable, label):
+    # a dict keeps the last coefficient, so Z:1,Z:-1 would estimate -Z instead of the zero operator
+    if command == "shadows" and len(label) == 2:
+        extra = [*extra, "--m", "2"]
+    rc = main([command, "--observable", observable, *extra, "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert f"Pauli label {label!r} appears more than once" in err and "Traceback" not in err
+    assert "true value" not in out and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("certify", []),
+    ("estimate", ["--trials", "3", "--n", "50"]),
+    ("shadows", ["--trials", "3"]),
+])
+@pytest.mark.parametrize("flag, env, source", [
+    (["--seed", "-1"], None, "--seed"),
+    (["--seed", "1.5"], None, "--seed"),
+    (["--seed", "abc"], None, "--seed"),
+    ([], "-3", "QLDP_SEED"),
+    ([], "abc", "QLDP_SEED"),
+    ([], "", "QLDP_SEED"),
+])
+def test_a_negative_or_malformed_seed_is_a_usage_error_naming_its_source(
+        tmp_path, monkeypatch, capsys, command, extra, flag, env, source):
+    # certify of a depolarizing channel runs no search, so only the parser can catch it
+    if env is not None:
+        monkeypatch.setenv("QLDP_SEED", env)
+    output = [] if command == "certify" else ["--output-dir", str(tmp_path)]
+    rc = main([command, *flag, *extra, *output])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert f"{source} must be a non-negative integer" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_a_seed_from_a_config_file_is_checked_as_the_flag_is(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -2\n")
+    assert main(["certify", "--config", str(cfg)]) == EXIT_USAGE
+    assert "--seed must be a non-negative integer, got '-2'" in capsys.readouterr().err
+    cfg.write_text("seed = 7\n")
+    assert main(["certify", "--config", str(cfg)]) in (EXIT_OK, EXIT_VIOLATED)
+    assert "sup_estimate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -34,12 +34,11 @@ from qldp.pauli import (
     PauliDecomposition,
     decompose,
     from_coeffs,
-    pauli_labels,
     pauli_matrix,
-    sampling_distribution,
 )
 from qldp.privacy import PrivacyBudget, optimal_depolarizing_p
 from qldp.shadows import _trial_estimates, naive_shadow_required_samples, shadow_required_samples
+from test_pauli import pauli_labels, sampling_distribution
 
 Z = pauli_matrix("Z")
 ZERO = np.diag([1.0, 0.0]).astype(complex)

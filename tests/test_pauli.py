@@ -11,13 +11,17 @@ from qldp.pauli import (
     enumerate_cliffords,
     from_coeffs,
     pauli_coefficients,
-    pauli_labels,
     pauli_matrix,
     pauli_sum,
+    pauli_trace,
     random_clifford,
-    sampling_distribution,
     stabilizer_states,
 )
+
+
+def pauli_labels(m):
+    """Oracle: all 4^m labels in lexicographic I, X, Y, Z order, the package's label order."""
+    return ["".join(t) for t in itertools.product("IXYZ", repeat=m)]
 
 
 def per_label_coefficients(a, m):
@@ -33,6 +37,19 @@ def per_label_sum(coeffs):
 def labeled(dec):
     """A decomposition's coefficients as a label -> coefficient map, in label order."""
     return dict(zip(pauli_labels(dec.m), dec.coeffs.tolist()))
+
+
+def support(dec):
+    """Oracle: labels of the nonzero coefficients, in pauli_labels order."""
+    labels = pauli_labels(dec.m)
+    return [labels[k] for k in np.flatnonzero(dec.coeffs).tolist()]
+
+
+def sampling_distribution(decomp):
+    """Oracle: support labels and their probabilities |alpha_P| / S."""
+    if decomp.weight <= 0:
+        raise DegenerateObservableError("observable has zero Pauli weight")
+    return support(decomp), np.abs(decomp.coeffs[decomp.coeffs != 0.0]) / decomp.weight
 
 
 def sample_pauli(decomp, rng):
@@ -232,6 +249,32 @@ def test_transform_rejects_wrong_shape():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["non-hermitian", "hermitian", "diagonal", "pure"])
+def test_pauli_trace_is_the_transform_entry_for_every_label(m, kind):
+    rng = np.random.default_rng(200 + m)
+    d = 2**m
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = {"non-hermitian": g, "hermitian": g + g.conj().T, "diagonal": np.diag(np.diag(g)),
+         "pure": qops.projector(qops.random_pure(d, rng))}[kind]
+    coeffs = pauli_coefficients(a, m)
+    oracle = per_label_coefficients(a, m) * 2**m
+    for k in range(4**m):
+        t = pauli_trace(a, k, m)
+        assert isinstance(t, complex)
+        assert t == coeffs[k] * 2**m  # the same sums in the same order
+        assert abs(t - oracle[k]) < 1e-14 * max(1.0, abs(oracle[k]))
+
+
+@pytest.mark.parametrize("a, k, m", [
+    (np.eye(4), 0, 1), (np.eye(2), 0, 2), (np.eye(2)[:1], 0, 1),
+    (np.eye(2), -1, 1), (np.eye(2), 4, 1), (np.eye(4), 16, 2),
+])
+def test_pauli_trace_rejects_a_wrong_shape_or_index(a, k, m):
+    with pytest.raises(InvalidInputError):
+        pauli_trace(a, k, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_decompose_reconstruct_roundtrip(m):
     rng = np.random.default_rng(m)
     g = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
@@ -265,8 +308,8 @@ def test_from_coeffs_reconstructs_the_pauli_sum():
     assert abs(dec.lambda_max - w[-1]) < 1e-12 and abs(dec.lambda_min - w[0]) < 1e-12
     assert dec.coeffs.dtype == np.float64 and dec.coeffs.shape == (len(pauli_labels(3)),)
     assert all(labeled(dec)[lab] == a for lab, a in coeffs.items())
-    assert dec.support() == [lab for lab in pauli_labels(3) if lab in coeffs]
-    assert dec.support() == [lab for lab, a in labeled(dec).items() if a != 0.0]
+    assert support(dec) == [lab for lab in pauli_labels(3) if lab in coeffs]
+    assert support(dec) == [lab for lab, a in labeled(dec).items() if a != 0.0]
     with pytest.raises(ValueError):
         dec.coeffs[0] = 1.0
     for m in (1, 2, 3):
@@ -274,7 +317,7 @@ def test_from_coeffs_reconstructs_the_pauli_sum():
         for lab in labels:
             one = from_coeffs({lab: -0.5})
             assert one.coeffs[labels.index(lab)] == -0.5
-            assert np.count_nonzero(one.coeffs) == 1 and one.support() == [lab]
+            assert np.count_nonzero(one.coeffs) == 1 and support(one) == [lab]
 
 
 @pytest.mark.parametrize("coeffs", [{}, {"": 1.0}, {"Q": 1.0}, {"X": 1.0, "ZZ": 1.0}])

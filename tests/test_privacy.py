@@ -195,6 +195,14 @@ def test_search_config_validation():
     assert CERT_TOL == 1e-7
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_search_config_rejects_a_negative_seed(seed):
+    # numpy would reject it only inside a search, and a depolarizing channel runs none
+    with pytest.raises(InvalidInputError, match=f"seed must be >= 0, got {seed}"):
+        SearchConfig(seed=seed)
+    assert SearchConfig(seed=0).seed == 0
+
+
 @pytest.mark.parametrize("d", [2, 3, 8, 16])
 def test_depolarizing_certificate_is_the_closed_form_without_search(d):
     cfg = SearchConfig(restarts=16, local_steps=60, seed=12)

@@ -8,8 +8,8 @@ from qldp.channels import depolarizing
 from qldp.errors import DegenerateObservableError, InfeasibleError, InvalidInputError, NoninvertibleError
 from qldp.estimate import AccuracyDemand, required_samples_upper, run_estimation_trials
 from test_estimate import traced_peak_mb
-from test_pauli import orbit_states
-from qldp.pauli import decompose, enumerate_cliffords, pauli_coefficients, pauli_labels, pauli_matrix
+from test_pauli import orbit_states, pauli_labels
+from qldp.pauli import decompose, enumerate_cliffords, pauli_coefficients, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
     _BLOCK_DRAWS,
