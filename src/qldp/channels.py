@@ -19,16 +19,20 @@ for r Kraus operators in all, O(d^3) scratch).  The depolarizing channel has
 the closed form ``S = (1-p) I + (p/d) vec(I) vec(I)^T``.  No function in
 this package reads ``.superoperator``; it is there for callers.
 
-:func:`output_spectrum` and :func:`pure_fidelities` are the kernels behind
-the search objectives; they read only ``.kraus``, never the superoperator.
-Both start from one factor: for a stack of frames V and weights w,
+The search kernels read only ``.kraus``, never the superoperator, and all
+start from one factor: for a stack of frames V and weights w,
 N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus operators
 stacked against the c columns of V, so k = r c columns and u = w tiled r
-times.  :func:`output_spectrum` solves one eigenproblem per frame: the k x k
-core of a thin QR of A when k < d_out, else the d_out x d_out product itself.
-:func:`pure_fidelities` reads the fidelity objective <psi|N(psi psi^dag)|psi>
-off the factor, forming no output.  :func:`fit_depolarizing` and
-:func:`is_depolarizing` read the Kraus stack only, one matrix unit at a time.
+times.  :func:`output_spectrum`, behind certification, solves one
+eigenproblem per frame: the k x k core of a thin QR of A when k < d_out, else
+the d_out x d_out product itself.  The utility ascent reads a value and its
+Wirtinger gradient from each pure state's factor: :func:`fidelity_gradient`
+from the overlaps <psi|K_k psi>, forming no output, and
+:func:`trace_distance_gradient` from the projector onto the positive part of
+N(psi psi^dag) - psi psi^dag, found in the same QR core with A = [K psi, psi].
+Both gradients map back through the adjoint in one product with the stacked
+conj(K).  :func:`fit_depolarizing` and :func:`is_depolarizing` read the Kraus
+stack only, one matrix unit at a time.
 """
 
 from __future__ import annotations
@@ -183,34 +187,70 @@ def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     return out.reshape(do * r, b, c).transpose(1, 0, 2).reshape(b, do, r * c)
 
 
-def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights, input_weights=None) -> np.ndarray:
-    """Eigenvalues of N(V diag(w) V^dag) + V diag(s) V^dag, one ascending row per frame.
+def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray:
+    """Eigenvalues of N(V diag(w) V^dag), one ascending row per frame.
 
-    ``frames`` is a (B, d_in, c) stack V, ``weights`` the c real weights w and
-    ``input_weights`` the c real weights s of the optional input term (square
-    channels only).  The matrix is A diag(u) A^dag with A = [K V, V] and
-    u = [tile(w, r), s], so it has rank at most k = r c (plus c with s).  When
-    k < d_out, a thin QR A = QR gives its k eigenvalues that may be nonzero as
-    the spectrum of the k x k core R diag(u) R^dag, at cost B d_out k^2; the
-    d_out - k zeros are left out.  Otherwise all d_out come from eigvalsh of
-    A diag(u) A^dag itself, at cost B d_out^2 k.
+    ``frames`` is a (B, d_in, c) stack V and ``weights`` the c real weights w.
+    The matrix is A diag(u) A^dag with A = K V and u = tile(w, r), so it has
+    rank at most k = r c.  When k < d_out, a thin QR A = QR gives its k
+    eigenvalues that may be nonzero as the spectrum of the k x k core
+    R diag(u) R^dag, at cost B d_out k^2; the d_out - k zeros are left out.
+    Otherwise all d_out come from eigvalsh of A diag(u) A^dag itself, at cost
+    B d_out^2 k.
     """
     a, u = _kraus_factor(ch, frames), np.tile(np.asarray(weights, dtype=float), len(ch.kraus))
-    if input_weights is not None:
-        a, u = np.concatenate([a, frames], axis=2), np.concatenate([u, np.asarray(input_weights, dtype=float)])
     if a.shape[2] < ch.dim_out:
         a = np.linalg.qr(a, mode="r")
     return np.linalg.eigvalsh((a * u) @ a.conj().transpose(0, 2, 1))
 
 
-def pure_fidelities(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
-    """<psi| N(psi psi^dag) |psi> for a (B, d, 1) stack of pure states psi, square channels.
+def _adjoint_sum(ch: QuantumChannel, w: np.ndarray) -> np.ndarray:
+    """sum_k K_k^dag w_k for a (B, r, d_out) stack of vectors w_k: one product with the stacked conj(K)."""
+    r, do, di = ch.kraus.shape
+    return w.reshape(len(w), r * do) @ ch.kraus.conj().reshape(r * do, di)
 
-    It is sum_k |<psi|K_k psi>|^2, read off the (B, d, r) Kraus factor at cost
-    B r d^2, with no output matrix.
+
+def fidelity_gradient(ch: QuantumChannel, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F = <psi| N(psi psi^dag) |psi> and its Wirtinger gradient dF/dconj(psi), square channels.
+
+    ``psi`` is a (B, d) stack of unit vectors.  With a_k = <psi|K_k psi> read
+    off the (B, d, r) Kraus factor, F = sum_k |a_k|^2 and the gradient is
+    sum_k (conj(a_k) K_k psi + a_k K_k^dag psi), at cost B r d^2 with no
+    output matrix.
     """
-    overlaps = np.einsum("bi,bik->bk", frames[:, :, 0].conj(), _kraus_factor(ch, frames))
-    return (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    a = _kraus_factor(ch, psi[:, :, None])
+    overlaps = np.einsum("bi,bik->bk", psi.conj(), a)
+    values = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    grads = np.einsum("bik,bk->bi", a, overlaps.conj()) + _adjoint_sum(ch, overlaps[:, :, None] * psi[:, None, :])
+    return values, grads
+
+
+def trace_distance_gradient(ch: QuantumChannel, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = ||N(psi psi^dag) - psi psi^dag||_1 / 2 and its Wirtinger gradient dD/dconj(psi), square channels.
+
+    ``psi`` is a (B, d) stack of unit vectors.  X = N(psi psi^dag) - psi psi^dag
+    is A diag(u) A^dag with A = [K psi, psi] and u = (1, ..., 1, -1), k = r + 1
+    columns.  X is traceless, so D = Tr(P X), the sum of its positive
+    eigenvalues, with P the projector onto their eigenvectors, and the
+    gradient is N^dag(P) psi - P psi = sum_k K_k^dag (P A)_k - (P A)_last.
+    When k < d_out, the thin QR A = QR puts the eigenvectors in the k x k core:
+    R diag(u) R^dag = W L W^dag and P A = Q W_+ W_+^dag R.  Otherwise eigh runs
+    on the d_out x d_out product itself.  No d x d eigen-solve happens at
+    Kraus rank, and no superoperator is built.
+    """
+    a = np.concatenate([_kraus_factor(ch, psi[:, :, None]), psi[:, :, None]], axis=2)
+    u = np.ones(a.shape[2])
+    u[-1] = -1.0
+    q = None
+    if a.shape[2] < ch.dim_out:
+        q, a = np.linalg.qr(a)
+    w, v = np.linalg.eigh((a * u) @ a.conj().transpose(0, 2, 1))
+    v = v * (w > 0)[:, None, :]
+    pa = v @ (v.conj().transpose(0, 2, 1) @ a)
+    if q is not None:
+        pa = q @ pa
+    grads = _adjoint_sum(ch, pa[:, :, :-1].transpose(0, 2, 1)) - pa[:, :, -1]
+    return np.where(w > 0, w, 0.0).sum(axis=1), grads
 
 
 def identity_channel(d: int) -> QuantumChannel:

@@ -126,6 +126,21 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
+def _convert(conv, value: str, source: str):
+    """``conv(value)``; a builtin's conversion error is re-raised naming ``source``.
+
+    The package's own converters raise InvalidInputError with messages that
+    already say what was wrong; ``int`` and ``float`` name neither the option
+    nor where its value came from.
+    """
+    try:
+        return conv(value)
+    except InvalidInputError:
+        raise
+    except ValueError as exc:
+        raise InvalidInputError(f"{source}: {exc}") from None
+
+
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
     table = _OPTS[command]
     cfg = load_config(args.config) if args.config else {}
@@ -136,9 +151,9 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     for name, (conv, default, _help) in table.items():
         cli_val = getattr(args, name.replace("-", "_"))
         if cli_val is not None:
-            out[name] = conv(cli_val)
+            out[name] = _convert(conv, cli_val, f"--{name.replace('_', '-')}")
         elif name in cfg:
-            out[name] = conv(cfg[name])
+            out[name] = _convert(conv, cfg[name], f"{args.config}: {name}")
         else:
             out[name] = default
     if "seed" in table and out["seed"] is None:

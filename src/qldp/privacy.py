@@ -47,7 +47,13 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the random-restart refinement search."""
+    """Knobs of the searches: ``restarts`` starts drawn from ``default_rng(seed)``.
+
+    ``local_steps`` is the exact number of hill-climb steps for
+    :func:`certify_qldp` and a cap on the gradient iterations of each
+    utility search (:func:`utility.utility_report`), which stops earlier once
+    converged.
+    """
 
     restarts: int = 64
     local_steps: int = 200

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -83,3 +84,21 @@ def test_only_decompose_transforms_a_matrix_to_pauli_coefficients():
             if name == "pauli_coefficients":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_utility_calls_no_hill_climb():
+    # the utility searches ascend by gradient steps; refine_extremum is certification's alone
+    path = Path(qldp.__file__).parent / "utility.py"
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+             == "refine_extremum"]
+    assert not found
+
+
+def test_refine_extremum_keeps_its_signature():
+    # the benchmark tracer wraps privacy.refine_extremum by name and passes value_fn first
+    params = inspect.signature(qldp.privacy.refine_extremum).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("value_fn", inspect.Parameter.empty), ("dim", inspect.Parameter.empty),
+        ("ncols", inspect.Parameter.empty), ("config", inspect.Parameter.empty), ("maximize", True)]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -428,46 +430,72 @@ def test_fit_rejects_one_dimensional_and_non_square_channels():
     assert not ch.is_depolarizing(ch.random_channel(3, 2, np.random.default_rng(19)))
 
 
-def _full_spectrum(channel, frames, weights, input_weights=None):
+def _full_spectrum(channel, frames, weights):
     """Every eigenvalue of the d_out x d_out matrix, built by the apply oracle."""
-    out = frame_outputs(channel, frames, weights)
-    if input_weights is not None:
-        out = out + (frames * input_weights) @ frames.conj().transpose(0, 2, 1)
-    return np.linalg.eigvalsh(out)
+    return np.linalg.eigvalsh(frame_outputs(channel, frames, weights))
 
 
-def _assert_spectrum_matches_the_oracle(channel, frames, weights, input_weights=None):
+def _assert_spectrum_matches_the_oracle(channel, frames, weights):
     """The kernel's eigenvalues, with the d_out - k zeros of a k x k core put back, are the full spectrum."""
-    spec = ch.output_spectrum(channel, frames, weights, input_weights)
-    full = _full_spectrum(channel, frames, weights, input_weights)
-    k = len(channel.kraus) * frames.shape[2] + (0 if input_weights is None else frames.shape[2])
+    spec = ch.output_spectrum(channel, frames, weights)
+    full = _full_spectrum(channel, frames, weights)
+    k = len(channel.kraus) * frames.shape[2]
     assert spec.shape == (len(frames), min(k, channel.dim_out))
     padded = np.sort(np.concatenate([spec, np.zeros((len(frames), channel.dim_out - spec.shape[1]))], axis=1))
     assert np.abs(padded - full).max() < 1e-12
     return k
 
 
-def _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights=None):
-    assert _assert_spectrum_matches_the_oracle(channel, frames, weights, input_weights) < channel.dim_out
+def _assert_core_is_the_nonzero_spectrum(channel, frames, weights):
+    assert _assert_spectrum_matches_the_oracle(channel, frames, weights) < channel.dim_out
+
+
+def dense_trace_gradient(channel, psi):
+    """Oracle: D and N^dag(P) psi - P psi from the full eigen-solve of N(psi psi^dag) - psi psi^dag."""
+    x = frame_outputs(channel, psi[:, :, None], [1.0]) - np.einsum("bi,bj->bij", psi, psi.conj())
+    w, v = np.linalg.eigh(x)
+    v = v * (w > 0)[:, None, :]
+    proj = v @ v.conj().transpose(0, 2, 1)
+    adjoint = np.einsum("kji,bjl,klm->bim", channel.kraus.conj(), proj, channel.kraus)
+    grads = np.einsum("bij,bj->bi", adjoint - proj, psi)
+    return np.where(w > 0, w, 0.0).sum(axis=1), grads
+
+
+def _assert_trace_kernel_matches_the_oracle(channel, psi):
+    """The trace kernel's value and gradient are the full eigen-solve's, from one eigh at size min(k, d_out)."""
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        value, grad = ch.trace_distance_gradient(channel, psi)
+    want_value, want_grad = dense_trace_gradient(channel, psi)
+    k = len(channel.kraus) + 1
+    assert [c.args[0].shape for c in eigh.call_args_list] == [(len(psi),) + (min(k, channel.dim_out),) * 2]
+    assert np.abs(value - want_value).max() < 1e-12
+    assert np.abs(grad - want_grad).max() < 1e-10
+    return k
+
+
+def _unit_vectors(rng, b, d):
+    psi = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 def test_output_spectrum_core_matches_the_full_eigen_solve():
     rng = np.random.default_rng(20)
     gamma = np.exp(0.8)
-    # (channel, frame columns, input weights); k = r c (+ c) < d_out, cases 5-7 at d_out - 1,
-    # and d = 64, where the Kraus factor is one product over many frame columns
-    cases = [(ch.random_channel(16, 3, rng), 1, None), (ch.random_channel(16, 3, rng), 2, None),
-             (ch.random_channel(16, 3, rng), 1, [-1.0]), (_isometry_channel(8, 16, 2, rng), 2, None),
-             (ch.random_channel(7, 3, rng), 2, None), (ch.random_channel(8, 7, rng), 1, None),
-             (ch.random_channel(8, 6, rng), 1, [-1.0]),
-             (ch.random_channel(64, 4, rng), 1, None), (ch.random_channel(64, 4, rng), 2, None)]
-    for channel, c, input_weights in cases:
+    # (channel, frame columns, trace kernel); k = r c (r + 1 for the trace kernel) < d_out,
+    # cases 5-7 at d_out - 1, and d = 64, where the Kraus factor is one product over many frame columns
+    cases = [(ch.random_channel(16, 3, rng), 1, False), (ch.random_channel(16, 3, rng), 2, False),
+             (ch.random_channel(16, 3, rng), 1, True), (_isometry_channel(8, 16, 2, rng), 2, False),
+             (ch.random_channel(7, 3, rng), 2, False), (ch.random_channel(8, 7, rng), 1, False),
+             (ch.random_channel(8, 6, rng), 1, True),
+             (ch.random_channel(64, 4, rng), 1, False), (ch.random_channel(64, 4, rng), 2, False)]
+    for channel, c, trace in cases:
         g = rng.standard_normal((5, channel.dim_in, c)) + 1j * rng.standard_normal((5, channel.dim_in, c))
         frames = np.linalg.qr(g)[0]
-        weights = [1.0, -gamma][:c]
-        _assert_core_is_the_nonzero_spectrum(channel, frames, weights, input_weights)
-        if input_weights is None:
-            assert channel._superop is None
+        if trace:
+            assert _assert_trace_kernel_matches_the_oracle(channel, frames[:, :, 0]) < channel.dim_out
+        else:
+            _assert_core_is_the_nonzero_spectrum(channel, frames, [1.0, -gamma][:c])
+        assert channel._superop is None
 
 
 def test_output_spectrum_core_of_a_rank_deficient_factor():
@@ -478,7 +506,7 @@ def test_output_spectrum_core_of_a_rank_deficient_factor():
     gamma = np.exp(0.5)
     frames = np.linalg.qr(rng.standard_normal((4, 8, 2)) + 1j * rng.standard_normal((4, 8, 2)))[0]
     _assert_core_is_the_nonzero_spectrum(channel, frames, [1.0, -gamma])
-    _assert_core_is_the_nonzero_spectrum(channel, frames[:, :, :1], [1.0], [-1.0])
+    assert _assert_trace_kernel_matches_the_oracle(channel, frames[:, :, 0]) < channel.dim_out
     # N(V diag(w) V^dag) = U V diag(w) V^dag U^dag has spectrum {1, -gamma} and zeros
     core = ch.output_spectrum(channel, frames, [1.0, -gamma])
     assert np.abs(core - [-gamma, 0.0, 0.0, 1.0]).max() < 1e-12
@@ -486,32 +514,37 @@ def test_output_spectrum_core_of_a_rank_deficient_factor():
 
 def test_output_spectrum_falls_back_to_the_full_eigen_solve():
     rng = np.random.default_rng(22)
-    # (channel, frame columns, input weights, sign of k - d_out)
-    cases = [(ch.random_channel(8, 3, rng), 2, None, -1),
-             (_isometry_channel(8, 16, 2, rng), 2, None, -1),
-             (ch.random_channel(4, 2, rng), 2, None, 0),  # certify at k = r c = d_out
-             (ch.random_channel(4, 3, rng), 1, [-1.0], 0),  # trace at k = r + 1 = d_out
-             (ch.random_channel(8, 4, rng), 2, None, 0),
-             (ch.random_channel(4, 3, rng), 2, None, 1),
-             (ch.random_channel(3, 2, rng), 2, [0.5, -0.25], 1),
-             (ch.pauli_measurement_channel(pauli_matrix("XZ")), 2, None, 1),  # 4 -> 2
-             (ch.depolarizing(3, 0.4), 1, [-1.0], 1),  # 10 Kraus operators
-             (ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()), 2, None, 1)]  # 48 operators
-    for channel, c, input_weights, sign in cases:
+    # (channel, frame columns, trace kernel, sign of k - d_out)
+    cases = [(ch.random_channel(8, 3, rng), 2, False, -1),
+             (_isometry_channel(8, 16, 2, rng), 2, False, -1),
+             (ch.random_channel(4, 2, rng), 2, False, 0),  # certify at k = r c = d_out
+             (ch.random_channel(4, 3, rng), 1, True, 0),  # trace at k = r + 1 = d_out
+             (ch.random_channel(8, 4, rng), 2, False, 0),
+             (ch.random_channel(4, 3, rng), 2, False, 1),
+             (ch.random_channel(3, 2, rng), 2, False, 1),
+             (ch.pauli_measurement_channel(pauli_matrix("XZ")), 2, False, 1),  # 4 -> 2
+             (ch.depolarizing(3, 0.4), 1, True, 1),  # 10 Kraus operators
+             (ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()), 2, False, 1)]  # 48 operators
+    for channel, c, trace, sign in cases:
         frames = np.linalg.qr(rng.standard_normal((3, channel.dim_in, c))
                               + 1j * rng.standard_normal((3, channel.dim_in, c)))[0]
-        k = _assert_spectrum_matches_the_oracle(channel, frames, [1.0, -2.0][:c], input_weights)
+        if trace:
+            k = _assert_trace_kernel_matches_the_oracle(channel, frames[:, :, 0])
+        else:
+            k = _assert_spectrum_matches_the_oracle(channel, frames, [1.0, -2.0][:c])
         assert np.sign(k - channel.dim_out) == sign
         # the full eigen-solve reads the Kraus stack, never the superoperator
         assert channel._kraus is not None and channel._superop is None
-    # one kernel per job: the eigenvalue objectives share the spectrum kernel, the
-    # fidelity objective its own kernel, and all stay out of the package API
-    assert privacy.output_spectrum is utility.output_spectrum is ch.output_spectrum
-    assert utility.pure_fidelities is ch.pure_fidelities
+    # one kernel per job: certification reads the spectrum kernel, the utility
+    # ascent its two gradient kernels, and all stay out of the package API
+    assert privacy.output_spectrum is ch.output_spectrum
+    assert utility.fidelity_gradient is ch.fidelity_gradient
+    assert utility.trace_distance_gradient is ch.trace_distance_gradient
+    assert not hasattr(ch, "pure_fidelities") and not hasattr(utility, "output_spectrum")
     assert not hasattr(ch, "batch_outputs") and not hasattr(privacy, "_batch_outputs")
     assert not hasattr(utility, "_batch_out")
     assert not hasattr(utility, "batch_outputs") and not hasattr(utility, "_fidelity_values")
-    for name in ("output_spectrum", "pure_fidelities"):
+    for name in ("output_spectrum", "fidelity_gradient", "trace_distance_gradient"):
         assert not hasattr(qldp, name)
 
 
@@ -696,11 +729,13 @@ def test_trace_affine_kernels_match_their_kraus_stack():
         # the search kernels read the Kraus stack
         pairs = [(ch.output_spectrum, (frames[:, :, :1], [1.0])),
                  (ch.output_spectrum, (frames, [1.0, -gamma])),
-                 (ch.output_spectrum, (frames[:, :, :1], [1.0], [-1.0])),
-                 (ch.output_spectrum, (frames, [1.0, -gamma], [0.5, -0.25])),
-                 (ch.pure_fidelities, (frames[:, :, :1],))]
+                 (ch.trace_distance_gradient, (frames[:, :, 0],)),
+                 (ch.trace_distance_gradient, (frames[:, :, 1],)),
+                 (ch.fidelity_gradient, (frames[:, :, 0],))]
         for kernel, args in pairs:
             got, want = kernel(channel, *args), kernel(oracle, *args)
+            if kernel is not ch.output_spectrum:  # (values, gradients) as one (B, 1 + d) array
+                got, want = np.column_stack(got), np.column_stack(want)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12, kernel.__name__
 
@@ -732,7 +767,7 @@ def test_blocked_superoperator_matches_the_einsum_oracle():
         assert np.abs(s - einsum_superoperator(channel.kraus)).max() < 1e-12
 
 
-def test_pure_fidelities_match_the_output_overlap():
+def test_fidelity_kernel_matches_the_output_overlap():
     rng = np.random.default_rng(29)
     # short and long stacks (a twirl has r = 24 r_0 > d^2), the trace-affine form
     cases = [ch.random_channel(16, 3, rng), ch.random_channel(3, 9, rng),
@@ -741,11 +776,46 @@ def test_pure_fidelities_match_the_output_overlap():
     for channel in cases:
         d = channel.dim_in
         frames = np.linalg.qr(rng.standard_normal((6, d, 1)) + 1j * rng.standard_normal((6, d, 1)))[0]
-        fid = ch.pure_fidelities(channel, frames)
+        fid, _ = ch.fidelity_gradient(channel, frames[:, :, 0])
         for f, value in zip(frames, fid):
             psi = f[:, 0]
             want = np.vdot(psi, ch.apply(channel, qops.projector(psi)) @ psi).real
             assert abs(value - want) < 1e-12
+
+
+def _gradient_kernel_cases(rng):
+    """Square channels on both trace-kernel branches: k = r + 1 below d_out, at it, and above it."""
+    return [ch.random_channel(16, 3, rng),  # k = 4 < 16: QR core
+            ch.random_channel(4, 3, rng),  # k = 4 = d_out: full product
+            ch.random_channel(3, 2, rng),
+            ch.depolarizing(3, 0.4),  # its 10-operator Kraus stack
+            ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group())]  # 48 operators
+
+
+@pytest.mark.parametrize("kernel", [ch.fidelity_gradient, ch.trace_distance_gradient])
+def test_gradient_kernels_match_central_differences(kernel):
+    # f(psi + h delta) - f(psi - h delta) = 4 h Re<g, delta> + O(h^3) for the Wirtinger gradient g = df/dconj(psi)
+    rng = np.random.default_rng(32)
+    h = 1e-6
+    for channel in _gradient_kernel_cases(rng):
+        d = channel.dim_in
+        psi, delta = _unit_vectors(rng, 4, d), _unit_vectors(rng, 4, d)
+        _, grad = kernel(channel, psi)
+        slope = 2 * np.einsum("bi,bi->b", grad.conj(), delta).real
+        central = (kernel(channel, psi + h * delta)[0] - kernel(channel, psi - h * delta)[0]) / (2 * h)
+        assert np.abs(central - slope).max() <= 1e-6 * np.abs(slope).max(), (len(channel.kraus), d)
+        assert channel._superop is None
+
+
+def test_trace_value_is_at_least_one_minus_the_fidelity():
+    # Fuchs-van de Graaf for a pure input, D(N(psi), psi) >= 1 - <psi|N(psi)|psi>: the trace ascent's warm start
+    rng = np.random.default_rng(33)
+    for channel in _gradient_kernel_cases(rng) + [ch.random_channel(8, 4, rng), ch.identity_channel(5)]:
+        psi = _unit_vectors(rng, 32, channel.dim_in)
+        fid, _ = ch.fidelity_gradient(channel, psi)
+        trace, _ = ch.trace_distance_gradient(channel, psi)
+        assert (trace >= 1 - fid - 1e-12).all()
+        assert channel._superop is None
 
 
 # --- covariant channels never reach a search kernel ----------------------------
@@ -763,7 +833,7 @@ def test_depolarizing_channels_are_evaluated_once_without_the_search_kernels(mon
         raise AssertionError("a search kernel was called")
 
     for module in (ch, privacy, utility):
-        for name in ("output_spectrum", "pure_fidelities"):
+        for name in ("output_spectrum", "fidelity_gradient", "trace_distance_gradient"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     budget = privacy.PrivacyBudget(0.7, 0.0)

@@ -875,3 +875,27 @@ def test_huge_file_entries_print_one_stderr_line(tmp_path, text, argv, message):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:") and message in proc.stderr
+
+
+INT_OPTIONS = [(command, name) for command, table in cli._OPTS.items()
+               for name, (conv, _default, _help) in table.items() if conv is int]
+
+
+@pytest.mark.parametrize("command, name", INT_OPTIONS)
+def test_a_malformed_integer_option_is_a_usage_error_naming_the_option_and_its_source(
+        tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)  # the default output directory is relative
+    flag = f"--{name.replace('_', '-')}"
+    for value in ("abc", "1.5"):
+        assert main([command, flag, value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert f"error: {flag}: " in err and repr(value) in err and "Traceback" not in err
+        assert out == ""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert f"error: {cfg}: {name}: " in err and repr(value) in err and "Traceback" not in err
+        assert out == ""
+    # the options are read before any command runs, so nothing is written
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
