@@ -23,9 +23,13 @@ The search kernels read only ``.kraus``, never the superoperator, and all
 start from one factor: for a stack of frames V and weights w,
 N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus operators
 stacked against the c columns of V, so k = r c columns and u = w tiled r
-times.  :func:`output_spectrum`, behind certification, solves one
-eigenproblem per frame: the k x k core of a thin QR of A when k < d_out, else
-the d_out x d_out product itself.  The utility ascent reads a value and its
+times.  Each kernel solves one eigenproblem per frame there: the k x k core
+of a thin QR of A when k < d_out, else the d_out x d_out product itself.
+Certification's seesaw reads :func:`hockey_stick_step`, with A = K [psi, phi]:
+the value E_gamma at a pair and the next pair, the extreme eigenvectors of
+N^dag(P) for the projector P onto the positive part of the output difference.
+:func:`orthogonal_outputs` answers d_in > r^2 exactly, with a pair whose
+outputs are orthogonal, from one thin QR.  The utility ascent reads a value and its
 Wirtinger gradient from each pure state's factor: :func:`fidelity_gradient`
 from the overlaps <psi|K_k psi>, forming no output, and
 :func:`trace_distance_gradient` from the projector onto the positive part of
@@ -49,6 +53,7 @@ from .errors import InvalidInputError
 TRACE_TOL = 1e-9     # tolerance on sum_k K_k^dag K_k = I
 UNITARY_TOL = 1e-9   # tolerance on U^dag U = I
 SUPEROP_TOL = 1e-9   # channel equality: max-abs superoperator entry difference
+NULL_TOL = 1e-13     # an eigenvalue of an output difference up to this is rounding noise in its null space
 
 
 class QuantumChannel:
@@ -187,21 +192,68 @@ def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     return out.reshape(do * r, b, c).transpose(1, 0, 2).reshape(b, do, r * c)
 
 
-def output_spectrum(ch: QuantumChannel, frames: np.ndarray, weights) -> np.ndarray:
-    """Eigenvalues of N(V diag(w) V^dag), one ascending row per frame.
+def hockey_stick_step(ch: QuantumChannel, pairs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """E_gamma(N(psi psi^dag) || N(phi phi^dag)) at each pair, and the seesaw's next pair.
 
-    ``frames`` is a (B, d_in, c) stack V and ``weights`` the c real weights w.
-    The matrix is A diag(u) A^dag with A = K V and u = tile(w, r), so it has
-    rank at most k = r c.  When k < d_out, a thin QR A = QR gives its k
-    eigenvalues that may be nonzero as the spectrum of the k x k core
-    R diag(u) R^dag, at cost B d_out k^2; the d_out - k zeros are left out.
-    Otherwise all d_out come from eigvalsh of A diag(u) A^dag itself, at cost
-    B d_out^2 k.
+    ``pairs`` is a (B, d_in, 2) stack of orthonormal frames V = [psi, phi].
+    X = N(psi psi^dag) - gamma N(phi phi^dag) is A diag(u) A^dag with A = K V
+    and u = tile((1, -gamma), r), so k = 2r columns, and the value is Tr(P X),
+    the sum of X's positive eigenvalues, with P the projector onto their
+    eigenvectors.  When k < d_out, the thin QR A = QR puts them in the k x k
+    core: R diag(u) R^dag = W L W^dag and P = U U^dag with U = Q W_+.
+    Otherwise eigh runs on the d_out x d_out product itself.  For fixed P the
+    value is <psi|N^dag(P)|psi> - gamma <phi|N^dag(P)|phi>, largest over
+    orthonormal pairs at the top and bottom eigenvectors of
+    N^dag(P) = G^dag G, G the stacked U^dag K_k: those are the next pair, so
+    E_gamma there is at least the value here.  Returns the (B,) values and
+    the (B, d_in, 2) next pairs; an empty P (value 0) gives an arbitrary one.
+    Eigenvalues up to ``NULL_TOL`` count as zeros, so P leaves out the
+    rounding noise of X's null space.
     """
-    a, u = _kraus_factor(ch, frames), np.tile(np.asarray(weights, dtype=float), len(ch.kraus))
+    a = _kraus_factor(ch, pairs)
+    u = np.tile([1.0, -gamma], len(ch.kraus))
+    q = None
     if a.shape[2] < ch.dim_out:
-        a = np.linalg.qr(a, mode="r")
-    return np.linalg.eigvalsh((a * u) @ a.conj().transpose(0, 2, 1))
+        q, a = np.linalg.qr(a)
+    w, v = np.linalg.eigh((a * u) @ a.conj().transpose(0, 2, 1))
+    positive = w > NULL_TOL
+    v = v * positive[:, None, :]
+    if q is not None:
+        v = q @ v
+    r, do, di = ch.kraus.shape
+    g = (v.conj().transpose(0, 2, 1) @ ch.kraus.transpose(1, 0, 2).reshape(do, r * di)).reshape(len(v), -1, di)
+    _, e = np.linalg.eigh(g.conj().transpose(0, 2, 1) @ g)
+    return np.where(positive, w, 0.0).sum(axis=1), e[:, :, [-1, 0]]
+
+
+def orthogonal_outputs(ch: QuantumChannel) -> np.ndarray | None:
+    """A (d_in, 2) orthonormal pair [psi, phi] with N(psi psi^dag) N(phi phi^dag) = 0, or None.
+
+    Tr[N(psi psi^dag) N(phi phi^dag)] = sum_ij |<phi|K_j^dag K_i|psi>|^2, so
+    any unit phi orthogonal to the r^2 vectors K_j^dag K_i psi has an output
+    orthogonal to psi's, and E_gamma = 1 on the pair for every gamma.  psi = e_0
+    lies in their span (it is sum_i K_i^dag K_i psi), so phi is orthogonal to
+    psi too.  Such a phi exists when d_in > r^2: a thin QR of the d_in x r^2
+    matrix of those vectors gives an orthonormal Q spanning them, and the
+    basis vector e_j with the shortest row of Q keeps a part of squared norm
+    at least 1 - r^2/d_in outside it.  Otherwise returns None.  Cost r^2 d_out
+    d_in; no d_in x d_in array is formed.
+    """
+    k = ch.kraus
+    r, _, d = k.shape
+    if d <= r * r:
+        return None
+    # rows [j, i] of conj(conj(K_i e_0)^T K_j) are K_j^dag K_i e_0
+    span = (k[:, :, 0].conj() @ k).conj().reshape(r * r, d).T
+    q = np.linalg.qr(span)[0]
+    phi = np.zeros(d, dtype=complex)
+    phi[np.argmin((q.real**2 + q.imag**2).sum(axis=1))] = 1.0
+    for _ in range(2):  # Gram-Schmidt twice keeps phi orthogonal to Q to working precision
+        phi -= q @ (q.conj().T @ phi)
+    pair = np.zeros((d, 2), dtype=complex)
+    pair[0, 0] = 1.0
+    pair[:, 1] = phi / np.linalg.norm(phi)
+    return pair
 
 
 def _adjoint_sum(ch: QuantumChannel, w: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ _OPTS = {
         "epsilon": (float, 1.0, "privacy epsilon"),
         "delta": (float, 0.0, "privacy delta"),
         "restarts": (int, 64, "search restarts"),
-        "local_steps": (int, 200, "refinement steps per restart"),
+        "local_steps": (int, 200, "cap on the search iterations"),
     },
     "estimate": {
         **_SEED, **_OUTPUT_DIR,

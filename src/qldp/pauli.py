@@ -147,8 +147,20 @@ class PauliDecomposition:
         return rho
 
     def expectation(self, rho: np.ndarray) -> float:
-        """Tr[O rho] = sum_ij O_ij rho_ji over the cached matrix, O(d^2), after :meth:`check_state`."""
-        return float((self._matrix * self.check_state(rho).T).sum().real)
+        """Tr[O rho] after :meth:`check_state`, O(d^2).
+
+        With at most one non-identity term, O = c_0 I + c_k P_k, it is
+        c_0 Tr rho + c_k :func:`pauli_trace` (rho, k), and no matrix is built;
+        otherwise sum_ij O_ij rho_ji over the cached matrix.
+        """
+        rho = self.check_state(rho)
+        terms = np.flatnonzero(self.coeffs[1:]) + 1
+        if terms.size > 1:
+            return float((self._matrix * rho.T).sum().real)
+        value = self.coeffs[0] * np.trace(rho).real
+        for k in terms:
+            value += self.coeffs[k] * pauli_trace(rho, int(k), self.m).real
+        return float(value)
 
     def reconstruct(self) -> np.ndarray:
         """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues come from."""

@@ -1,14 +1,26 @@
 """Local differential privacy of quantum channels.
 
-Calibration of the depolarizing mechanism is closed-form; certification of
-arbitrary channels is numerical.  The certifier estimates the worst-case
-hockey-stick divergence over pairs of orthogonal pure inputs; every pair it
-evaluates is feasible, so the estimate is a certified lower bound on the true
-supremum and the returned witness attains it.  No global-optimality guarantee
-is claimed; ``restarts`` trades time for confidence.  A depolarizing channel is
-unitarily covariant, so every orthogonal pair attains its supremum: it is
-evaluated once, at the first two basis vectors, through :func:`channels.apply`
-and :func:`qops.hockey_stick`, with no search.
+Calibration of the depolarizing mechanism is closed-form.  Certification of
+an arbitrary channel estimates the worst-case hockey-stick divergence E_gamma
+over orthogonal pure input pairs, exactly where it can:
+
+- a depolarizing channel is unitarily covariant, so it is evaluated once, at
+  (e_0, e_1), through :func:`channels.apply` and :func:`qops.hockey_stick`;
+- with d_in > r^2 for r Kraus operators, :func:`channels.orthogonal_outputs`
+  gives a pair with orthogonal outputs, so the supremum is exactly 1;
+- otherwise a seesaw (:func:`channels.hockey_stick_step`; Hirche, Rouze and
+  Franca, arXiv:2202.10717) climbs from ``restarts`` random orthonormal pairs.
+  A move is kept only if the value does not fall; a start retires at a gain
+  of at most ``CONVERGED`` relative, or an empty positive part; every
+  ``HALVING_PERIOD`` iterations the better half of the live starts goes on,
+  down to ``HALVING_FLOOR`` (successive halving, Jamieson and Talwalkar
+  2016).  It stops within ``BOUND_TOL`` of the bound E_gamma <= 1, or after
+  ``local_steps`` iterations.
+
+The first two report ``restarts_used = 0``.  Every evaluated pair is
+orthonormal, so the estimate is a certified lower bound that the returned
+witness attains; no global optimality is claimed.  :func:`refine_extremum`,
+a random-restart hill climb over isometries, is no longer called here.
 """
 
 from __future__ import annotations
@@ -19,11 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qops
-from .channels import QuantumChannel, apply, is_depolarizing, output_spectrum
+from .channels import QuantumChannel, apply, hockey_stick_step, is_depolarizing, orthogonal_outputs
 from .errors import InvalidInputError, OutOfRegimeError
 
 CERT_TOL = 1e-7  # separates "satisfied" from "violated"; borderline results are flagged
 STEP_SIZE = 0.25  # initial step of every restart in the refinement search
+CONVERGED = 1e-12  # a seesaw gain at most this times max(1, |value|) retires a start
+BOUND_TOL = 1e-12  # the seesaw stops once its best value is this close to E_gamma <= 1
+HALVING_PERIOD, HALVING_FLOOR = 5, 4  # every 5 iterations keep the better half of the live starts, down to 4
 
 
 @dataclass(frozen=True)
@@ -49,10 +64,9 @@ class PrivacyBudget:
 class SearchConfig:
     """Knobs of the searches: ``restarts`` starts drawn from ``default_rng(seed)``.
 
-    ``local_steps`` is the exact number of hill-climb steps for
-    :func:`certify_qldp` and a cap on the gradient iterations of each
-    utility search (:func:`utility.utility_report`), which stops earlier once
-    converged.
+    ``local_steps`` caps the seesaw iterations of :func:`certify_qldp` and
+    the gradient iterations of each utility search
+    (:func:`utility.utility_report`); each stops earlier once converged.
     """
 
     restarts: int = 64
@@ -138,33 +152,51 @@ def refine_extremum(value_fn, dim: int, ncols: int, config: SearchConfig, maximi
     return float(vals[i]), pts[i]
 
 
+def _seesaw(ch: QuantumChannel, gamma: float, search: SearchConfig) -> tuple[float, np.ndarray]:
+    """Best (value, (d_in, 2) pair) of the seesaw from ``search.restarts`` random orthonormal pairs."""
+    rng = np.random.default_rng(search.seed)
+    pairs = _orthonormalize(_complex_noise(rng, (search.restarts, ch.dim_in, 2)))
+    vals, nxt = hockey_stick_step(ch, pairs, gamma)
+    live = np.flatnonzero(vals > 0)  # an empty positive part gives no direction
+    for it in range(1, search.local_steps + 1):
+        if live.size == 0 or vals.max() >= 1.0 - BOUND_TOL:
+            break
+        cvals, cnxt = hockey_stick_step(ch, nxt[live], gamma)
+        gain = cvals - vals[live]
+        up = gain >= 0
+        moved = live[up]
+        pairs[moved], vals[moved], nxt[moved] = nxt[moved], cvals[up], cnxt[up]
+        live = live[gain > CONVERGED * np.maximum(1.0, np.abs(cvals))]
+        if it % HALVING_PERIOD == 0 and live.size > HALVING_FLOOR:
+            live = live[np.argsort(-vals[live], kind="stable")[:max(HALVING_FLOOR, live.size // 2)]]
+    i = int(np.argmax(vals))
+    return float(vals[i]), pairs[i]
+
+
 def certify_qldp(ch: QuantumChannel, budget: PrivacyBudget,
                  search: SearchConfig = SearchConfig()) -> CertificationResult:
     """Estimate the worst-case hockey-stick divergence of a channel.
 
-    Searches over pairs of orthogonal pure inputs (two columns of an
-    orthonormalized random frame) with derivative-free local refinement; a
-    depolarizing channel (:func:`is_depolarizing`) is evaluated once at
-    (e_0, e_1) through :func:`apply` instead, with ``restarts_used = 0``.
-    ``satisfied`` compares the estimate against delta + CERT_TOL.
+    A depolarizing channel (:func:`is_depolarizing`) is evaluated once at
+    (e_0, e_1) through :func:`apply`, and a channel with d_in > r^2 at the
+    pair of :func:`orthogonal_outputs`, both with ``restarts_used = 0``;
+    every other channel runs the seesaw over orthogonal pure pairs (see the
+    module docstring).  The estimate is clipped to [0, 1], the a-priori range
+    of E_gamma.  ``satisfied`` compares it against delta + CERT_TOL.
     """
     if ch.dim_in < 2:
         raise InvalidInputError(f"certification needs an orthogonal input pair, but dim_in = {ch.dim_in}")
-    weights = np.array([1.0, -budget.gamma])
-
-    def value(pairs: np.ndarray) -> np.ndarray:
-        w = output_spectrum(ch, pairs, weights)
-        return np.where(w > 0, w, 0.0).sum(axis=1)
-
     if is_depolarizing(ch):
         pair = np.eye(ch.dim_in, 2, dtype=complex)
         out1, out2 = (apply(ch, qops.projector(e)) for e in pair.T)
         best, restarts = qops.hockey_stick(out1, out2, budget.gamma), 0
+    elif (pair := orthogonal_outputs(ch)) is not None:
+        best, restarts = float(hockey_stick_step(ch, pair[None], budget.gamma)[0][0]), 0
     else:
-        best, pair = refine_extremum(value, ch.dim_in, 2, search, maximize=True)
+        best, pair = _seesaw(ch, budget.gamma, search)
         restarts = search.restarts
     phi1, phi2 = pair[:, 0].copy(), pair[:, 1].copy()
-    sup = max(0.0, best)
+    sup = min(1.0, max(0.0, best))
     return CertificationResult(
         sup_estimate=sup,
         witness_pair=(phi1, phi2),

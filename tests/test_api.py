@@ -86,14 +86,22 @@ def test_only_decompose_transforms_a_matrix_to_pauli_coefficients():
     assert not found
 
 
+def _calls_of(name: str, paths) -> list[str]:
+    """file:line of every call of a function called ``name``, by plain name or attribute."""
+    return [f"{path.name}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) == name]
+
+
 def test_utility_calls_no_hill_climb():
-    # the utility searches ascend by gradient steps; refine_extremum is certification's alone
-    path = Path(qldp.__file__).parent / "utility.py"
-    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Call)
-             and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
-             == "refine_extremum"]
-    assert not found
+    # the utility searches ascend by gradient steps
+    assert not _calls_of("refine_extremum", [Path(qldp.__file__).parent / "utility.py"])
+
+
+def test_nothing_in_the_package_calls_the_hill_climb():
+    # certification runs the seesaw; refine_extremum stays for callers and the tests' oracle
+    assert not _calls_of("refine_extremum", sorted(Path(qldp.__file__).parent.glob("*.py")))
 
 
 def test_refine_extremum_keeps_its_signature():

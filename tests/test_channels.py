@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -430,6 +431,20 @@ def test_fit_rejects_one_dimensional_and_non_square_channels():
     assert not ch.is_depolarizing(ch.random_channel(3, 2, np.random.default_rng(19)))
 
 
+def output_spectrum(channel, frames, weights):
+    """Oracle: eigenvalues of N(V diag(w) V^dag) per frame, ascending, from the Kraus factor A = K V.
+
+    The matrix is A diag(u) A^dag with u = tile(w, r), of rank at most
+    k = r c.  When k < d_out the k eigenvalues that may be nonzero come from
+    eigvalsh of the core R diag(u) R^dag of a thin QR A = QR, and the d_out - k
+    zeros are left out; otherwise all d_out come from the product itself.
+    """
+    a, u = ch._kraus_factor(channel, frames), np.tile(np.asarray(weights, dtype=float), len(channel.kraus))
+    if a.shape[2] < channel.dim_out:
+        a = np.linalg.qr(a, mode="r")
+    return np.linalg.eigvalsh((a * u) @ a.conj().transpose(0, 2, 1))
+
+
 def _full_spectrum(channel, frames, weights):
     """Every eigenvalue of the d_out x d_out matrix, built by the apply oracle."""
     return np.linalg.eigvalsh(frame_outputs(channel, frames, weights))
@@ -437,7 +452,7 @@ def _full_spectrum(channel, frames, weights):
 
 def _assert_spectrum_matches_the_oracle(channel, frames, weights):
     """The kernel's eigenvalues, with the d_out - k zeros of a k x k core put back, are the full spectrum."""
-    spec = ch.output_spectrum(channel, frames, weights)
+    spec = output_spectrum(channel, frames, weights)
     full = _full_spectrum(channel, frames, weights)
     k = len(channel.kraus) * frames.shape[2]
     assert spec.shape == (len(frames), min(k, channel.dim_out))
@@ -473,6 +488,34 @@ def _assert_trace_kernel_matches_the_oracle(channel, psi):
     return k
 
 
+def dense_seesaw_step(channel, pairs, gamma):
+    """Oracle: E_gamma on each pair, and N^dag(P) for the projector P onto the positive part, from full eigen-solves."""
+    x = frame_outputs(channel, pairs, [1.0, -gamma])
+    w, v = np.linalg.eigh(x)
+    positive = w > ch.NULL_TOL  # the null space's rounding noise is no direction
+    v = v * positive[:, None, :]
+    proj = v @ v.conj().transpose(0, 2, 1)
+    adjoint = np.einsum("kji,bjl,klm->bim", channel.kraus.conj(), proj, channel.kraus)
+    return np.where(positive, w, 0.0).sum(axis=1), adjoint
+
+
+def _assert_seesaw_kernel_matches_the_oracle(channel, pairs, gamma):
+    """The seesaw kernel's value is the full eigen-solve's, and its next pair is orthonormal, the top and
+    bottom eigenvectors of N^dag(P), and no worse; from one eigh at min(2r, d_out), one at d_in."""
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        value, nxt = ch.hockey_stick_step(channel, pairs, gamma)
+    want_value, adjoint = dense_seesaw_step(channel, pairs, gamma)
+    b, k = len(pairs), min(2 * len(channel.kraus), channel.dim_out)
+    assert [c.args[0].shape for c in eigh.call_args_list] == [(b, k, k), (b,) + (channel.dim_in,) * 2]
+    assert np.abs(value - want_value).max() < 1e-12
+    assert nxt.shape == pairs.shape
+    assert np.abs(nxt.conj().transpose(0, 2, 1) @ nxt - np.eye(2)).max() < 1e-12
+    ev = np.linalg.eigvalsh(adjoint)
+    rayleigh = np.einsum("bic,bij,bjc->bc", nxt.conj(), adjoint, nxt).real
+    assert np.abs(rayleigh - ev[:, [-1, 0]]).max() < 1e-10
+    assert (dense_seesaw_step(channel, nxt, gamma)[0] >= want_value - 1e-12).all()
+
+
 def _unit_vectors(rng, b, d):
     psi = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
@@ -495,6 +538,8 @@ def test_output_spectrum_core_matches_the_full_eigen_solve():
             assert _assert_trace_kernel_matches_the_oracle(channel, frames[:, :, 0]) < channel.dim_out
         else:
             _assert_core_is_the_nonzero_spectrum(channel, frames, [1.0, -gamma][:c])
+        if c == 2:
+            _assert_seesaw_kernel_matches_the_oracle(channel, frames, gamma)
         assert channel._superop is None
 
 
@@ -507,9 +552,11 @@ def test_output_spectrum_core_of_a_rank_deficient_factor():
     frames = np.linalg.qr(rng.standard_normal((4, 8, 2)) + 1j * rng.standard_normal((4, 8, 2)))[0]
     _assert_core_is_the_nonzero_spectrum(channel, frames, [1.0, -gamma])
     assert _assert_trace_kernel_matches_the_oracle(channel, frames[:, :, 0]) < channel.dim_out
+    _assert_seesaw_kernel_matches_the_oracle(channel, frames, gamma)
     # N(V diag(w) V^dag) = U V diag(w) V^dag U^dag has spectrum {1, -gamma} and zeros
-    core = ch.output_spectrum(channel, frames, [1.0, -gamma])
+    core = output_spectrum(channel, frames, [1.0, -gamma])
     assert np.abs(core - [-gamma, 0.0, 0.0, 1.0]).max() < 1e-12
+    assert np.abs(ch.hockey_stick_step(channel, frames, gamma)[0] - 1.0).max() < 1e-12
 
 
 def test_output_spectrum_falls_back_to_the_full_eigen_solve():
@@ -532,20 +579,61 @@ def test_output_spectrum_falls_back_to_the_full_eigen_solve():
             k = _assert_trace_kernel_matches_the_oracle(channel, frames[:, :, 0])
         else:
             k = _assert_spectrum_matches_the_oracle(channel, frames, [1.0, -2.0][:c])
+        if c == 2:
+            _assert_seesaw_kernel_matches_the_oracle(channel, frames, 2.0)
         assert np.sign(k - channel.dim_out) == sign
         # the full eigen-solve reads the Kraus stack, never the superoperator
         assert channel._kraus is not None and channel._superop is None
-    # one kernel per job: certification reads the spectrum kernel, the utility
-    # ascent its two gradient kernels, and all stay out of the package API
-    assert privacy.output_spectrum is ch.output_spectrum
+    # one kernel per job: certification reads the seesaw kernel and the exact screen, the
+    # utility ascent its two gradient kernels, and all stay out of the package API;
+    # the spectrum kernel is the oracle above
+    assert privacy.hockey_stick_step is ch.hockey_stick_step
+    assert privacy.orthogonal_outputs is ch.orthogonal_outputs
     assert utility.fidelity_gradient is ch.fidelity_gradient
     assert utility.trace_distance_gradient is ch.trace_distance_gradient
+    assert not hasattr(ch, "output_spectrum") and not hasattr(privacy, "output_spectrum")
     assert not hasattr(ch, "pure_fidelities") and not hasattr(utility, "output_spectrum")
     assert not hasattr(ch, "batch_outputs") and not hasattr(privacy, "_batch_outputs")
     assert not hasattr(utility, "_batch_out")
     assert not hasattr(utility, "batch_outputs") and not hasattr(utility, "_fidelity_values")
-    for name in ("output_spectrum", "fidelity_gradient", "trace_distance_gradient"):
+    for name in ("output_spectrum", "hockey_stick_step", "orthogonal_outputs", "fidelity_gradient",
+                 "trace_distance_gradient"):
         assert not hasattr(qldp, name)
+
+
+@pytest.mark.parametrize("d, r", [(10, 3), (16, 3), (32, 4), (256, 4), (9, 3), (8, 4), (5, 1), (2, 1)])
+def test_orthogonal_outputs_exist_exactly_when_d_in_exceeds_r_squared(d, r):
+    channel = ch.random_channel(d, r, np.random.default_rng(34 + d))
+    pair = ch.orthogonal_outputs(channel)
+    if d <= r * r:
+        assert pair is None
+        return
+    assert pair.shape == (d, 2)
+    assert np.abs(pair.conj().T @ pair - np.eye(2)).max() < 1e-12
+    out1, out2 = (ch.apply(channel, qops.projector(v)) for v in pair.T)
+    assert np.abs(out1 @ out2).max() < 1e-12
+    for gamma in (1.0, np.e, 50.0):
+        assert abs(qops.hockey_stick(out1, out2, gamma) - 1.0) < 1e-12
+    assert channel._superop is None
+
+
+def test_orthogonal_outputs_of_a_non_square_channel_and_its_memory():
+    # 12 -> 5 with r = 3: d_in > r^2 although d_out < d_in
+    rng = np.random.default_rng(35)
+    channel = _isometry_channel(12, 5, 3, rng)
+    pair = ch.orthogonal_outputs(channel)
+    out1, out2 = (ch.apply(channel, qops.projector(v)) for v in pair.T)
+    assert abs(qops.hockey_stick(out1, out2, 2.0) - 1.0) < 1e-12
+    assert ch.orthogonal_outputs(_isometry_channel(9, 5, 3, rng)) is None
+    # no d_in x d_in array: at d_in = 256 one would take 1 MB, the r^2 span 64 kB
+    channel = ch.random_channel(256, 4, rng)
+    tracemalloc.start()
+    try:
+        ch.orthogonal_outputs(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 16 / 2
 
 
 def within_fit_tolerance_kraus_sets():
@@ -615,7 +703,9 @@ def test_kraus_channel_searches_never_build_the_superoperator(monkeypatch):
         res = privacy.certify_qldp(channel, privacy.PrivacyBudget(1.0, 0.0), cfg)
         utility.utility_report(channel, cfg)
         assert channel._superop is None
-        assert res.restarts_used == (cfg.restarts if channel in searched else 0)
+        # random_channel(16, 3) has d_in > r^2: certification is exact there, with no seesaw
+        exact = channel in screened or channel is searched[4]
+        assert res.restarts_used == (0 if exact else cfg.restarts)
 
 
 def test_cached_superoperator_is_screened():
@@ -727,14 +817,17 @@ def test_trace_affine_kernels_match_their_kraus_stack():
         assert np.abs(channel.superoperator - oracle.superoperator).max() < 1e-12
         assert not closed or channel._kraus is None
         # the search kernels read the Kraus stack
-        pairs = [(ch.output_spectrum, (frames[:, :, :1], [1.0])),
-                 (ch.output_spectrum, (frames, [1.0, -gamma])),
+        pairs = [(output_spectrum, (frames[:, :, :1], [1.0])),
+                 (output_spectrum, (frames, [1.0, -gamma])),
+                 (ch.hockey_stick_step, (frames, gamma)),
                  (ch.trace_distance_gradient, (frames[:, :, 0],)),
                  (ch.trace_distance_gradient, (frames[:, :, 1],)),
                  (ch.fidelity_gradient, (frames[:, :, 0],))]
         for kernel, args in pairs:
             got, want = kernel(channel, *args), kernel(oracle, *args)
-            if kernel is not ch.output_spectrum:  # (values, gradients) as one (B, 1 + d) array
+            if kernel is ch.hockey_stick_step:  # (values, next pairs) as one (B, 1 + 2 d) array
+                got, want = (np.column_stack([v, p.reshape(len(p), -1)]) for v, p in (got, want))
+            elif kernel is not output_spectrum:  # (values, gradients) as one (B, 1 + d) array
                 got, want = np.column_stack(got), np.column_stack(want)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12, kernel.__name__
@@ -833,7 +926,7 @@ def test_depolarizing_channels_are_evaluated_once_without_the_search_kernels(mon
         raise AssertionError("a search kernel was called")
 
     for module in (ch, privacy, utility):
-        for name in ("output_spectrum", "fidelity_gradient", "trace_distance_gradient"):
+        for name in ("hockey_stick_step", "orthogonal_outputs", "fidelity_gradient", "trace_distance_gradient"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     budget = privacy.PrivacyBudget(0.7, 0.0)

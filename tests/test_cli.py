@@ -404,16 +404,17 @@ def test_each_command_solves_the_observable_spectrum_at_most_once(tmp_path, monk
     assert len(calls) == solves, calls
 
 
-@pytest.mark.parametrize("argv, traces", [
-    (["shadows", "--m", "6", "--observable", "ZZZZZZ", "--trials", "3"], 1),
-    (["estimate", "--observable", "ZI:0.5,XX:-0.3", "--trials", "3", "--n", "50"], 0),
-    (["bounds", "--observable", "ZI:0.5,XX:-0.3", "--eps-list", "0.5", "--beta-list", "0.1"], 0),
+@pytest.mark.parametrize("argv, sums, traces", [
+    (["shadows", "--m", "6", "--observable", "ZZZZZZ", "--trials", "3"], 0, 2),
+    (["estimate", "--observable", "ZI:0.5,XX:-0.3", "--trials", "3", "--n", "50"], 1, 0),
+    (["bounds", "--observable", "ZI:0.5,XX:-0.3", "--eps-list", "0.5", "--beta-list", "0.1"], 1, 0),
 ])
 def test_each_command_reads_the_observable_through_its_coefficients(tmp_path, monkeypatch, capsys,
-                                                                    argv, traces):
-    # one pauli_sum builds the observable's matrix for the true value, and no
-    # command transforms a matrix: the state meets a Pauli string only in
-    # pauli_trace, once for the three-cell shadow law
+                                                                    argv, sums, traces):
+    # no command transforms a matrix: the state meets a Pauli string only in
+    # pauli_trace.  A one-term observable builds no matrix: its true value and
+    # its three-cell shadow law read one pauli_trace each.  Two terms need one
+    # pauli_sum, for the true value or the spectrum
     calls = {"pauli_coefficients": [], "pauli_sum": [], "pauli_trace": []}
     for name, seen in calls.items():
         original = getattr(qldp.pauli, name)
@@ -426,7 +427,7 @@ def test_each_command_reads_the_observable_through_its_coefficients(tmp_path, mo
                 monkeypatch.setattr(module, name, spy)
     assert main(argv + ["--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_VIOLATED)
     assert len(calls["pauli_coefficients"]) == 0, calls
-    assert len(calls["pauli_sum"]) == 1, calls
+    assert len(calls["pauli_sum"]) == sums, calls
     assert len(calls["pauli_trace"]) == traces, calls
 
 

@@ -291,6 +291,27 @@ def test_decompose_reconstruct_roundtrip(m):
     assert abs(dec.trace_square - np.trace(obs @ obs).real) < 1e-12 * np.trace(obs @ obs).real
 
 
+@pytest.mark.parametrize("coeffs", [{"ZZZ": -0.7}, {"III": 0.3, "XYZ": 1.25}, {"II": 2.0}, {"IY": 0.0},
+                                    {"IZYX": 0.5, "IIII": -0.25}])
+def test_one_term_expectation_reads_the_pauli_trace_without_the_matrix(coeffs):
+    # O = c_0 I + c_k P_k: Tr[O rho] = c_0 Tr rho + c_k Tr[P_k rho], with no 2^m x 2^m observable
+    dec = from_coeffs(coeffs)
+    d = 2**dec.m
+    rng = np.random.default_rng(len(coeffs) + d)
+    for rho in (qops.random_density(d, 2, rng), 1.5 * qops.random_density(d, d, rng)):
+        got = dec.expectation(rho)
+        assert "_matrix" not in vars(dec)
+        assert abs(got - np.trace(per_label_sum(coeffs) @ rho).real) < 1e-12
+    with pytest.raises(InvalidInputError):
+        dec.expectation(np.full((d, d), np.nan))
+    with pytest.raises(InvalidInputError):
+        dec.expectation(np.eye(2 * d))
+    # two non-identity terms read the matrix
+    two = from_coeffs({**coeffs, "X" * dec.m: 0.5, "Y" * dec.m: 0.5})
+    rho = qops.random_density(d, 2, rng)
+    assert abs(two.expectation(rho) - np.trace(two.reconstruct() @ rho).real) < 1e-12
+
+
 def test_from_coeffs_matches_decompose():
     dec = from_coeffs({"XI": 0.5, "ZZ": -1.25})
     redec = decompose(dec.reconstruct(), 2)
