@@ -23,20 +23,19 @@ The search kernels read only ``.kraus``, never the superoperator, and all
 start from one factor: for a stack of frames V and weights w,
 N(V diag(w) V^dag) = A diag(u) A^dag with A = K V, the r Kraus operators
 stacked against the c columns of V, so k = r c columns and u = w tiled r
-times.  Each kernel solves one eigenproblem per frame there: the k x k core
-of a thin QR of A when k < d_out, else the d_out x d_out product itself.
+times.  One core, :func:`_positive_part`, finds the projector P onto the
+positive part of A diag(u) A^dag with one eigenproblem per frame: the k x k
+core of a thin QR of A when k < d_out, else the d_out x d_out product itself.
 Certification's seesaw reads :func:`hockey_stick_step`, with A = K [psi, phi]:
 the value E_gamma at a pair and the next pair, the extreme eigenvectors of
-N^dag(P) for the projector P onto the positive part of the output difference.
-:func:`orthogonal_outputs` answers d_in > r^2 exactly, with a pair whose
-outputs are orthogonal, from one thin QR.  The utility ascent reads a value and its
-Wirtinger gradient from each pure state's factor: :func:`fidelity_gradient`
-from the overlaps <psi|K_k psi>, forming no output, and
-:func:`trace_distance_gradient` from the projector onto the positive part of
-N(psi psi^dag) - psi psi^dag, found in the same QR core with A = [K psi, psi].
-Both gradients map back through the adjoint in one product with the stacked
-conj(K).  :func:`fit_depolarizing` and :func:`is_depolarizing` read the Kraus
-stack only, one matrix unit at a time.
+N^dag(P).  :func:`orthogonal_outputs` answers d_in > r^2 exactly, with a pair
+whose outputs are orthogonal, from one thin QR.  The utility ascent reads a
+value and its Wirtinger gradient from each pure state's factor:
+:func:`fidelity_gradient` from the overlaps <psi|K_k psi>, forming no output,
+and :func:`trace_distance_gradient` from P with A = [K psi, psi], for
+N(psi psi^dag) - psi psi^dag.  Both gradients map back through the adjoint
+in one product with the stacked conj(K).  :func:`fit_depolarizing` and
+:func:`is_depolarizing` read the Kraus stack only, one matrix unit at a time.
 """
 
 from __future__ import annotations
@@ -192,38 +191,43 @@ def _kraus_factor(ch: QuantumChannel, frames: np.ndarray) -> np.ndarray:
     return out.reshape(do * r, b, c).transpose(1, 0, 2).reshape(b, do, r * c)
 
 
+def _positive_part(a: np.ndarray, u: np.ndarray, d_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(P X) and U, P = U U^dag projecting onto the positive part of X = A diag(u) A^dag, per frame.
+
+    For a (B, d_out, k) stack A and k weights u: when k < d_out the thin QR
+    A = QR puts X's nonzero eigenvalues in the k x k core R diag(u) R^dag =
+    W L W^dag, and U = Q W_+; otherwise eigh runs on X itself.  Eigenvalues up
+    to ``NULL_TOL`` count as zeros, the rounding noise of X's null space, and
+    U's columns outside P are zeroed.
+    """
+    q = None
+    if a.shape[2] < d_out:
+        q, a = np.linalg.qr(a)
+    w, v = np.linalg.eigh((a * u) @ a.conj().transpose(0, 2, 1))
+    positive = w > NULL_TOL
+    v = v * positive[:, None, :]
+    return np.where(positive, w, 0.0).sum(axis=1), v if q is None else q @ v
+
+
 def hockey_stick_step(ch: QuantumChannel, pairs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """E_gamma(N(psi psi^dag) || N(phi phi^dag)) at each pair, and the seesaw's next pair.
 
     ``pairs`` is a (B, d_in, 2) stack of orthonormal frames V = [psi, phi].
     X = N(psi psi^dag) - gamma N(phi phi^dag) is A diag(u) A^dag with A = K V
     and u = tile((1, -gamma), r), so k = 2r columns, and the value is Tr(P X),
-    the sum of X's positive eigenvalues, with P the projector onto their
-    eigenvectors.  When k < d_out, the thin QR A = QR puts them in the k x k
-    core: R diag(u) R^dag = W L W^dag and P = U U^dag with U = Q W_+.
-    Otherwise eigh runs on the d_out x d_out product itself.  For fixed P the
-    value is <psi|N^dag(P)|psi> - gamma <phi|N^dag(P)|phi>, largest over
-    orthonormal pairs at the top and bottom eigenvectors of
-    N^dag(P) = G^dag G, G the stacked U^dag K_k: those are the next pair, so
-    E_gamma there is at least the value here.  Returns the (B,) values and
-    the (B, d_in, 2) next pairs; an empty P (value 0) gives an arbitrary one.
-    Eigenvalues up to ``NULL_TOL`` count as zeros, so P leaves out the
-    rounding noise of X's null space.
+    the sum of X's positive eigenvalues, with P = U U^dag the projector onto
+    their eigenvectors (:func:`_positive_part`).  For fixed P the value is
+    <psi|N^dag(P)|psi> - gamma <phi|N^dag(P)|phi>, largest over orthonormal
+    pairs at the top and bottom eigenvectors of N^dag(P) = G^dag G, G the
+    stacked U^dag K_k: those are the next pair, so E_gamma there is at least
+    the value here.  Returns the (B,) values and the (B, d_in, 2) next pairs;
+    an empty P (value 0) gives an arbitrary one.
     """
-    a = _kraus_factor(ch, pairs)
-    u = np.tile([1.0, -gamma], len(ch.kraus))
-    q = None
-    if a.shape[2] < ch.dim_out:
-        q, a = np.linalg.qr(a)
-    w, v = np.linalg.eigh((a * u) @ a.conj().transpose(0, 2, 1))
-    positive = w > NULL_TOL
-    v = v * positive[:, None, :]
-    if q is not None:
-        v = q @ v
+    values, v = _positive_part(_kraus_factor(ch, pairs), np.tile([1.0, -gamma], len(ch.kraus)), ch.dim_out)
     r, do, di = ch.kraus.shape
     g = (v.conj().transpose(0, 2, 1) @ ch.kraus.transpose(1, 0, 2).reshape(do, r * di)).reshape(len(v), -1, di)
     _, e = np.linalg.eigh(g.conj().transpose(0, 2, 1) @ g)
-    return np.where(positive, w, 0.0).sum(axis=1), e[:, :, [-1, 0]]
+    return values, e[:, :, [-1, 0]]
 
 
 def orthogonal_outputs(ch: QuantumChannel) -> np.ndarray | None:
@@ -283,26 +287,15 @@ def trace_distance_gradient(ch: QuantumChannel, psi: np.ndarray) -> tuple[np.nda
     ``psi`` is a (B, d) stack of unit vectors.  X = N(psi psi^dag) - psi psi^dag
     is A diag(u) A^dag with A = [K psi, psi] and u = (1, ..., 1, -1), k = r + 1
     columns.  X is traceless, so D = Tr(P X), the sum of its positive
-    eigenvalues, with P the projector onto their eigenvectors, and the
-    gradient is N^dag(P) psi - P psi = sum_k K_k^dag (P A)_k - (P A)_last.
-    When k < d_out, the thin QR A = QR puts the eigenvectors in the k x k core:
-    R diag(u) R^dag = W L W^dag and P A = Q W_+ W_+^dag R.  Otherwise eigh runs
-    on the d_out x d_out product itself.  No d x d eigen-solve happens at
-    Kraus rank, and no superoperator is built.
+    eigenvalues, with P = U U^dag the projector onto their eigenvectors
+    (:func:`_positive_part`), and the gradient is
+    N^dag(P) psi - P psi = sum_k K_k^dag (P A)_k - (P A)_last.  No d x d
+    eigen-solve happens at Kraus rank, and no superoperator is built.
     """
     a = np.concatenate([_kraus_factor(ch, psi[:, :, None]), psi[:, :, None]], axis=2)
-    u = np.ones(a.shape[2])
-    u[-1] = -1.0
-    q = None
-    if a.shape[2] < ch.dim_out:
-        q, a = np.linalg.qr(a)
-    w, v = np.linalg.eigh((a * u) @ a.conj().transpose(0, 2, 1))
-    v = v * (w > 0)[:, None, :]
+    values, v = _positive_part(a, np.append(np.ones(a.shape[2] - 1), -1.0), ch.dim_out)
     pa = v @ (v.conj().transpose(0, 2, 1) @ a)
-    if q is not None:
-        pa = q @ pa
-    grads = _adjoint_sum(ch, pa[:, :, :-1].transpose(0, 2, 1)) - pa[:, :, -1]
-    return np.where(w > 0, w, 0.0).sum(axis=1), grads
+    return values, _adjoint_sum(ch, pa[:, :, :-1].transpose(0, 2, 1)) - pa[:, :, -1]
 
 
 def identity_channel(d: int) -> QuantumChannel:

@@ -407,10 +407,15 @@ def cmd_shadows(opts: dict) -> int:
 def cmd_cost_report(opts: dict) -> int:
     if opts["bits_per_complex"] < 1:
         raise InvalidInputError(f"bits per complex entry must be >= 1, got {opts['bits_per_complex']}")
+    digits = sys.get_int_max_str_digits()  # 0: no limit
     rows = []
     for m in opts["m_list"]:
         if m < 1:
             raise InvalidInputError(f"m must be >= 1, got {m}")
+        # the longest entry, 4^m bits, has floor(log10(4^m bits)) + 1 digits: checked before it is built
+        if digits and 2 * m * math.log10(2) + math.log10(opts["bits_per_complex"]) >= digits:
+            raise InvalidInputError(f"m = {m} makes shadow_bits = 4^m * bits_per_complex longer than "
+                                    f"the {digits} decimal digits Python prints")
         d = 2**m
         rows.append((m, 2 * m + 1, d * d, d * d * opts["bits_per_complex"]))
     header = f"{'m':>3} {'pauli_bits':>11} {'shadow_entries':>15} {'shadow_bits':>12}"

@@ -77,7 +77,7 @@ def simulate_privatized_batch(rho: np.ndarray, decomp: PauliDecomposition, q: fl
                               n: int, rng: np.random.Generator):
     """Vectorized sampler: n records as (bit array, support-index array).
 
-    Each record draws P from the support (nonzero alpha_P, label order) with
+    Each record draws P from ``decomp.support`` (nonzero alpha_P, label order) with
     probability |alpha_P|/S, measures P, and flips the bit with probability
     q/2 (qubit depolarizing noise on a classical bit), folded into the outcome
     probability ``1/2 + (1-q)/2 Tr[P rho]``; Tr[P rho] is :func:`pauli_trace`'s.
@@ -86,10 +86,9 @@ def simulate_privatized_batch(rho: np.ndarray, decomp: PauliDecomposition, q: fl
         raise InvalidInputError(f"q must be in [0, 1], got {q}")
     if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    support = np.flatnonzero(decomp.coeffs)
     t = np.array([0.5 + (1.0 - q) / 2.0 * pauli_trace(rho, k, decomp.m).real
-                  for k in support.tolist()])
-    idx = rng.choice(len(support), size=n, p=np.abs(decomp.coeffs[support]) / decomp.weight)
+                  for k in decomp.support.tolist()])
+    idx = rng.choice(len(t), size=n, p=np.abs(decomp.coeffs[decomp.support]) / decomp.weight)
     y = (rng.random(n) >= t[idx]).astype(np.int8)
     return y, idx
 
@@ -101,7 +100,7 @@ def estimate_from_batch(y: np.ndarray, idx: np.ndarray, decomp: PauliDecompositi
         raise NoninvertibleError("q = 1 erases the signal; the estimator cannot be debiased")
     if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    signs = np.sign(decomp.coeffs[decomp.coeffs != 0.0])  # in support order, as idx indexes
+    signs = np.sign(decomp.coeffs[decomp.support])  # in support order, as idx indexes
     scale = decomp.weight / (1.0 - q)
     return float(scale * np.mean(signs[idx] * (1.0 - 2.0 * y)))
 

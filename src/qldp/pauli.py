@@ -7,7 +7,7 @@ Tr[P A]/2^m in that order, and back, through one transform pair,
 :func:`pauli_coefficients` and :func:`pauli_sum`, at one 4x4 product per
 qubit; :func:`pauli_trace` reads one of them, Tr[P A], in O(2^m): a Pauli
 string meets a state only there.  A :class:`PauliDecomposition` holds the
-coefficient vector itself and builds its matrix on first read.
+coefficient vector and its support, and builds its matrix on first read.
 :func:`stabilizer_states` writes every n-qubit stabilizer state in closed
 form, 2^(-k/2) sum_y i^(l.y) (-1)^(y^T Q y) |t xor y.B>, in bounded chunks.
 Clifford elements are dense unitaries: :func:`enumerate_cliffords` reads the
@@ -108,25 +108,27 @@ def pauli_trace(a: np.ndarray, k: int, m: int) -> complex:
 class PauliDecomposition:
     """Real coefficients alpha_P of a Hermitian observable in the Pauli basis.
 
-    ``coeffs`` is a read-only float64 array of all 4^m coefficients in label
-    order, read alone by ``trace_square``.  The matrix (:meth:`expectation`) and spectrum
-    ``lambda_max``/``lambda_min`` are built on first read and cached; a spectrum that is not
-    finite raises OutOfRegimeError there.
+    ``coeffs`` is a read-only float64 array of all 4^m coefficients in label order;
+    ``support``, the one scan of it, is read by everything else.  ``matrix`` and the
+    spectrum ``lambda_max``/``lambda_min`` are built on first read and cached; a
+    spectrum that is not finite raises OutOfRegimeError there.
     """
 
     m: int
     coeffs: np.ndarray
     weight: float          # S = sum |alpha_P|
+    support: np.ndarray    # label indices P with alpha_P != 0, ascending, read-only
 
     @functools.cached_property
-    def _matrix(self) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
+        """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues come from."""
         obs = pauli_sum(self.coeffs, self.m)
         obs.flags.writeable = False
         return obs
 
     @functools.cached_property
     def _eigenvalues(self) -> np.ndarray:
-        w = np.linalg.eigvalsh(self._matrix)
+        w = np.linalg.eigvalsh(self.matrix)
         if not np.isfinite(w).all():
             raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
         return w
@@ -137,7 +139,12 @@ class PauliDecomposition:
     @property
     def trace_square(self) -> float:
         """Tr[O^2] = 2^m sum_P alpha_P^2 in Python floats, which give inf past their range, no warning."""
-        return 2**self.m * sum(a * a for a in self.coeffs[self.coeffs != 0.0].tolist())
+        return 2**self.m * sum(a * a for a in self.coeffs[self.support].tolist())
+
+    @property
+    def one_term(self) -> bool:
+        """At most one nonzero non-identity coefficient, O = c_0 I + c_k P_k: no matrix is needed."""
+        return bool(np.count_nonzero(self.support) <= 1)
 
     def check_state(self, rho: np.ndarray) -> np.ndarray:
         """``rho`` as an array; InvalidInputError unless it is 2^m x 2^m with finite entries, O(d^2)."""
@@ -149,22 +156,16 @@ class PauliDecomposition:
     def expectation(self, rho: np.ndarray) -> float:
         """Tr[O rho] after :meth:`check_state`, O(d^2).
 
-        With at most one non-identity term, O = c_0 I + c_k P_k, it is
-        c_0 Tr rho + c_k :func:`pauli_trace` (rho, k), and no matrix is built;
-        otherwise sum_ij O_ij rho_ji over the cached matrix.
+        When :attr:`one_term`, it is c_0 Tr rho + c_k :func:`pauli_trace` (rho, k),
+        and no matrix is built; otherwise sum_ij O_ij rho_ji over :attr:`matrix`.
         """
         rho = self.check_state(rho)
-        terms = np.flatnonzero(self.coeffs[1:]) + 1
-        if terms.size > 1:
-            return float((self._matrix * rho.T).sum().real)
+        if not self.one_term:
+            return float((self.matrix * rho.T).sum().real)
         value = self.coeffs[0] * np.trace(rho).real
-        for k in terms:
-            value += self.coeffs[k] * pauli_trace(rho, int(k), self.m).real
+        for k in self.support[self.support > 0].tolist():
+            value += self.coeffs[k] * pauli_trace(rho, k, self.m).real
         return float(value)
-
-    def reconstruct(self) -> np.ndarray:
-        """The observable sum_P alpha_P P, read-only: the matrix the eigenvalues come from."""
-        return self._matrix
 
 
 def _decomposition(m: int, coeffs: np.ndarray) -> PauliDecomposition:
@@ -174,12 +175,14 @@ def _decomposition(m: int, coeffs: np.ndarray) -> PauliDecomposition:
     """
     coeffs = np.array(coeffs, dtype=float)
     coeffs.flags.writeable = False
+    support = np.flatnonzero(coeffs)
+    support.flags.writeable = False
     # a left-to-right sum of Python floats: it overflows to inf with no numpy
     # warning, and skipping the zero entries leaves every partial sum unchanged
-    weight = float(sum(np.abs(coeffs[coeffs != 0.0]).tolist()))
+    weight = float(sum(np.abs(coeffs[support]).tolist()))
     if not math.isfinite(weight):
         raise OutOfRegimeError(f"Pauli weight sum |alpha_P| = {weight} is not a finite float")
-    return PauliDecomposition(m=m, coeffs=coeffs, weight=weight)
+    return PauliDecomposition(m=m, coeffs=coeffs, weight=weight, support=support)
 
 
 def decompose(obs: np.ndarray, m: int) -> PauliDecomposition:

@@ -10,10 +10,11 @@ The inverted snapshot depends on the Clifford U and outcome b only through
 the stabilizer state s = U^dag|b>, whose exact distribution gives the law of
 the snapshot value Tr[O rho_hat], O given as a
 :class:`~qldp.pauli.PauliDecomposition`.  For O = c_0 I + c P with P one
-Pauli string, :func:`_pauli_string_cells` writes that law in closed form from
-O's coefficients and Tr[P rho], one O(d) :func:`~qldp.pauli.pauli_trace`:
-three values, c_0 and c_0 +- x c, at any m.  For any other
-observable, :func:`_snapshot_tables` reads all 2^m prod_k (2^k + 1)
+Pauli string (the decomposition's ``one_term`` test),
+:func:`_pauli_string_cells` writes that law in closed form from O's support
+and Tr[P rho], one O(d) :func:`~qldp.pauli.pauli_trace`: three values, c_0
+and c_0 +- x c, at any m.  For any other observable, :func:`_snapshot_tables`
+reads O's ``matrix`` and all 2^m prod_k (2^k + 1)
 stabilizer states (6 / 60 / 1080 / 36720 for m = 1..4) chunk by chunk from
 the closed-form enumeration :func:`qldp.pauli.stabilizer_states`; no Clifford
 group is built.  A median-of-means batch reads its snapshots only through the
@@ -152,37 +153,36 @@ def median_of_means_estimate(snapshots, obs: np.ndarray, ell: int) -> float:
     return float(np.median(batches))
 
 
-def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
-                            demand: AccuracyDemand) -> int:
-    """Snapshot count sufficient for the private shadow pipeline.
+def _shadow_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget, demand: AccuracyDemand,
+                    s: float, source: str) -> int:
+    """ceil of (204 Tr[O^2]/beta^2) max{1, ((e^eps+d-1)/((e^eps-1+d delta) s))^2} ln(2/eta), at least 1.
 
-    ceil of (204 Tr[O^2]/beta^2) max{1, ((e^eps+d-1)/((e^eps-1+d delta)(d+1)))^2} ln(2/eta);
-    the max saturates at 1 exactly when e^eps + delta (d + 1) >= 2.
+    The one shadow sample-size formula: private at s = d + 1, naive at s = 1.
     """
     denom = budget.gamma - 1.0 + d * budget.delta
     if denom <= 0:
         raise InfeasibleError(
             f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
-    ratio = (budget.gamma + d - 1.0) / (denom * (d + 1.0))
+    ratio = (budget.gamma + d - 1.0) / (denom * s)
     v = 204.0 * tr_obs_sq / (demand.beta * demand.beta) * max(1.0, ratio * ratio) \
         * math.log(2.0 / demand.eta)
-    return max(1, sample_count(v, f"shadow bound, Tr[O^2] = {tr_obs_sq:g}"))
+    return max(1, sample_count(v, f"{source}, Tr[O^2] = {tr_obs_sq:g}"))
+
+
+def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
+                            demand: AccuracyDemand) -> int:
+    """Snapshot count sufficient for the private shadow pipeline; its max is 1 iff e^eps + delta (d+1) >= 2."""
+    return _shadow_samples(tr_obs_sq, d, budget, demand, d + 1.0, "shadow bound")
 
 
 def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
                                   demand: AccuracyDemand) -> int:
     """Comparator: snapshot count when calibrating with the generic-utility noise level.
 
-    Uses p_hat = d(1-delta)/(e^eps+d-1) directly in the noisy-shadow bound,
-    which picks up an extra (d+1)^2 relative to :func:`shadow_required_samples`.
+    Uses p_hat = d(1-delta)/(e^eps+d-1) directly in the noisy-shadow bound, which picks
+    up an extra (d+1)^2 relative to :func:`shadow_required_samples`; the max is a no-op, as delta <= 1.
     """
-    denom = budget.gamma - 1.0 + d * budget.delta
-    if denom <= 0:
-        raise InfeasibleError(
-            f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
-    ratio = (budget.gamma + d - 1.0) / denom
-    v = 204.0 * tr_obs_sq / (demand.beta * demand.beta) * (ratio * ratio) * math.log(2.0 / demand.eta)
-    return max(1, sample_count(v, f"naive shadow bound, Tr[O^2] = {tr_obs_sq:g}"))
+    return _shadow_samples(tr_obs_sq, d, budget, demand, 1.0, "naive shadow bound")
 
 
 def default_batch_count(n: int, eta: float) -> int:
@@ -231,27 +231,25 @@ def _snapshot_tables(rho: np.ndarray, obs: np.ndarray, p_hat: float, m: int):
     return probs, vals
 
 
-def _pauli_string_cells(rho: np.ndarray, coeffs: np.ndarray, p_hat: float, m: int):
-    """Snapshot law of O = c_0 I + c_k P_k, read off O's Pauli coefficients ``coeffs``.
+def _pauli_string_cells(rho: np.ndarray, decomp: PauliDecomposition, p_hat: float):
+    """Snapshot law of a :attr:`~qldp.pauli.PauliDecomposition.one_term` O = c_0 I + c_k P_k.
 
     A uniform Clifford maps the non-identity P_k to a Z-type string with
     probability 1/(d + 1), and the stabilizer state s then has <s|P_k|s> = +-1;
     otherwise <s|P_k|s> = 0.  So Tr[O rho_hat] = c_0 + x c_k <s|P_k|s> takes
     the value c_0 +- x c_k with probability (1 +- t)/(2(d + 1)), where
     t = (1 - p_hat) Tr[P_k rho] (one O(d) :func:`~qldp.pauli.pauli_trace`), and
-    c_0 with probability d/(d + 1).  With no non-identity term the value is
-    c_0.  ``coeffs`` must have at most one nonzero entry past the identity's.
+    c_0 with probability d/(d + 1).  With no non-identity term the value is c_0.
     """
-    d = 2**m
-    c0 = coeffs[0]
-    terms = np.flatnonzero(coeffs[1:])
-    if terms.size == 0:
+    d, c0 = 2**decomp.m, decomp.coeffs[0]
+    terms = decomp.support[decomp.support > 0].tolist()
+    if not terms:
         return np.ones(1), np.array([c0])
-    k = terms[0] + 1
-    t = (1.0 - p_hat) * pauli_trace(rho, k, m).real
+    k = terms[0]
+    t = (1.0 - p_hat) * pauli_trace(rho, k, decomp.m).real
     probs = np.clip([(1.0 + t) / (2.0 * (d + 1.0)), (1.0 - t) / (2.0 * (d + 1.0)), d / (d + 1.0)],
                     0.0, None)
-    xc = (d + 1.0) / (1.0 - p_hat) * coeffs[k]
+    xc = (d + 1.0) / (1.0 - p_hat) * decomp.coeffs[k]
     return probs / probs.sum(), np.array([c0 + xc, c0 - xc, c0])
 
 
@@ -300,12 +298,11 @@ def run_shadow_trials(rho: np.ndarray, decomp: PauliDecomposition, p_hat: float,
                       ell: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo median-of-means estimates of Tr[O rho], one per trial, for O = ``decomp``.
 
-    The snapshot law comes from :func:`_pauli_string_cells`, on O's
-    coefficients, when O has at most one non-identity Pauli term, at any m;
-    otherwise from the stabilizer-state table :func:`_snapshot_tables` on O's
-    matrix, which covers m <= 4.  Equal values merge into one cell, and
-    :func:`_trial_estimates` draws every batch exactly from that cell law, in
-    O(n/ell * min(ell, cells)) time per trial.  All trials read one RNG stream
+    The snapshot law comes from :func:`_pauli_string_cells` when
+    ``decomp.one_term``, at any m; otherwise from the stabilizer-state table
+    :func:`_snapshot_tables` on ``decomp.matrix``, which covers m <= 4.  Equal
+    values merge into one cell, and :func:`_trial_estimates` draws every batch
+    exactly from that cell law, in O(n/ell * min(ell, cells)) time per trial.  All trials read one RNG stream
     seeded by ``seed``, and the first k trials of a run equal a k-trial run at
     the same seed.
     """
@@ -318,10 +315,10 @@ def run_shadow_trials(rho: np.ndarray, decomp: PauliDecomposition, p_hat: float,
         raise InvalidInputError(f"batch size {ell} does not divide n={n}")
     if decomp.weight <= 0:
         raise DegenerateObservableError("observable has zero Pauli weight")
-    if np.count_nonzero(decomp.coeffs[1:]) <= 1:  # exact zeros only: rounding noise keeps the table
-        probs, vals = _pauli_string_cells(rho, decomp.coeffs, p_hat, decomp.m)
+    if decomp.one_term:
+        probs, vals = _pauli_string_cells(rho, decomp, p_hat)
     elif decomp.m <= 4:
-        probs, vals = _snapshot_tables(rho, decomp.reconstruct(), p_hat, decomp.m)
+        probs, vals = _snapshot_tables(rho, decomp.matrix, p_hat, decomp.m)
     else:
         raise InvalidInputError(
             f"an observable with more than one non-identity Pauli term needs the "

@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import sys
 import types
@@ -84,6 +85,52 @@ def test_only_decompose_transforms_a_matrix_to_pauli_coefficients():
             if name == "pauli_coefficients":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def _rule_owners_outside(package: Path) -> list[str]:
+    """file:line of each rule written outside its owner.
+
+    The Pauli support is scanned only in pauli._decomposition (no flatnonzero or
+    count_nonzero of ``.coeffs``, no comparison of ``.coeffs`` with 0), NULL_TOL
+    is read only in channels._positive_part, and the shadow sample-size
+    constant 204 appears only in shadows._shadow_samples.
+    """
+    owners = {"pauli.py": "_decomposition", "channels.py": "_positive_part", "shadows.py": "_shadow_samples"}
+
+    def reads_coeffs(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in ast.walk(node))
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set()
+        for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owners.get(path.name)):
+            exempt.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                scan = name in ("flatnonzero", "count_nonzero") and any(map(reads_coeffs, node.args))
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                scan = any(map(reads_coeffs, sides)) and any(
+                    isinstance(n, ast.Constant) and n.value == 0 for n in sides)
+            else:
+                scan = (isinstance(node, ast.Name) and node.id == "NULL_TOL" and isinstance(node.ctx, ast.Load)
+                        or isinstance(node, ast.Attribute) and node.attr == "NULL_TOL"
+                        or isinstance(node, ast.Constant) and node.value == 204)
+            if scan:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_each_rule_has_one_owner():
+    assert not _rule_owners_outside(Path(qldp.__file__).parent)
+    # the decomposition has one name for its matrix
+    assert not hasattr(qldp.PauliDecomposition, "reconstruct")
+    assert isinstance(vars(qldp.PauliDecomposition)["matrix"], functools.cached_property)
 
 
 def _calls_of(name: str, paths) -> list[str]:

@@ -359,6 +359,25 @@ def test_cost_report_rejects_non_positive_bits_per_complex(bits, capsys, tmp_pat
     assert not (tmp_path / "cost").exists()
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="needs the default integer print limit")
+@pytest.mark.parametrize("m", ["7139", "100000000000000000"])
+def test_cost_report_rejects_an_m_whose_entry_python_cannot_print(m, capsys, tmp_path):
+    # 4^7139 * 128 has 4301 decimal digits, one past the default limit, and
+    # 4^(10^17) is never built: the usage error names m before any output
+    rc = main(["cost-report", "--m-list", f"1,{m}", "--output-dir", str(tmp_path / "cost")])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"m = {m} makes shadow_bits" in err
+    assert not (tmp_path / "cost").exists()
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="needs the default integer print limit")
+def test_cost_report_prints_an_entry_of_the_longest_printable_length(capsys, tmp_path):
+    assert main(["cost-report", "--m-list", "7138", "--output-dir", str(tmp_path)]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[0] == "7138" and row[3] == str(4**7138 * 128) and len(row[3]) == 4300
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 1\n")
@@ -374,7 +393,7 @@ def test_parse_observable_forms(tmp_path):
     path = tmp_path / "obs.txt"
     path.write_text("1 0\n0 -1\n")
     dec3 = parse_observable(f"file:{path}")
-    assert np.abs(dec3.reconstruct() - dec.reconstruct()).max() < 1e-12
+    assert np.abs(dec3.matrix - dec.matrix).max() < 1e-12
 
 
 def test_parse_observable_builds_a_pauli_list_matrix_once(monkeypatch):
@@ -382,9 +401,9 @@ def test_parse_observable_builds_a_pauli_list_matrix_once(monkeypatch):
     pauli_sum = qldp.pauli.pauli_sum
     monkeypatch.setattr(qldp.pauli, "pauli_sum", lambda c, m: calls.append(m) or pauli_sum(c, m))
     dec = parse_observable("ZI:0.5,XX:-0.3")
-    obs = dec.reconstruct()
+    obs = dec.matrix
     assert calls == [2]
-    assert obs is dec.reconstruct() and not obs.flags.writeable
+    assert obs is dec.matrix and not obs.flags.writeable
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
     expected = 0.5 * np.kron(z, np.eye(2)) - 0.3 * np.kron(x, x)
     assert np.abs(obs - expected).max() < 1e-15
@@ -669,7 +688,7 @@ def test_observable_file_comments_and_line_numbers(tmp_path):
     path = tmp_path / "obs.txt"
     path.write_text("# Pauli Z\n1 0  # first row\n\n0 -1  # second row\n")
     dec = parse_observable(f"file:{path}")
-    assert np.array_equal(dec.reconstruct(), np.diag([1.0, -1.0]).astype(complex))
+    assert np.array_equal(dec.matrix, np.diag([1.0, -1.0]).astype(complex))
     assert dec.coeffs[pauli_labels(1).index("Z")] == 1.0
     path.write_text("# header\n\n1 0\n0 oops\n")
     with pytest.raises(ChannelParseError, match="line 4"):

@@ -172,7 +172,7 @@ def test_batch_sampler_matches_per_sample_distribution():
     q = 0.3
     y, idx = simulate_privatized_batch(rho, dec, q, 60_000, rng)
     est_vec = estimate_from_batch(y, idx, dec, q)
-    truth = np.trace(dec.reconstruct() @ rho).real
+    truth = np.trace(dec.matrix @ rho).real
     assert abs(est_vec - truth) < 0.05
     # per-sample reference path agrees with the oracle expectation too
     singles = [privatize_sample(rho, dec, q, rng) for _ in range(25_000)]
@@ -477,7 +477,7 @@ def test_trials_depend_on_the_state_only_through_its_expectation():
     rho1 = np.diag([0.9, 0.1]).astype(complex)
     rho2 = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     for rho in (rho1, rho2):
-        assert abs(np.trace(dec.reconstruct() @ rho).real - 0.4) < 1e-15
+        assert abs(np.trace(dec.matrix @ rho).real - 0.4) < 1e-15
     a = run_estimation_trials(rho1, dec, b, dem, 50, seed=11, n=300)
     bb = run_estimation_trials(rho2, dec, b, dem, 50, seed=11, n=300)
     assert np.array_equal(a, bb)

@@ -280,12 +280,12 @@ def test_decompose_reconstruct_roundtrip(m):
     g = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
     obs = qops.hermitize(g)
     dec = decompose(obs, m)
-    assert np.abs(dec.reconstruct() - obs).max() < 1e-10
+    assert np.abs(dec.matrix - obs).max() < 1e-10
     assert dec.coeffs.dtype == np.float64 and dec.coeffs.shape == (4**m,)
     assert not dec.coeffs.flags.writeable
     # the kept matrix is a read-only copy; the caller's matrix stays writable
-    assert not dec.reconstruct().flags.writeable and obs.flags.writeable
-    assert dec.reconstruct() is not obs
+    assert not dec.matrix.flags.writeable and obs.flags.writeable
+    assert dec.matrix is not obs
     rho = qops.random_density(2**m, 2, rng)
     assert abs(dec.expectation(rho) - np.trace(obs @ rho).real) < 1e-10
     assert abs(dec.trace_square - np.trace(obs @ obs).real) < 1e-12 * np.trace(obs @ obs).real
@@ -300,7 +300,7 @@ def test_one_term_expectation_reads_the_pauli_trace_without_the_matrix(coeffs):
     rng = np.random.default_rng(len(coeffs) + d)
     for rho in (qops.random_density(d, 2, rng), 1.5 * qops.random_density(d, d, rng)):
         got = dec.expectation(rho)
-        assert "_matrix" not in vars(dec)
+        assert "matrix" not in vars(dec)
         assert abs(got - np.trace(per_label_sum(coeffs) @ rho).real) < 1e-12
     with pytest.raises(InvalidInputError):
         dec.expectation(np.full((d, d), np.nan))
@@ -309,12 +309,12 @@ def test_one_term_expectation_reads_the_pauli_trace_without_the_matrix(coeffs):
     # two non-identity terms read the matrix
     two = from_coeffs({**coeffs, "X" * dec.m: 0.5, "Y" * dec.m: 0.5})
     rho = qops.random_density(d, 2, rng)
-    assert abs(two.expectation(rho) - np.trace(two.reconstruct() @ rho).real) < 1e-12
+    assert abs(two.expectation(rho) - np.trace(two.matrix @ rho).real) < 1e-12
 
 
 def test_from_coeffs_matches_decompose():
     dec = from_coeffs({"XI": 0.5, "ZZ": -1.25})
-    redec = decompose(dec.reconstruct(), 2)
+    redec = decompose(dec.matrix, 2)
     for lab in pauli_labels(2):
         assert abs(labeled(dec)[lab] - labeled(redec)[lab]) < 1e-12
 
@@ -323,7 +323,7 @@ def test_from_coeffs_reconstructs_the_pauli_sum():
     coeffs = {"XIZ": 0.5, "ZZY": -1.25, "III": 0.125, "YXI": 2.0}
     dec = from_coeffs(coeffs)
     obs = per_label_sum(coeffs)
-    assert np.abs(dec.reconstruct() - obs).max() < 1e-12
+    assert np.abs(dec.matrix - obs).max() < 1e-12
     assert dec.weight == 3.875
     w = np.linalg.eigvalsh(obs)
     assert abs(dec.lambda_max - w[-1]) < 1e-12 and abs(dec.lambda_min - w[0]) < 1e-12

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import qldp
 from qldp import qops
 from qldp.channels import depolarizing
 from qldp.errors import DegenerateObservableError, InfeasibleError, InvalidInputError, NoninvertibleError
 from qldp.estimate import AccuracyDemand, required_samples_upper, run_estimation_trials
 from test_estimate import traced_peak_mb
-from test_pauli import orbit_states, pauli_labels
-from qldp.pauli import decompose, enumerate_cliffords, pauli_coefficients, pauli_matrix
+from test_pauli import orbit_states, pauli_labels, per_label_sum
+from qldp.pauli import decompose, enumerate_cliffords, from_coeffs, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
 from qldp.shadows import (
     _BLOCK_DRAWS,
@@ -424,20 +425,20 @@ def test_single_snapshot_batches_cost_no_more_than_the_snapshots():
 
 
 def pauli_term_observable(label, rng):
-    """c_0 I + c P with a signed c and a nonzero identity offset c_0, and its coefficients."""
+    """c_0 I + c P with a signed c and a nonzero identity offset c_0, and its decomposition."""
     m = len(label)
     c0 = float(rng.normal())
     c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
     obs = c0 * np.eye(2**m) + c * pauli_matrix(label)
-    coeffs = pauli_coefficients(obs, m).real
-    assert np.count_nonzero(coeffs[1:]) == (0 if set(label) == {"I"} else 1)
-    return obs, coeffs
+    dec = decompose(obs, m)
+    assert np.count_nonzero(dec.coeffs[1:]) == (0 if set(label) == {"I"} else 1) and dec.one_term
+    return obs, dec
 
 
 def assert_three_cells_match_the_table(rho, label, p_hat, rng):
     m = len(label)
-    obs, coeffs = pauli_term_observable(label, rng)
-    got = value_distribution(*_pauli_string_cells(rho, coeffs, p_hat, m))
+    obs, dec = pauli_term_observable(label, rng)
+    got = value_distribution(*_pauli_string_cells(rho, dec, p_hat))
     want = value_distribution(*_snapshot_tables(rho, obs, p_hat, m))
     assert np.array_equal(got[0], want[0]), label
     assert np.abs(got[1] - want[1]).max() < 1e-14, label
@@ -460,6 +461,29 @@ def test_three_cell_law_matches_the_table_at_four_qubits():
     rho = qops.random_density(16, 3, rng)
     for label in sample:
         assert_three_cells_match_the_table(rho, label, 0.3, rng)
+
+
+@pytest.mark.parametrize("coeffs, one_term", [
+    ({"II": 0.2, "ZZ": 0.7}, True),
+    ({"ZZ": 0.7, "XI": 5e-324}, False),  # a subnormal coefficient is a second term
+])
+def test_the_one_term_test_picks_the_true_value_and_the_shadow_law_together(monkeypatch, coeffs, one_term):
+    # expectation reads the matrix exactly when the shadow law needs the stabilizer table
+    calls = {"pauli_sum": 0, "_snapshot_tables": 0}
+    for module, name in ((qldp.pauli, "pauli_sum"), (qldp.shadows, "_snapshot_tables")):
+        def spy(*args, original=getattr(module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, spy)
+    dec = from_coeffs(coeffs)
+    assert dec.one_term is one_term
+    rho = qops.random_density(4, 2, np.random.default_rng(58))
+    truth = np.trace(per_label_sum(coeffs) @ rho).real
+    assert abs(dec.expectation(rho) - truth) < 1e-12
+    assert calls == {"pauli_sum": int(not one_term), "_snapshot_tables": 0}
+    ests = run_shadow_trials(rho, dec, 0.2, 600, 60, 20, seed=59)
+    assert np.isfinite(ests).all()
+    assert calls == {"pauli_sum": int(not one_term), "_snapshot_tables": int(not one_term)}
 
 
 def test_one_pauli_term_runs_past_four_qubits():
