@@ -1,7 +1,8 @@
 """Command-line experiment harness.
 
 Subcommands: utility-curve, certify, estimate, shadows, cost-report, bounds.
-Options resolve as CLI flag > config file ("key = value" lines) > default.
+Options resolve as CLI flag > config file ("key = value" lines) > default; a
+value that fails to convert is a usage error led by its source ("--seed: ...").
 Exit codes: 0 success/satisfied, 1 violated/failed coverage, 2 usage error,
 3 any other package error (out-of-regime parameters, an infeasible budget, a
 degenerate observable), an array too large to allocate, or too few trials for
@@ -11,7 +12,9 @@ a coverage verdict.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -47,9 +50,9 @@ def _int_list(s: str) -> list[int]:
     return _nonempty([int(x) for x in s.split(",") if x.strip() != ""], s)
 
 
-def _seed(s: str, source: str = "--seed") -> int:
+def _seed(s: str) -> int:
     if not s.strip().isdecimal():
-        raise InvalidInputError(f"{source} must be a non-negative integer, got {s!r}")
+        raise InvalidInputError(f"must be a non-negative integer, got {s!r}")
     return int(s)
 
 
@@ -70,8 +73,7 @@ _OPTS = {
     },
     "certify": {
         **_SEED,
-        "channel": (str, "depolarizing 2 0.5", "builtin spec: 'depolarizing D P'"),
-        "kraus_file": (str, None, "channel as a Kraus text file (overrides --channel)"),
+        "channel": (str, "depolarizing 2 0.5", "'depolarizing D P', or 'file:PATH' for a Kraus text file"),
         "epsilon": (float, 1.0, "privacy epsilon"),
         "delta": (float, 0.0, "privacy delta"),
         "restarts": (int, 64, "search restarts"),
@@ -90,7 +92,7 @@ _OPTS = {
     },
     "shadows": {
         **_SEED, **_OUTPUT_DIR,
-        "m": (int, 1, "number of qubits (<= 4 unless the observable has one non-identity Pauli term)"),
+        "m": (int, None, "qubit count: read off the observable, and checked against it when given"),
         "observable": (str, "Z", "Pauli list, bare label, or 'file:PATH'"),
         "state": (str, "zero", "zero | mixed | random-pure | diag:p0,p1,..."),
         "epsilon": (float, 0.5, "privacy epsilon"),
@@ -127,17 +129,14 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _convert(conv, value: str, source: str):
-    """``conv(value)``; a builtin's conversion error is re-raised naming ``source``.
+    """``conv(value)``; a conversion error is re-raised as ``source: message``.
 
-    The package's own converters raise InvalidInputError with messages that
-    already say what was wrong; ``int`` and ``float`` name neither the option
-    nor where its value came from.
+    The one place that names where a value came from (``--seed``, ``run.cfg: seed``
+    or ``QLDP_SEED``): no converter, builtin or the package's own, names it.
     """
     try:
         return conv(value)
-    except InvalidInputError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidInputError is a ValueError
         raise InvalidInputError(f"{source}: {exc}") from None
 
 
@@ -157,7 +156,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         else:
             out[name] = default
     if "seed" in table and out["seed"] is None:
-        out["seed"] = _seed(os.environ.get("QLDP_SEED", "0"), "QLDP_SEED")
+        out["seed"] = _convert(_seed, os.environ.get("QLDP_SEED", "0"), "QLDP_SEED")
     return out
 
 
@@ -220,12 +219,15 @@ def load_kraus_file(path: str) -> QuantumChannel:
 
 
 def parse_channel_spec(spec: str) -> QuantumChannel:
+    """'depolarizing D P', or 'file:PATH' for a Kraus text file, as --observable reads 'file:PATH'."""
+    if spec.startswith("file:"):
+        return load_kraus_file(spec[5:])
     toks = spec.split()
     if toks and toks[0] == "depolarizing":
         if len(toks) != 3:
             raise InvalidInputError(f"expected 'depolarizing D P', got {spec!r}")
         return depolarizing(int(toks[1]), float(toks[2]))
-    raise InvalidInputError(f"unknown channel spec {spec!r}; use 'depolarizing D P' or --kraus-file")
+    raise InvalidInputError(f"unknown channel spec {spec!r}; use 'depolarizing D P' or 'file:PATH'")
 
 
 def parse_observable(spec: str) -> PauliDecomposition:
@@ -282,18 +284,26 @@ def _write_output(path: Path, text: str) -> None:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """Write a CSV table, floats at 12 significant digits: the writer of every table file."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{c:.12g}" if isinstance(c, float) else c for c in row] for row in rows)
+    _write_output(path, buf.getvalue())
+
+
 def _trial_inputs(opts: dict):
-    """Check trials >= 1, parse the observable and the state, build budget and demand.
+    """Check trials >= 1, parse the observable (m is read off it) and the state, build budget and demand.
 
     Returns (decomposition, state, true value Tr[O rho] from ``decomp.expectation``, budget, demand).
     """
     if opts["trials"] < 1:
         raise InvalidInputError(f"trials must be >= 1, got {opts['trials']}")
     decomp = parse_observable(opts["observable"])
-    m = opts.get("m", decomp.m)  # shadows fixes m by option; estimate reads it off the observable
-    if decomp.m != m:
-        raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {m}")
-    rho = parse_state(opts["state"], 2**m, np.random.default_rng(opts["seed"]))
+    if opts.get("m") not in (None, decomp.m):  # a shadows --m is only checked
+        raise InvalidInputError(f"observable acts on {decomp.m} qubits, expected {opts['m']}")
+    rho = parse_state(opts["state"], 2**decomp.m, np.random.default_rng(opts["seed"]))
     true_value = decomp.expectation(rho)
     budget = PrivacyBudget(opts["epsilon"], opts["delta"])
     demand = est.AccuracyDemand(opts["beta"], opts["eta"])
@@ -327,16 +337,11 @@ def cmd_utility_curve(opts: dict) -> int:
     dim_rows = [(dd, utility.utility_curve(dd, [opts["delta_fixed"]], eps_grid))
                 for dd in opts["dims"]]
     out = Path(opts["output_dir"])
-    _write_output(out / "utility_curve.csv", utility.curve_to_csv(rows))
-    lines = ["epsilon,dimension,optimal_fidelity,optimal_trace"]
-    for dd, curve in dim_rows:
-        lines += [f"{eps:.12g},{dd},{f:.12g},{t:.12g}" for eps, _, f, t in curve]
-    _write_output(out / "utility_curve_dims.csv", "\n".join(lines) + "\n")
+    _write_table(out / "utility_curve.csv", ["epsilon", "delta", "optimal_fidelity", "optimal_trace"], rows)
+    _write_table(out / "utility_curve_dims.csv", ["epsilon", "dimension", "optimal_fidelity", "optimal_trace"],
+                 [(eps, dd, f, t) for dd, curve in dim_rows for eps, _, f, t in curve])
 
-    series = []
-    for delta in opts["deltas"]:
-        ys = [r[2] for r in rows if r[1] == delta]
-        series.append((f"delta={delta:g}", eps_grid, ys))
+    series = [(f"delta={delta:g}", eps_grid, [r[2] for r in rows if r[1] == delta]) for delta in opts["deltas"]]
     _write_output(out / "fig_optimal_fidelity_by_delta.svg", svg_line_chart(
         series, f"Optimal fidelity utility (d={d})", "epsilon", "optimal fidelity"))
     series = [(f"d={dd}", eps_grid, [r[2] for r in curve]) for dd, curve in dim_rows]
@@ -348,10 +353,7 @@ def cmd_utility_curve(opts: dict) -> int:
 
 
 def cmd_certify(opts: dict) -> int:
-    if opts["kraus_file"]:
-        ch = load_kraus_file(opts["kraus_file"])
-    else:
-        ch = parse_channel_spec(opts["channel"])
+    ch = parse_channel_spec(opts["channel"])
     budget = PrivacyBudget(opts["epsilon"], opts["delta"])
     cfg = SearchConfig(restarts=opts["restarts"], local_steps=opts["local_steps"], seed=opts["seed"])
     res = certify_qldp(ch, budget, cfg)
@@ -426,9 +428,7 @@ def cmd_cost_report(opts: dict) -> int:
     print("      not classical bits; it is not priced in this table.")
     if opts["output_dir"]:
         path = Path(opts["output_dir"]) / "cost_report.csv"
-        lines = ["m,pauli_bits,shadow_complex_entries,shadow_bits"]
-        lines += [f"{m},{pb},{se},{sb}" for m, pb, se, sb in rows]
-        _write_output(path, "\n".join(lines) + "\n")
+        _write_table(path, ["m", "pauli_bits", "shadow_complex_entries", "shadow_bits"], rows)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -480,9 +480,7 @@ def cmd_bounds(opts: dict) -> int:
         print("  ".join(r[c].ljust(widths[c]) for c in cols))
     if opts["output_dir"]:
         path = Path(opts["output_dir"]) / "bounds.csv"
-        lines = [",".join(cols)]
-        lines += [",".join('"' + r[c] + '"' if "," in r[c] else r[c] for c in cols) for r in rows]
-        _write_output(path, "\n".join(lines) + "\n")
+        _write_table(path, cols, [[r[c] for c in cols] for r in rows])
         print(f"wrote {path}")
     return EXIT_VIOLATED if violations else EXIT_OK
 

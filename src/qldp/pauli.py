@@ -104,14 +104,15 @@ def pauli_trace(a: np.ndarray, k: int, m: int) -> complex:
     return complex(_UNIT[digits.count(2) % 4] * v[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliDecomposition:
     """Real coefficients alpha_P of a Hermitian observable in the Pauli basis.
 
     ``coeffs`` is a read-only float64 array of all 4^m coefficients in label order;
     ``support``, the one scan of it, is read by everything else.  ``matrix`` and the
     spectrum ``lambda_max``/``lambda_min`` are built on first read and cached; a
-    spectrum that is not finite raises OutOfRegimeError there.
+    spectrum that is not finite raises OutOfRegimeError there.  Equality and
+    hashing go by identity, since the fields are arrays.
     """
 
     m: int
@@ -128,6 +129,10 @@ class PauliDecomposition:
 
     @functools.cached_property
     def _eigenvalues(self) -> np.ndarray:
+        """The spectrum, ascending; of a :attr:`one_term` O, just c_0 -+ |c_k|, with no matrix."""
+        if self.one_term:  # finite, as |c_0| + |c_k| = S is
+            c0, ck = self.coeffs[0], np.abs(self.coeffs[self.support[self.support > 0]]).sum()
+            return np.array([c0 - ck, c0 + ck])
         w = np.linalg.eigvalsh(self.matrix)
         if not np.isfinite(w).all():
             raise OutOfRegimeError("observable has an eigenvalue that is not a finite float")
@@ -200,6 +205,8 @@ def from_coeffs(coeffs: dict[str, float]) -> PauliDecomposition:
     if len(lengths) != 1:
         raise InvalidInputError(f"labels of mixed length: {sorted(coeffs)}")
     m = lengths.pop()
+    if 8 * 4**m > np.iinfo(np.intp).max:
+        raise OutOfRegimeError(f"m = {m} qubits need 4^{m} float64 coefficients, more bytes than an array can hold")
     vec = np.zeros(4**m)
     for lab, a in coeffs.items():
         if not lab or not set(lab) <= set(PAULI_1Q):

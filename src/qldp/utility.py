@@ -165,11 +165,3 @@ def utility_curve(d: int, deltas, eps_grid) -> list[tuple[float, float, float, f
             b = PrivacyBudget(eps, delta)
             rows.append((eps, delta, optimal_fidelity_utility(d, b), optimal_trace_utility(d, b)))
     return rows
-
-
-def curve_to_csv(rows) -> str:
-    """Serialize curve rows with 12 significant digits."""
-    lines = ["epsilon,delta,optimal_fidelity,optimal_trace"]
-    for eps, delta, f, t in rows:
-        lines.append(f"{eps:.12g},{delta:.12g},{f:.12g},{t:.12g}")
-    return "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ functions; renaming one of them, or a parameter it reads such as
 installs and uninstalls the tracer so that such a change fails here first.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +68,12 @@ def test_tracer_records_certification_and_utility():
     assert metrics["privacy.certify_calls"] == 1 and metrics["privacy.certify_s"] > 0
     assert metrics["utility.report_calls"] == 1
     assert [getattr(owner, name) for owner, name in originals] == before
+
+
+def test_bench_selftest_passes():
+    # the smoke runs of all four workloads, untraced and traced, and every check's trip case
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("all cases passed")

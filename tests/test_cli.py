@@ -110,7 +110,7 @@ def test_certify_kraus_file(tmp_path, capsys):
         "kraus\n"
         f"0 {s}\n{s} 0\n"
     )
-    rc = main(["certify", "--kraus-file", str(path), "--epsilon", "1",
+    rc = main(["certify", "--channel", f"file:{path}", "--epsilon", "1",
                "--restarts", "8", "--local-steps", "40"])
     assert rc in (EXIT_OK, EXIT_VIOLATED)  # parses and certifies
     assert "sup_estimate" in capsys.readouterr().out
@@ -451,13 +451,14 @@ def test_each_command_reads_the_observable_through_its_coefficients(tmp_path, mo
 
 
 def test_a_non_finite_spectrum_surfaces_in_the_lower_bound_lines(tmp_path, monkeypatch, capsys):
-    # S is finite, so only the eigen-solve can give this; it is read in try blocks
+    # S is finite, so only the eigen-solve can give this; it is read in try blocks.  A
+    # one-term observable solves nothing, so this one has two non-identity terms
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
     message = "observable has an eigenvalue that is not a finite float"
-    assert main(["estimate", "--observable", "Z", "--trials", "3", "--n", "50",
+    assert main(["estimate", "--observable", "Z,X", "--trials", "3", "--n", "50",
                  "--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_VIOLATED)
     assert f"n_lower = unavailable ({message})" in capsys.readouterr().out
-    assert main(["bounds", "--observable", "Z", "--eps-list", "0.5", "--beta-list", "0.1",
+    assert main(["bounds", "--observable", "Z,X", "--eps-list", "0.5", "--beta-list", "0.1",
                  "--output-dir", str(tmp_path)]) == EXIT_OK
     header, rows = read_csv(tmp_path / "bounds.csv")
     for col in ("lower_qht", "lower_fidelity"):
@@ -623,7 +624,7 @@ def test_a_negative_or_malformed_seed_is_a_usage_error_naming_its_source(
     rc = main([command, *flag, *extra, *output])
     out, err = capsys.readouterr()
     assert rc == EXIT_USAGE
-    assert f"{source} must be a non-negative integer" in err and "Traceback" not in err
+    assert f"{source}: must be a non-negative integer" in err and "Traceback" not in err
     assert out == ""
 
 
@@ -631,7 +632,7 @@ def test_a_seed_from_a_config_file_is_checked_as_the_flag_is(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = -2\n")
     assert main(["certify", "--config", str(cfg)]) == EXIT_USAGE
-    assert "--seed must be a non-negative integer, got '-2'" in capsys.readouterr().err
+    assert f"{cfg}: seed: must be a non-negative integer, got '-2'" in capsys.readouterr().err
     cfg.write_text("seed = 7\n")
     assert main(["certify", "--config", str(cfg)]) in (EXIT_OK, EXIT_VIOLATED)
     assert "sup_estimate" in capsys.readouterr().out
@@ -784,7 +785,7 @@ def test_certify_depolarizing_prints_the_exact_profile_without_search(capsys):
 def test_certify_one_dimensional_input_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "chan.txt"
     path.write_text("dims 2 1\nkraus\n1\n0\n")
-    rc = main(["certify", "--kraus-file", str(path)])
+    rc = main(["certify", "--channel", f"file:{path}"])
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
     assert err.count("\n") == 1 and err.startswith("error:") and "orthogonal" in err
@@ -838,7 +839,7 @@ def test_kraus_file_with_a_non_positive_dimension_is_a_usage_error(tmp_path, dim
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from qldp.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", code, "certify", "--kraus-file", str(path)],
+    proc = subprocess.run([sys.executable, "-c", code, "certify", "--channel", f"file:{path}"],
                           env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.count("\n") == 1 and "line 1" in proc.stderr and f"dims {dims}" in proc.stderr
@@ -879,7 +880,7 @@ def test_options_a_command_does_not_read_are_not_settable(tmp_path, capsys, comm
 
 @pytest.mark.parametrize("text, argv, message", [
     # sum_k K_k^dag K_k overflows: numpy printed two RuntimeWarnings before the error line
-    ("dims 2 2\nkraus\n1e200 0\n0 1\n", ["certify", "--kraus-file", "{path}"],
+    ("dims 2 2\nkraus\n1e200 0\n0 1\n", ["certify", "--channel", "file:{path}"],
      "line 1: Kraus set is not trace preserving (max deviation inf)"),
     # O - O^dag overflows
     ("0 1.7e308\n-1.7e308 0\n",
@@ -897,25 +898,81 @@ def test_huge_file_entries_print_one_stderr_line(tmp_path, text, argv, message):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:") and message in proc.stderr
 
 
-INT_OPTIONS = [(command, name) for command, table in cli._OPTS.items()
-               for name, (conv, _default, _help) in table.items() if conv is int]
+# malformed values for each converter an option table uses; str never fails
+MALFORMED = {int: ["abc", "1.5"], float: ["abc", "1,5"], cli._seed: ["-1", "1.5"],
+             cli._float_list: ["0.5,abc", ","], cli._int_list: ["2,1.5", ","]}
+CONVERTED_OPTIONS = [(command, name) for command, table in cli._OPTS.items()
+                     for name, (conv, _default, _help) in table.items() if conv is not str]
 
 
-@pytest.mark.parametrize("command, name", INT_OPTIONS)
-def test_a_malformed_integer_option_is_a_usage_error_naming_the_option_and_its_source(
-        tmp_path, monkeypatch, capsys, command, name):
+@pytest.mark.parametrize("command, name", CONVERTED_OPTIONS)
+def test_a_malformed_option_is_a_usage_error_led_by_its_source(tmp_path, monkeypatch, capsys, command, name):
+    # the converter's own message follows the source once: _convert alone names it
     monkeypatch.chdir(tmp_path)  # the default output directory is relative
+    monkeypatch.delenv("QLDP_SEED", raising=False)
+    conv = cli._OPTS[command][name][0]
     flag = f"--{name.replace('_', '-')}"
-    for value in ("abc", "1.5"):
-        assert main([command, flag, value]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert f"error: {flag}: " in err and repr(value) in err and "Traceback" not in err
-        assert out == ""
-        cfg = tmp_path / "run.cfg"
+    cfg = tmp_path / "run.cfg"
+    for value in MALFORMED[conv]:
+        with pytest.raises(ValueError) as exc:
+            conv(value)
+        runs = [([command, flag, value], flag)]
         cfg.write_text(f"{name} = {value}\n")
-        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert f"error: {cfg}: {name}: " in err and repr(value) in err and "Traceback" not in err
-        assert out == ""
+        runs.append(([command, "--config", str(cfg)], f"{cfg}: {name}"))
+        for argv, source in runs:
+            assert main(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert err == f"error: {source}: {exc.value}\n" and out == ""
+        if name == "seed":
+            monkeypatch.setenv("QLDP_SEED", value)
+            assert main([command]) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert err == f"error: QLDP_SEED: {exc.value}\n" and out == ""
+            monkeypatch.delenv("QLDP_SEED")
     # the options are read before any command runs, so nothing is written
-    assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_a_kraus_file_is_a_channel_spec_from_the_flag_or_a_config_file(tmp_path, capsys):
+    assert all("kraus_file" not in table for table in cli._OPTS.values())
+    path = tmp_path / "chan.txt"
+    path.write_text("dims 2 2\nkraus\n1 0\n0 1\n")  # the identity: d_in = 2 > r^2 = 1, exactly 1
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--kraus-file", str(path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --kraus-file" in capsys.readouterr().err
+    assert main(["certify", "--channel", f"file:{path}"]) == EXIT_VIOLATED
+    out = capsys.readouterr().out
+    assert out.startswith("sup_estimate = 1  (delta = 0, restarts = 0)")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"channel = file:{path}\n")
+    assert main(["certify", "--config", str(cfg)]) == EXIT_VIOLATED
+    assert capsys.readouterr().out == out
+    assert main(["certify", "--channel", "amplitude-damping 0.5"]) == EXIT_USAGE
+    assert "use 'depolarizing D P' or 'file:PATH'" in capsys.readouterr().err
+
+
+def test_shadows_reads_m_off_the_observable_and_checks_a_given_m(tmp_path, capsys):
+    argv = ["shadows", "--observable", "ZZ", "--trials", "20", "--seed", "3"]
+    assert main([*argv, "--output-dir", str(tmp_path / "a")]) in (EXIT_OK, EXIT_VIOLATED)
+    assert main([*argv, "--m", "2", "--output-dir", str(tmp_path / "b")]) in (EXIT_OK, EXIT_VIOLATED)
+    out = capsys.readouterr().out
+    assert out.count("p_hat = ") == 2
+    csv_a, csv_b = ((tmp_path / d / "shadow_trials.csv").read_bytes() for d in "ab")
+    assert csv_a == csv_b
+    assert main([*argv, "--m", "3", "--output-dir", str(tmp_path / "c")]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err == "error: observable acts on 2 qubits, expected 3\n" and out == ""
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "shadows"])
+@pytest.mark.parametrize("m", [30, 33])
+def test_a_label_observable_past_the_addressable_size_exits_3_with_one_line(tmp_path, capsys, command, m):
+    # 4^m float64 coefficients exceed the largest array numpy can index, and numpy's own
+    # errors for that ("array is too big", "Maximum allowed dimension exceeded") are
+    # ValueErrors, which the CLI reports as usage errors: from_coeffs refuses m first
+    rc = main([command, "--observable", "Z" * m, "--output-dir", str(tmp_path / "t")])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_REGIME and out == ""
+    assert err.count("\n") == 1 and err.startswith("out of regime:") and f"m = {m} " in err

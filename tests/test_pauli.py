@@ -312,6 +312,22 @@ def test_one_term_expectation_reads_the_pauli_trace_without_the_matrix(coeffs):
     assert abs(two.expectation(rho) - np.trace(two.matrix @ rho).real) < 1e-12
 
 
+@pytest.mark.parametrize("coeffs", [{"Z": -2.0}, {"XY": 0.5, "II": 0.25}, {"III": -1.5},
+                                    {"YIZ": -0.75, "III": 0.5}, {"IZ": 3.0, "II": -3.0}])
+def test_one_term_spectrum_is_c0_plus_minus_ck_without_the_matrix(coeffs):
+    dec = from_coeffs(coeffs)
+    lmax, lmin = dec.lambda_max, dec.lambda_min
+    assert "matrix" not in vars(dec)
+    w = np.linalg.eigvalsh(per_label_sum(coeffs))
+    assert abs(lmax - w[-1]) < 1e-12 and abs(lmin - w[0]) < 1e-12
+
+
+def test_decomposition_equality_and_hashing_are_by_identity():
+    a, b = from_coeffs({"Z": 1.0}), from_coeffs({"Z": 1.0})
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_from_coeffs_matches_decompose():
     dec = from_coeffs({"XI": 0.5, "ZZ": -1.25})
     redec = decompose(dec.matrix, 2)

@@ -5,11 +5,11 @@ import pytest
 
 from qldp import channels as ch
 from qldp import qops
+from qldp.cli import main
 from qldp.errors import InvalidInputError
 from qldp.pauli import enumerate_cliffords
 from qldp.privacy import PrivacyBudget, SearchConfig, optimal_depolarizing_p
 from qldp.utility import (
-    curve_to_csv,
     depolarizing_fidelity_utility,
     depolarizing_trace_utility,
     optimal_fidelity_utility,
@@ -135,10 +135,11 @@ def test_utility_drops_with_dimension():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_curve_csv_roundtrip():
+def test_curve_csv_roundtrip(tmp_path):
     rows = utility_curve(10, [0.0], [0.0, 1.0])
-    text = curve_to_csv(rows)
-    lines = text.strip().splitlines()
+    assert main(["utility-curve", "--d", "10", "--deltas", "0", "--eps-start", "0", "--eps-stop", "1",
+                 "--eps-points", "2", "--output-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "utility_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "epsilon,delta,optimal_fidelity,optimal_trace"
     parsed = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
     for got, want in zip(parsed, rows):
