@@ -13,9 +13,9 @@ sends it to one evaluation through :func:`apply`.
 Superoperators use the column-stacking convention
 ``vec(A X B) = (B^T kron A) vec(X)``, so a channel with Kraus operators
 ``K_k`` has superoperator ``S = sum_k conj(K_k) kron K_k``.  It is built
-straight into its (d_out^2, d_in^2) result, one output row block at a time,
-each block one matrix product over the Kraus index (cost r * d_out^2 * d_in^2
-for r Kraus operators in all, O(d^3) scratch).  The depolarizing channel has
+straight into its (d_out^2, d_in^2) result by one batched matrix product over
+the Kraus index (cost r * d_out^2 * d_in^2 for r Kraus operators, O(r d^2)
+scratch).  The depolarizing channel has
 the closed form ``S = (1-p) I + (p/d) vec(I) vec(I)^T``.  No function in
 this package reads ``.superoperator``; it is there for callers.
 
@@ -29,12 +29,13 @@ core of a thin QR of A when k < d_out, else the d_out x d_out product itself.
 Certification's seesaw reads :func:`hockey_stick_step`, with A = K [psi, phi]:
 the value E_gamma at a pair and the next pair, the extreme eigenvectors of
 N^dag(P).  :func:`orthogonal_outputs` answers d_in > r^2 exactly, with a pair
-whose outputs are orthogonal, from one thin QR.  The utility ascent reads a
-value and its Wirtinger gradient from each pure state's factor:
-:func:`fidelity_gradient` from the overlaps <psi|K_k psi>, forming no output,
-and :func:`trace_distance_gradient` from P with A = [K psi, psi], for
-N(psi psi^dag) - psi psi^dag.  Both gradients map back through the adjoint
-in one product with the stacked conj(K).  :func:`fit_depolarizing` and
+whose outputs are orthogonal, from one thin QR.  The utility searches read
+each pure state's factor: :func:`fidelity_residuals` gives the overlaps
+a_k = <psi|K_k psi> with K_k psi and K_k^dag psi, the residuals of F and
+their Jacobian, forming no output, and :func:`trace_distance_gradient` gives
+a value and its Wirtinger gradient from P with A = [K psi, psi], for
+N(psi psi^dag) - psi psi^dag, mapped back through the adjoint in one product
+with the stacked conj(K).  :func:`fit_depolarizing` and
 :func:`is_depolarizing` read the Kraus stack only, one matrix unit at a time.
 """
 
@@ -116,17 +117,15 @@ class QuantumChannel:
 
 
 def _kraus_superoperator(k: np.ndarray) -> np.ndarray:
-    """sum_r conj(K_r) kron K_r, written one output row block at a time.
+    """sum_r conj(K_r) kron K_r, as one batched product written straight into place.
 
-    Row block i holds S[i d_out + m, j d_in + l] = sum_r conj(K_r[i, j]) K_r[m, l]:
-    one (d_in, r) x (r, d_out d_in) product, transposed into place.
+    S[i d_out + m, j d_in + l] = sum_r conj(K_r[i, j]) K_r[m, l]: for each pair
+    (i, m) of output rows, the (d_in, r) x (r, d_in) product of conj(K)[:, i, :]^T
+    and K[:, m, :], broadcast over (i, m) into the (d_out, d_out, d_in, d_in) view of S.
     """
     r, do, di = k.shape
-    flat = k.reshape(r, do * di)
     s = np.empty((do * do, di * di), dtype=complex)
-    for i in range(do):
-        blk = k[:, i, :].conj().T @ flat  # rows j, columns m d_in + l
-        s[i * do:(i + 1) * do].reshape(do, di, di)[...] = blk.reshape(di, do, di).transpose(1, 0, 2)
+    np.matmul(k.conj().transpose(1, 2, 0)[:, None], k.transpose(1, 0, 2)[None], out=s.reshape(do, do, di, di))
     return s
 
 
@@ -266,19 +265,20 @@ def _adjoint_sum(ch: QuantumChannel, w: np.ndarray) -> np.ndarray:
     return w.reshape(len(w), r * do) @ ch.kraus.conj().reshape(r * do, di)
 
 
-def fidelity_gradient(ch: QuantumChannel, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F = <psi| N(psi psi^dag) |psi> and its Wirtinger gradient dF/dconj(psi), square channels.
+def fidelity_residuals(ch: QuantumChannel, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residuals a_k = <psi|K_k psi> of F = sum_k |a_k|^2 and their Jacobian factors, square channels.
 
-    ``psi`` is a (B, d) stack of unit vectors.  With a_k = <psi|K_k psi> read
-    off the (B, d, r) Kraus factor, F = sum_k |a_k|^2 and the gradient is
-    sum_k (conj(a_k) K_k psi + a_k K_k^dag psi), at cost B r d^2 with no
-    output matrix.
+    ``psi`` is a (B, d) stack of unit vectors.  Returns the (B, r) overlaps
+    a_k and the (B, d, r) stacks u_k = K_k psi (the Kraus factor) and
+    w_k = K_k^dag psi, so that a_k(psi + delta) = a_k + <w_k|delta> +
+    <delta|u_k> to first order and the Wirtinger gradient dF/dconj(psi) is
+    sum_k (conj(a_k) u_k + a_k w_k).  Cost B r d^2 with no output matrix.
     """
-    a = _kraus_factor(ch, psi[:, :, None])
-    overlaps = np.einsum("bi,bik->bk", psi.conj(), a)
-    values = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
-    grads = np.einsum("bik,bk->bi", a, overlaps.conj()) + _adjoint_sum(ch, overlaps[:, :, None] * psi[:, None, :])
-    return values, grads
+    r, do, di = ch.kraus.shape
+    u = _kraus_factor(ch, psi[:, :, None])
+    # conj(w_k) = K_k^T conj(psi): one product with the Kraus operators stacked side by side
+    w = (psi.conj() @ ch.kraus.transpose(1, 0, 2).reshape(do, r * di)).reshape(len(psi), r, di)
+    return np.einsum("bi,bik->bk", psi.conj(), u), u, w.conj().transpose(0, 2, 1)
 
 
 def trace_distance_gradient(ch: QuantumChannel, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,17 +170,17 @@ def _content_lines(path: str) -> list[tuple[int, str]]:
     return [(no, ln) for no, ln in lines if ln]
 
 
-def parse_complex_matrix(rows, d: int) -> np.ndarray:
-    """Matrix from (line number, text) rows of d complex literals; errors name the line."""
+def parse_complex_matrix(path: str, rows, d: int) -> np.ndarray:
+    """Matrix from (line number, text) rows of d complex literals; errors name the file and line."""
     out = []
     for lineno, text in rows:
         toks = text.split()
         if len(toks) != d:
-            raise ChannelParseError(lineno, f"expected {d} entries, got {len(toks)}")
+            raise ChannelParseError(path, lineno, f"expected {d} entries, got {len(toks)}")
         try:
             out.append([complex(t) for t in toks])
         except ValueError as exc:
-            raise ChannelParseError(lineno, f"bad complex literal: {exc}") from exc
+            raise ChannelParseError(path, lineno, f"bad complex literal: {exc}") from exc
     return np.array(out, dtype=complex)
 
 
@@ -188,34 +188,34 @@ def load_kraus_file(path: str) -> QuantumChannel:
     """Text format: 'dims D_OUT D_IN' then blocks of 'kraus' + D_OUT rows of D_IN entries."""
     lines = _content_lines(path)
     if not lines:
-        raise ChannelParseError(1, "empty channel file")
+        raise ChannelParseError(path, 1, "empty channel file")
     no, head = lines[0]
     toks = head.split()
     if len(toks) != 3 or toks[0] != "dims":
-        raise ChannelParseError(no, f"expected 'dims D_OUT D_IN', got {head!r}")
+        raise ChannelParseError(path, no, f"expected 'dims D_OUT D_IN', got {head!r}")
     try:
         d_out, d_in = int(toks[1]), int(toks[2])
     except ValueError:
-        raise ChannelParseError(no, f"bad dimensions in {head!r}") from None
+        raise ChannelParseError(path, no, f"bad dimensions in {head!r}") from None
     if d_out < 1 or d_in < 1:
-        raise ChannelParseError(no, f"dimensions must be >= 1, got {head!r}")
+        raise ChannelParseError(path, no, f"dimensions must be >= 1, got {head!r}")
     ops = []
     i = 1
     while i < len(lines):
         no, ln = lines[i]
         if ln != "kraus":
-            raise ChannelParseError(no, f"expected 'kraus', got {ln!r}")
+            raise ChannelParseError(path, no, f"expected 'kraus', got {ln!r}")
         block = lines[i + 1:i + 1 + d_out]
         if len(block) < d_out:
-            raise ChannelParseError(no, f"kraus block needs {d_out} rows")
-        ops.append(parse_complex_matrix(block, d_in))
+            raise ChannelParseError(path, no, f"kraus block needs {d_out} rows")
+        ops.append(parse_complex_matrix(path, block, d_in))
         i += 1 + d_out
     if not ops:
-        raise ChannelParseError(lines[-1][0], "no kraus blocks found")
+        raise ChannelParseError(path, lines[-1][0], "no kraus blocks found")
     try:
         return QuantumChannel(np.stack(ops))
     except InvalidInputError as exc:
-        raise ChannelParseError(lines[0][0], str(exc)) from exc
+        raise ChannelParseError(path, lines[0][0], str(exc)) from exc
 
 
 def parse_channel_spec(spec: str) -> QuantumChannel:
@@ -226,7 +226,8 @@ def parse_channel_spec(spec: str) -> QuantumChannel:
     if toks and toks[0] == "depolarizing":
         if len(toks) != 3:
             raise InvalidInputError(f"expected 'depolarizing D P', got {spec!r}")
-        return depolarizing(int(toks[1]), float(toks[2]))
+        d = _convert(int, toks[1], f"channel spec {spec!r}: D")
+        return depolarizing(d, _convert(float, toks[2], f"channel spec {spec!r}: P"))
     raise InvalidInputError(f"unknown channel spec {spec!r}; use 'depolarizing D P' or 'file:PATH'")
 
 
@@ -238,7 +239,7 @@ def parse_observable(spec: str) -> PauliDecomposition:
         if not rows:
             raise InvalidInputError(f"observable file {path} has no matrix rows")
         d = len(rows[0][1].split())
-        mat = parse_complex_matrix(rows, d)
+        mat = parse_complex_matrix(path, rows, d)
         m = int(round(math.log2(d)))
         if 2**m != d:
             raise InvalidInputError(f"observable dimension {d} is not a power of two")

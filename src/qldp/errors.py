@@ -29,8 +29,9 @@ class InfeasibleError(QldpError):
 
 
 class ChannelParseError(QldpError):
-    """A channel or matrix file could not be parsed."""
+    """A channel or matrix file could not be parsed; the message names the file and line."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str, line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
+        self.path = path
         self.line = line

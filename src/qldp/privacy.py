@@ -65,9 +65,10 @@ class PrivacyBudget:
 class SearchConfig:
     """Knobs of the searches: ``restarts`` starts drawn from ``default_rng(seed)``.
 
-    ``local_steps`` caps the seesaw iterations of :func:`certify_qldp` and
-    the gradient iterations of each utility search
-    (:func:`utility.utility_report`); each stops earlier once converged.
+    ``local_steps`` caps the seesaw iterations of :func:`certify_qldp`, and
+    the Levenberg-Marquardt iterations of the fidelity search and the
+    gradient iterations of the trace search in :func:`utility.utility_report`;
+    each stops earlier once converged.
     """
 
     restarts: int = 64

@@ -8,40 +8,42 @@ channel is unitarily covariant, so every pure state attains both values: it is
 evaluated once, at the first basis vector, through :func:`channels.apply`, with
 no search.
 
-Every other channel is searched by projected-gradient steps on the unit
-sphere (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
-Manifolds*, 2008), reading values and Wirtinger gradients at Kraus rank from
-:func:`channels.fidelity_gradient` and :func:`channels.trace_distance_gradient`.
-A start moves along the tangent part of its gradient and renormalizes; a
-candidate is kept only if it improves the value, so every reported value is
-evaluated at a feasible point.  Each start owns a step that grows by
-``STEP_UP`` on an accepted move and shrinks by ``STEP_DOWN`` on a rejected
-one; a start retires once an accepted gain falls to ``CONVERGED`` relative to
-its value or its step below ``MIN_STEP``.  The search stops when every start
-has retired, when the best value is within ``BOUND_TOL`` of its a-priori
-bound (F >= 0, D <= 1), or after ``local_steps`` iterations.  For a pure
+Every other channel is searched on the unit sphere from ``restarts`` random
+starts at Kraus rank; a candidate is kept only if it improves the value, so
+every reported value is evaluated at a feasible point.  F = sum_k |a_k|^2,
+a_k = <psi|K_k psi>, is a least-squares problem with zero residual where
+F = 0, so it is minimized by Levenberg-Marquardt steps (More, *Lecture Notes
+in Math.* 630, 1978) on :func:`channels.fidelity_residuals`.  D is ascended
+along the tangent part of the gradient of :func:`channels.trace_distance_gradient`
+(Absil, Mahony and Sepulchre, 2008) with Barzilai-Borwein step lengths (*IMA
+J. Numer. Anal.* 8, 1988), under the seesaw's successive halving.  For a pure
 input D(N(psi), psi) >= 1 - <psi|N(psi)|psi> (Fuchs and van de Graaf, 1999),
 so the trace search starts from the fidelity search's final points: a
-fidelity minimizer at F = 0 already attains D = 1.
+fidelity minimizer at F = 0 already attains D = 1.  A start retires once an
+accepted gain falls to ``CONVERGED`` relative to its value or its step below
+``MIN_STEP``; a search stops when every start has retired, when its best
+value is within ``BOUND_TOL`` of its a-priori bound (F >= 0, D <= 1), or
+after ``local_steps`` iterations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import qops
-from .channels import QuantumChannel, apply, fidelity_gradient, is_depolarizing, trace_distance_gradient
+from .channels import QuantumChannel, apply, fidelity_residuals, is_depolarizing, trace_distance_gradient
 from .errors import InvalidInputError
-from .privacy import PrivacyBudget, SearchConfig
+from .privacy import HALVING_FLOOR, HALVING_PERIOD, PrivacyBudget, SearchConfig
 
-STEP_SIZE = 0.5     # initial step of every start
-STEP_UP, STEP_DOWN = 1.5, 0.5
-CONVERGED = 1e-13   # an accepted gain at most this times max(1, |value|) retires a start
-MIN_STEP = 1e-12    # a step below this retires a start
-BOUND_TOL = 1e-12   # the search stops once its best value is this close to the a-priori bound
+STEP_SIZE = 0.5      # initial trace step of every start
+STEP_CLIP = (1e-3, 1e3)  # Barzilai-Borwein trace steps are clipped to this range
+DAMPING = 1e-2       # initial Levenberg-Marquardt damping of every start
+DAMPING_FLOOR = 1e-12  # keeps the damped normal equations nonsingular at a rank-deficient Jacobian
+CONVERGED = 1e-13    # an accepted gain at most this times max(1, |value|) retires a start
+MIN_STEP = 1e-12     # a step below this retires a start
+BOUND_TOL = 1e-12    # a search stops once its best value is this close to the a-priori bound
 
 
 @dataclass(frozen=True)
@@ -59,33 +61,97 @@ def _square(ch: QuantumChannel) -> int:
     return ch.dim_in
 
 
-def _ascend(kernel, psi: np.ndarray, sign: float, bound: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projected-gradient ascent of sign * f from the (B, d) unit vectors psi.
+def _retired(gain: np.ndarray, value: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """A start retires on an accepted gain of at most CONVERGED relative, or a step below MIN_STEP."""
+    return (gain > 0) & (gain <= CONVERGED * np.maximum(1.0, np.abs(value))) | (step < MIN_STEP)
 
-    ``kernel`` maps a stack of unit vectors to their values and Wirtinger
-    gradients; ``bound`` is the a-priori bound on f (a floor when
-    minimizing).  Returns the (B,) final values and (B, d) final points; only
-    starts still live are evaluated at each iteration.
+
+def _tangent(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The part of each gradient g tangent to the unit sphere at psi: g - Re<psi, g> psi."""
+    return g - np.einsum("bi,bi->b", psi.conj(), g).real[:, None] * psi
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """(..., n) complex to (..., 2n) real: real parts, then imaginary parts."""
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+def _levenberg_marquardt(ch: QuantumChannel, psi: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize F from the (B, d) unit vectors psi; returns the (B,) final values and (B, d) points.
+
+    Each start solves the damped Gauss-Newton equations of the 2r real residuals
+    (Re a, Im a), their Jacobian projected onto the sphere's tangent space, in
+    the 2r x 2r or 2d x 2d form, whichever is smaller.  The damping is divided
+    by 3 on a kept step and multiplied by 4 on a rejected one.
     """
-    vals, grads = kernel(psi)
+    d = psi.shape[1]
+    a, u, w = fidelity_residuals(ch, psi)
+    vals = (a.real**2 + a.imag**2).sum(axis=1)
     psi = psi.copy()
-    steps = np.full(len(psi), STEP_SIZE)
+    damping = np.full(len(psi), DAMPING)
     live = np.arange(len(psi))
     for _ in range(cap):
-        if live.size == 0 or sign * bound - (sign * vals).max() <= BOUND_TOL:
+        if live.size == 0 or vals.min() <= BOUND_TOL:
             break
-        p, g = psi[live], sign * grads[live]
-        tangent = g - np.einsum("bi,bi->b", p.conj(), g).real[:, None] * p
-        cand = p + steps[live, None] * tangent
+        p, s, t = psi[live], (w[live] + u[live]).transpose(0, 2, 1), (u[live] - w[live]).transpose(0, 2, 1)
+        # d(Re a_k) = s_k . delta and d(Im a_k) = (-i t_k) . delta over real coordinates, s = w + u, t = u - w
+        jac = np.concatenate([_real(s), _real(-1j * t)], axis=1)
+        x = _real(p)
+        jac -= (jac @ x[:, :, None]) * x[:, None, :]
+        res = _real(a[live])
+        lam = damping[live, None, None]
+        if jac.shape[1] <= jac.shape[2]:
+            gram = jac @ jac.transpose(0, 2, 1) + lam * np.eye(jac.shape[1])
+            step = -(jac.transpose(0, 2, 1) @ np.linalg.solve(gram, res[:, :, None]))[:, :, 0]
+        else:
+            gram = jac.transpose(0, 2, 1) @ jac + lam * np.eye(2 * d)
+            step = -np.linalg.solve(gram, (res[:, None, :] @ jac).transpose(0, 2, 1))[:, :, 0]
+        cand = p + step[:, :d] + 1j * step[:, d:]
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cvals, cgrads = kernel(cand)
-        gain = sign * (cvals - vals[live])
+        ca, cu, cw = fidelity_residuals(ch, cand)
+        cvals = (ca.real**2 + ca.imag**2).sum(axis=1)
+        gain = vals[live] - cvals
         better = gain > 0
         moved = live[better]
-        psi[moved], vals[moved], grads[moved] = cand[better], cvals[better], cgrads[better]
-        steps[live] *= np.where(better, STEP_UP, STEP_DOWN)
-        done = (better & (gain <= CONVERGED * np.maximum(1.0, np.abs(cvals)))) | (steps[live] < MIN_STEP)
-        live = live[~done]
+        psi[moved], vals[moved], a[moved], u[moved], w[moved] = (
+            cand[better], cvals[better], ca[better], cu[better], cw[better])
+        damping[live] = np.maximum(DAMPING_FLOOR, damping[live] * np.where(better, 1 / 3, 4.0))
+        live = live[~_retired(gain, cvals, np.linalg.norm(step, axis=1))]
+    return vals, psi
+
+
+def _ascend(ch: QuantumChannel, psi: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize D from the (B, d) unit vectors psi; returns the (B,) final values and (B, d) points.
+
+    The step is the Barzilai-Borwein length |s|^2 / |Re<s, y>| of the start's
+    last accepted move s, y the change in tangent gradient across it, clipped
+    to ``STEP_CLIP`` and halved on a rejected candidate.
+    """
+    vals, grads = trace_distance_gradient(ch, psi)
+    psi, tangent = psi.copy(), _tangent(psi, grads)
+    steps = np.full(len(psi), STEP_SIZE)
+    live = np.arange(len(psi))
+    for it in range(1, cap + 1):
+        if live.size == 0 or 1.0 - vals.max() <= BOUND_TOL:
+            break
+        p, g = psi[live], tangent[live]
+        cand = p + steps[live, None] * g
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cvals, cgrads = trace_distance_gradient(ch, cand)
+        ctangent = _tangent(cand, cgrads)
+        gain = cvals - vals[live]
+        better = gain > 0
+        moved = live[better]
+        s, y = cand[better] - p[better], ctangent[better] - g[better]
+        ss, sy = np.einsum("bi,bi->b", s.conj(), s).real, np.abs(np.einsum("bi,bi->b", s.conj(), y).real)
+        # a rounding-level gain can accept a candidate equal to its start, s = 0: that step falls to the floor
+        denom = np.maximum(sy, ss / STEP_CLIP[1])
+        steps[live[~better]] *= 0.5
+        steps[moved] = np.clip(np.divide(ss, denom, out=np.zeros_like(ss), where=denom > 0), *STEP_CLIP)
+        psi[moved], vals[moved], tangent[moved] = cand[better], cvals[better], ctangent[better]
+        live = live[~_retired(gain, cvals, steps[live])]
+        if it % HALVING_PERIOD == 0 and live.size > HALVING_FLOOR:
+            live = live[np.argsort(-vals[live], kind="stable")[:max(HALVING_FLOOR, live.size // 2)]]
     return vals, psi
 
 
@@ -112,8 +178,8 @@ def utility_report(ch: QuantumChannel, search: SearchConfig = SearchConfig()) ->
         starts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         starts /= np.linalg.norm(starts, axis=1, keepdims=True)
         # F(N(psi), psi) = <psi| N(psi) |psi> for pure psi, bounded below by 0; D by 1
-        fvals, fpts = _ascend(partial(fidelity_gradient, ch), starts, -1.0, 0.0, search.local_steps)
-        tvals, tpts = _ascend(partial(trace_distance_gradient, ch), fpts, 1.0, 1.0, search.local_steps)
+        fvals, fpts = _levenberg_marquardt(ch, starts, search.local_steps)
+        tvals, tpts = _ascend(ch, fpts, search.local_steps)
         i, j = int(np.argmin(fvals)), int(np.argmax(tvals))
         fval, fpt, tval, tpt = fvals[i], fpts[i], tvals[j], tpts[j]
     return UtilityReport(

@@ -127,7 +127,20 @@ def _rule_owners_outside(package: Path) -> list[str]:
 
 
 def test_each_rule_has_one_owner():
-    assert not _rule_owners_outside(Path(qldp.__file__).parent)
+    package = Path(qldp.__file__).parent
+    assert not _rule_owners_outside(package)
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    # one successive-halving schedule: privacy.py assigns its period and floor, utility.py imports them from there
+    halving = ("HALVING_PERIOD", "HALVING_FLOOR")
+    assigned = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id in halving and isinstance(node.ctx, ast.Store))
+    assert assigned == ["privacy.py", "privacy.py"]
+    imported = {alias.name for node in ast.walk(trees["utility.py"])
+                if isinstance(node, ast.ImportFrom) and node.module == "privacy" for alias in node.names}
+    assert set(halving) <= imported
+    # the utility ascent's fixed x1.5 step rule is gone: its steps are Barzilai-Borwein lengths
+    assert not [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "STEP_UP"]
     # the decomposition has one name for its matrix
     assert not hasattr(qldp.PauliDecomposition, "reconstruct")
     assert isinstance(vars(qldp.PauliDecomposition)["matrix"], functools.cached_property)

@@ -585,18 +585,19 @@ def test_output_spectrum_falls_back_to_the_full_eigen_solve():
         # the full eigen-solve reads the Kraus stack, never the superoperator
         assert channel._kraus is not None and channel._superop is None
     # one kernel per job: certification reads the seesaw kernel and the exact screen, the
-    # utility ascent its two gradient kernels, and all stay out of the package API;
-    # the spectrum kernel is the oracle above
+    # utility searches the fidelity residuals and the trace gradient, and all stay out of
+    # the package API; the spectrum kernel is the oracle above
     assert privacy.hockey_stick_step is ch.hockey_stick_step
     assert privacy.orthogonal_outputs is ch.orthogonal_outputs
-    assert utility.fidelity_gradient is ch.fidelity_gradient
+    assert utility.fidelity_residuals is ch.fidelity_residuals
     assert utility.trace_distance_gradient is ch.trace_distance_gradient
+    assert not hasattr(ch, "fidelity_gradient") and not hasattr(utility, "fidelity_gradient")
     assert not hasattr(ch, "output_spectrum") and not hasattr(privacy, "output_spectrum")
     assert not hasattr(ch, "pure_fidelities") and not hasattr(utility, "output_spectrum")
     assert not hasattr(ch, "batch_outputs") and not hasattr(privacy, "_batch_outputs")
     assert not hasattr(utility, "_batch_out")
     assert not hasattr(utility, "batch_outputs") and not hasattr(utility, "_fidelity_values")
-    for name in ("output_spectrum", "hockey_stick_step", "orthogonal_outputs", "fidelity_gradient",
+    for name in ("output_spectrum", "hockey_stick_step", "orthogonal_outputs", "fidelity_residuals",
                  "trace_distance_gradient"):
         assert not hasattr(qldp, name)
 
@@ -822,13 +823,11 @@ def test_trace_affine_kernels_match_their_kraus_stack():
                  (ch.hockey_stick_step, (frames, gamma)),
                  (ch.trace_distance_gradient, (frames[:, :, 0],)),
                  (ch.trace_distance_gradient, (frames[:, :, 1],)),
-                 (ch.fidelity_gradient, (frames[:, :, 0],))]
+                 (ch.fidelity_residuals, (frames[:, :, 0],))]
         for kernel, args in pairs:
             got, want = kernel(channel, *args), kernel(oracle, *args)
-            if kernel is ch.hockey_stick_step:  # (values, next pairs) as one (B, 1 + 2 d) array
-                got, want = (np.column_stack([v, p.reshape(len(p), -1)]) for v, p in (got, want))
-            elif kernel is not output_spectrum:  # (values, gradients) as one (B, 1 + d) array
-                got, want = np.column_stack(got), np.column_stack(want)
+            if kernel is not output_spectrum:  # a tuple of per-frame arrays as one (B, n) array
+                got, want = (np.column_stack([x.reshape(len(x), -1) for x in out]) for out in (got, want))
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12, kernel.__name__
 
@@ -860,6 +859,23 @@ def test_blocked_superoperator_matches_the_einsum_oracle():
         assert np.abs(s - einsum_superoperator(channel.kraus)).max() < 1e-12
 
 
+def fidelity_gradient(channel, psi):
+    """F = sum_k |a_k|^2 and its Wirtinger gradient sum_k (conj(a_k) u_k + a_k w_k), from the residual kernel."""
+    a, u, w = ch.fidelity_residuals(channel, psi)
+    return (a.real**2 + a.imag**2).sum(axis=1), np.einsum("bik,bk->bi", u, a.conj()) + np.einsum("bik,bk->bi", w, a)
+
+
+@pytest.mark.parametrize("d_in, d_out, r", [(3, 5, 2), (5, 3, 4), (2, 4, 1), (3, 3, 1), (2, 2, 5), (2, 3, 9)])
+def test_batched_superoperator_matches_the_kron_sum(d_in, d_out, r):
+    # non-square shapes, r = 1, and r > d_in d_out (the batched product's Kraus axis longer than its batch)
+    rng = np.random.default_rng(35 + d_in * d_out * r)
+    kraus = _isometry_channel(d_in, d_out, r, rng).kraus
+    want = sum(np.kron(k.conj(), k) for k in kraus)
+    got = ch._kraus_superoperator(kraus)
+    assert got.shape == (d_out**2, d_in**2) and got.flags.c_contiguous
+    assert np.abs(got - want).max() < 1e-14
+
+
 def test_fidelity_kernel_matches_the_output_overlap():
     rng = np.random.default_rng(29)
     # short and long stacks (a twirl has r = 24 r_0 > d^2), the trace-affine form
@@ -869,7 +885,7 @@ def test_fidelity_kernel_matches_the_output_overlap():
     for channel in cases:
         d = channel.dim_in
         frames = np.linalg.qr(rng.standard_normal((6, d, 1)) + 1j * rng.standard_normal((6, d, 1)))[0]
-        fid, _ = ch.fidelity_gradient(channel, frames[:, :, 0])
+        fid, _ = fidelity_gradient(channel, frames[:, :, 0])
         for f, value in zip(frames, fid):
             psi = f[:, 0]
             want = np.vdot(psi, ch.apply(channel, qops.projector(psi)) @ psi).real
@@ -885,7 +901,7 @@ def _gradient_kernel_cases(rng):
             ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group())]  # 48 operators
 
 
-@pytest.mark.parametrize("kernel", [ch.fidelity_gradient, ch.trace_distance_gradient])
+@pytest.mark.parametrize("kernel", [fidelity_gradient, ch.trace_distance_gradient])
 def test_gradient_kernels_match_central_differences(kernel):
     # f(psi + h delta) - f(psi - h delta) = 4 h Re<g, delta> + O(h^3) for the Wirtinger gradient g = df/dconj(psi)
     rng = np.random.default_rng(32)
@@ -900,12 +916,31 @@ def test_gradient_kernels_match_central_differences(kernel):
         assert channel._superop is None
 
 
+def test_fidelity_residuals_match_central_differences():
+    # a_k(psi + h delta) - a_k(psi - h delta) = 2 h (<w_k|delta> + <delta|u_k>) + O(h^3): the Jacobian the
+    # Levenberg-Marquardt search builds; u_k = K_k psi is the Kraus factor, w_k = K_k^dag psi
+    rng = np.random.default_rng(34)
+    h = 1e-6
+    for channel in _gradient_kernel_cases(rng) + [ch.identity_channel(3)]:
+        d = channel.dim_in
+        psi, delta = _unit_vectors(rng, 4, d), _unit_vectors(rng, 4, d)
+        a, u, w = ch.fidelity_residuals(channel, psi)
+        assert np.abs(a - np.einsum("bi,bik->bk", psi.conj(), u)).max() < 1e-15
+        slope = np.einsum("bik,bi->bk", w.conj(), delta) + np.einsum("bi,bik->bk", delta.conj(), u)
+        central = (ch.fidelity_residuals(channel, psi + h * delta)[0]
+                   - ch.fidelity_residuals(channel, psi - h * delta)[0]) / (2 * h)
+        assert np.abs(central - slope).max() <= 1e-6 * max(1.0, np.abs(slope).max()), (len(channel.kraus), d)
+        assert np.abs(u - np.einsum("kij,bj->bik", channel.kraus, psi)).max() < 1e-14
+        assert np.abs(w - np.einsum("kji,bj->bik", channel.kraus.conj(), psi)).max() < 1e-14
+        assert channel._superop is None
+
+
 def test_trace_value_is_at_least_one_minus_the_fidelity():
     # Fuchs-van de Graaf for a pure input, D(N(psi), psi) >= 1 - <psi|N(psi)|psi>: the trace ascent's warm start
     rng = np.random.default_rng(33)
     for channel in _gradient_kernel_cases(rng) + [ch.random_channel(8, 4, rng), ch.identity_channel(5)]:
         psi = _unit_vectors(rng, 32, channel.dim_in)
-        fid, _ = ch.fidelity_gradient(channel, psi)
+        fid, _ = fidelity_gradient(channel, psi)
         trace, _ = ch.trace_distance_gradient(channel, psi)
         assert (trace >= 1 - fid - 1e-12).all()
         assert channel._superop is None
@@ -926,7 +961,7 @@ def test_depolarizing_channels_are_evaluated_once_without_the_search_kernels(mon
         raise AssertionError("a search kernel was called")
 
     for module in (ch, privacy, utility):
-        for name in ("hockey_stick_step", "orthogonal_outputs", "fidelity_gradient", "trace_distance_gradient"):
+        for name in ("hockey_stick_step", "orthogonal_outputs", "fidelity_residuals", "trace_distance_gradient"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     budget = privacy.PrivacyBudget(0.7, 0.0)

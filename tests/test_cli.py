@@ -130,6 +130,34 @@ def test_kraus_file_requires_dims_header(tmp_path):
         load_kraus_file(str(path))
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["certify", "--channel"], "dims 2 2\nkraus\n1 0\n0 oops\n"),
+    (["estimate", "--trials", "1", "--observable"], "# header\n1 0\n\n0 oops\n"),
+], ids=["channel", "observable"])
+def test_file_parse_errors_name_the_file_and_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc = main(argv + [f"file:{path}"] + (["--output-dir", str(tmp_path / "out")] if argv[0] == "estimate" else []))
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: line 4: bad complex literal")
+
+
+@pytest.mark.parametrize("spec, field", [("depolarizing 2 x", "P: could not convert string to float: 'x'"),
+                                         ("depolarizing x 0.5", "D: invalid literal for int() with base 10: 'x'"),
+                                         ("depolarizing 2.5 0.5", "D: invalid literal for int() with base 10: '2.5'")])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_malformed_depolarizing_spec_names_the_spec_and_field(tmp_path, capsys, spec, field, route):
+    if route == "flag":
+        argv = ["certify", "--channel", spec]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"channel = {spec}\n")
+        argv = ["certify", "--config", str(cfg)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: channel spec {spec!r}: {field}\n"
+
+
 def test_estimate_command_runs_and_is_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["estimate", "--observable", "Z", "--state", "zero",
@@ -565,7 +593,7 @@ _PACKAGE_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and i
 @pytest.mark.parametrize("cls", _PACKAGE_ERRORS, ids=lambda c: c.__name__)
 def test_every_package_error_maps_to_a_documented_exit_code(monkeypatch, capsys, cls):
     def fail(opts):
-        raise cls(7, "boom") if cls is ChannelParseError else cls("boom")
+        raise cls("ch.txt", 7, "boom") if cls is ChannelParseError else cls("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "cost-report", fail)
     rc = main(["cost-report"])

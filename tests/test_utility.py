@@ -1,13 +1,14 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from qldp import channels as ch
-from qldp import qops
+from qldp import qops, utility
 from qldp.cli import main
 from qldp.errors import InvalidInputError
-from qldp.pauli import enumerate_cliffords
+from qldp.pauli import enumerate_cliffords, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, optimal_depolarizing_p
 from qldp.utility import (
     depolarizing_fidelity_utility,
@@ -17,6 +18,8 @@ from qldp.utility import (
     utility_curve,
     utility_report,
 )
+from test_channels import fidelity_gradient
+from test_privacy import bench_false_satisfied_member
 
 CFG = SearchConfig(restarts=48, local_steps=150, seed=0)
 
@@ -187,3 +190,135 @@ def test_rotated_depolarizing_channel_still_searches():
     exact = (1 - p) * np.cos(theta) ** 2 + p / 2
     assert exact - 1e-12 <= rep.fidelity_utility < exact + 1e-6
     assert not np.array_equal(rep.minimizer, np.eye(2)[0])
+
+
+# --- the searches against the adaptive-step ascent they replaced ------------------
+
+ORACLE_STEP, ORACLE_UP, ORACLE_DOWN = 0.5, 1.5, 0.5  # initial step, and its factors on accept / reject
+ORACLE_CONVERGED, ORACLE_MIN_STEP, ORACLE_BOUND_TOL = 1e-13, 1e-12, 1e-12
+
+
+def adaptive_step_ascent(kernel, psi, sign, bound, cap):
+    """Projected-gradient ascent of sign * f from the (B, d) unit vectors psi, one adaptive step per start.
+
+    A start moves along the tangent part of its Wirtinger gradient and renormalizes; a candidate
+    is kept only if it improves f, and the start's step grows by 1.5 on a kept candidate and halves
+    otherwise.  A start retires at a gain of at most 1e-13 relative or a step below 1e-12; the search
+    stops within 1e-12 of ``bound`` or after ``cap`` iterations.  Returns the final values and points.
+    """
+    vals, grads = kernel(psi)
+    psi = psi.copy()
+    steps = np.full(len(psi), ORACLE_STEP)
+    live = np.arange(len(psi))
+    for _ in range(cap):
+        if live.size == 0 or sign * bound - (sign * vals).max() <= ORACLE_BOUND_TOL:
+            break
+        p, g = psi[live], sign * grads[live]
+        tangent = g - np.einsum("bi,bi->b", p.conj(), g).real[:, None] * p
+        cand = p + steps[live, None] * tangent
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cvals, cgrads = kernel(cand)
+        gain = sign * (cvals - vals[live])
+        better = gain > 0
+        moved = live[better]
+        psi[moved], vals[moved], grads[moved] = cand[better], cvals[better], cgrads[better]
+        steps[live] *= np.where(better, ORACLE_UP, ORACLE_DOWN)
+        done = (better & (gain <= ORACLE_CONVERGED * np.maximum(1.0, np.abs(cvals)))) | (steps[live] < ORACLE_MIN_STEP)
+        live = live[~done]
+    return vals, psi
+
+
+def adaptive_step_report(channel, search):
+    """(fidelity, trace) of the adaptive-step ascents from utility_report's starts, clipped to [0, 1]."""
+    rng = np.random.default_rng(search.seed)
+    shape = (search.restarts, channel.dim_in)
+    starts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    fvals, fpts = adaptive_step_ascent(partial(fidelity_gradient, channel), starts, -1.0, 0.0, search.local_steps)
+    tvals, _ = adaptive_step_ascent(partial(ch.trace_distance_gradient, channel), fpts, 1.0, 1.0, search.local_steps)
+    return float(np.clip(fvals.min(), 0.0, 1.0)), float(np.clip(tvals.max(), 0.0, 1.0))
+
+
+def _assert_witnesses_attain(channel, rep):
+    # for a pure input F(N(psi), psi) = <psi|N(psi)|psi>, read off the output matrix
+    psi, rho_max = rep.minimizer, qops.projector(rep.maximizer)
+    assert abs(np.vdot(psi, ch.apply(channel, qops.projector(psi)) @ psi).real - rep.fidelity_utility) < 1e-10
+    assert abs(qops.trace_distance(ch.apply(channel, rho_max), rho_max) - rep.trace_utility) < 1e-10
+
+
+def test_searches_never_lose_to_the_adaptive_step_ascent():
+    # the bench shapes, the bench's fixed member, a Pauli-twirled and a composed channel, at the default 64 x 200
+    rng = np.random.default_rng(42)
+    paulis = ch.FiniteUnitaryGroup(2, [pauli_matrix(c) for c in "IXYZ"])
+    pool = [ch.random_channel(d, r, rng) for d, r in [(2, 2), (4, 3), (8, 4), (16, 3)]]
+    pool += [ch.twirl(ch.random_channel(2, 2, rng), paulis),
+             ch.compose(ch.random_channel(4, 2, rng), ch.random_channel(4, 3, rng)),
+             bench_false_satisfied_member()]
+    for i, channel in enumerate(pool):
+        cfg = SearchConfig(seed=i)
+        rep = utility_report(channel, cfg)
+        fref, tref = adaptive_step_report(channel, cfg)
+        assert rep.fidelity_utility <= fref + 1e-12, (channel.kraus.shape, rep.fidelity_utility, fref)
+        assert rep.trace_utility >= tref - 1e-12, (channel.kraus.shape, rep.trace_utility, tref)
+        _assert_witnesses_attain(channel, rep)
+
+
+def bench_cap_member():
+    """random-4-r3 of the benchmark's certify pool at workload seed 2, with its search seed.
+
+    The pool draws, per (d, r), a depolarizing level and then random_channel(d, r); the
+    search seeds follow, one per member in order (depolarizing-2, random-2-r2,
+    depolarizing-4, random-4-r3, ...).
+    """
+    rng = np.random.default_rng([2, 1])
+    members = {}
+    for d, r in [(2, 2), (4, 3), (8, 4), (16, 3)]:
+        rng.uniform(0.3, 0.9)
+        members[d] = ch.random_channel(d, r, rng)
+    seeds = [int(rng.integers(2**31)) for _ in range(4)]
+    return members[4], SearchConfig(seed=seeds[3])
+
+
+def test_fidelity_search_converges_on_the_cap_case(monkeypatch):
+    # the adaptive-step ascent ran 201 + 201 kernel calls here and stopped at F = 7.5e-12
+    calls = {"fidelity": 0, "trace": 0}
+
+    def counting(key, kernel):
+        def wrapped(channel, psi):
+            calls[key] += 1
+            return kernel(channel, psi)
+        return wrapped
+
+    monkeypatch.setattr(utility, "fidelity_residuals", counting("fidelity", ch.fidelity_residuals))
+    monkeypatch.setattr(utility, "trace_distance_gradient", counting("trace", ch.trace_distance_gradient))
+    channel, cfg = bench_cap_member()
+    rep = utility_report(channel, cfg)
+    assert rep.fidelity_utility <= utility.BOUND_TOL
+    assert calls["fidelity"] - 1 <= 20  # Levenberg-Marquardt iterations after the first evaluation
+    # D >= 1 - F at the minimizers, within BOUND_TOL of 1, so the trace search stops at its first evaluation
+    assert calls["trace"] == 1 and rep.trace_utility >= 1 - 2 * utility.BOUND_TOL
+    _assert_witnesses_attain(channel, rep)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_degenerate_channels_search_without_numerical_errors(d):
+    # a constant or rank-deficient Jacobian must not make the damped normal equations singular;
+    # Tier-1 turns RuntimeWarning into an error, so a division by zero fails here too
+    rng = np.random.default_rng(50 + d)
+    theta, p = 0.3, 0.4
+    phase = np.diag(np.exp(1j * theta * (np.arange(d) > 0)))  # numerical range [1, e^{i theta}]
+    sigma = qops.random_density(d, d, rng)
+    rotated = ch.compose(ch.depolarizing(d, p), ch.unitary_conjugate(phase))
+    assert len(rotated.kraus) == d * d + 1 and not ch.is_depolarizing(rotated)
+    cases = [(ch.identity_channel(d), 1.0, 0.0),
+             (ch.unitary_conjugate(qops.random_unitary(d, rng)), None, None),
+             (ch.replacement_channel(sigma), np.linalg.eigvalsh(sigma)[0], 1 - np.linalg.eigvalsh(sigma)[0]),
+             (rotated, (1 - p) * np.cos(theta / 2) ** 2 + p / d, None)]
+    for channel, fid, trace in cases:
+        rep = utility_report(channel, CFG)
+        if fid is not None:
+            assert abs(rep.fidelity_utility - fid) < 1e-9
+        if trace is not None:
+            assert abs(rep.trace_utility - trace) < 1e-9
+        assert rep.trace_utility >= 1 - rep.fidelity_utility - 1e-12
+        _assert_witnesses_attain(channel, rep)
