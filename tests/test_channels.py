@@ -925,13 +925,13 @@ def test_fidelity_residuals_match_central_differences():
         d = channel.dim_in
         psi, delta = _unit_vectors(rng, 4, d), _unit_vectors(rng, 4, d)
         a, u, w = ch.fidelity_residuals(channel, psi)
-        assert np.abs(a - np.einsum("bi,bik->bk", psi.conj(), u)).max() < 1e-15
         slope = np.einsum("bik,bi->bk", w.conj(), delta) + np.einsum("bi,bik->bk", delta.conj(), u)
         central = (ch.fidelity_residuals(channel, psi + h * delta)[0]
                    - ch.fidelity_residuals(channel, psi - h * delta)[0]) / (2 * h)
         assert np.abs(central - slope).max() <= 1e-6 * max(1.0, np.abs(slope).max()), (len(channel.kraus), d)
         assert np.abs(u - np.einsum("kij,bj->bik", channel.kraus, psi)).max() < 1e-14
         assert np.abs(w - np.einsum("kji,bj->bik", channel.kraus.conj(), psi)).max() < 1e-14
+        assert np.abs(a - np.einsum("bi,kij,bj->bk", psi.conj(), channel.kraus, psi)).max() < 1e-14
         assert channel._superop is None
 
 
