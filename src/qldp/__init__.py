@@ -1,11 +1,9 @@
 """Privacy calibration, certification, and private estimation for quantum channels."""
 
 from .channels import (
-    FiniteUnitaryGroup,
     QuantumChannel,
     apply,
     compose,
-    conjugated_channel,
     depolarizing,
     fit_depolarizing,
     identity_channel,

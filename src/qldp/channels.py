@@ -5,10 +5,10 @@ is the depolarizing channel's: :func:`depolarizing` stores only its parameter
 p, and :func:`apply`, ``.superoperator``, :func:`fit_depolarizing`,
 :func:`is_depolarizing` and ``repr`` read p directly, in O(d^2) memory (the
 superoperator in O(d^4)).  Its d^2 + 1 Kraus operators are built only when
-something reads ``.kraus``; :func:`compose`, :func:`twirl`,
-:func:`conjugated_channel` and the search kernels do.  The searches never
-reach those kernels with a depolarizing channel: :func:`is_depolarizing`
-sends it to one evaluation through :func:`apply`.
+something reads ``.kraus``; :func:`compose`, :func:`twirl` and the search
+kernels do.  The searches never reach those kernels with a depolarizing
+channel: :func:`is_depolarizing` sends it to one evaluation through
+:func:`apply`.
 
 Superoperators use the column-stacking convention
 ``vec(A X B) = (B^T kron A) vec(X)``, so a channel with Kraus operators
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,30 +140,6 @@ def _check_unitary(u) -> np.ndarray:
     if not dev <= UNITARY_TOL:
         raise InvalidInputError(f"matrix is not unitary (max deviation {dev:.3e})")
     return u
-
-
-@dataclass(frozen=True, eq=False)  # equal and hashed by identity: an array has no truth value
-class FiniteUnitaryGroup:
-    """A finite set of unitaries used for exact twirling, stored as one read-only (G, dim, dim) array."""
-
-    dim: int
-    elements: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.elements) == 0:
-            raise InvalidInputError("group must be nonempty")
-        try:
-            u = np.array(self.elements, dtype=complex)
-        except ValueError:  # elements of different shapes
-            raise InvalidInputError(f"element shapes differ; each must match dim {self.dim}") from None
-        if u.shape[1:] != (self.dim, self.dim):
-            raise InvalidInputError(f"element shape {u.shape[1:]} does not match dim {self.dim}")
-        _check_unitary(u)
-        u.flags.writeable = False
-        object.__setattr__(self, "elements", u)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -346,14 +321,6 @@ def unitary_conjugate(u: np.ndarray) -> QuantumChannel:
     return QuantumChannel(_check_unitary(u)[None, :, :])
 
 
-def conjugated_channel(ch: QuantumChannel, u: np.ndarray) -> QuantumChannel:
-    """Frame change rho -> U^dag N(U rho U^dag) U; Kraus operators U^dag K_k U."""
-    u = _check_unitary(u)
-    if ch.dim_in != ch.dim_out or u.shape != (ch.dim_in, ch.dim_in):
-        raise InvalidInputError("conjugation needs a square channel and a matching unitary")
-    return QuantumChannel(np.einsum("ij,kjl,lm->kim", u.conj().T, ch.kraus, u))
-
-
 def pauli_measurement_channel(p: np.ndarray) -> QuantumChannel:
     """Two-outcome measurement channel of an involution P (P^2 = I).
 
@@ -383,12 +350,13 @@ def compose(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(ops.reshape(-1, a.dim_out, b.dim_in))
 
 
-def twirl(ch: QuantumChannel, group: FiniteUnitaryGroup) -> QuantumChannel:
-    """Uniform group average of the conjugated channels U^dag N(U . U^dag) U."""
-    if ch.dim_in != ch.dim_out or ch.dim_in != group.dim:
-        raise InvalidInputError("twirl needs a square channel matching the group dimension")
-    us = group.elements
-    scale = 1.0 / np.sqrt(len(group))
+def twirl(ch: QuantumChannel, unitaries) -> QuantumChannel:
+    """Uniform average of U^dag N(U . U^dag) U over a (G, d, d) unitary stack; ``u[None]`` is the frame change."""
+    us = _check_unitary(unitaries)
+    if us.ndim != 3 or ch.dim_in != ch.dim_out or us.shape[1] != ch.dim_in:
+        raise InvalidInputError(f"twirl needs a square channel and a (G, {ch.dim_in}, {ch.dim_in}) "
+                                f"unitary stack, got shape {us.shape}")
+    scale = 1.0 / np.sqrt(len(us))
     # Kraus set {U_g^dag K_k U_g / sqrt(|G|)}; rank is not minimized.
     ops = np.einsum("gji,kjl,glm->gkim", us.conj(), ch.kraus, us) * scale
     return QuantumChannel(ops.reshape(-1, ch.dim_out, ch.dim_in))

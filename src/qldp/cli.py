@@ -6,7 +6,8 @@ value that fails to convert is a usage error led by its source ("--seed: ...").
 Exit codes: 0 success/satisfied, 1 violated/failed coverage, 2 usage error,
 3 any other package error (out-of-regime parameters, an infeasible budget, a
 degenerate observable), an array too large to allocate, or too few trials for
-a coverage verdict.
+a coverage verdict, 4 a certification that found no violation but has only a
+lower bound (inconclusive).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_REGIME = 3
+EXIT_INCONCLUSIVE = 4
 
 
 def _nonempty(items: list, s: str) -> list:
@@ -362,6 +364,9 @@ def cmd_certify(opts: dict) -> int:
     phi1, phi2 = res.witness_pair
     print("witness phi1 =", np.array2string(phi1, precision=6, suppress_small=True))
     print("witness phi2 =", np.array2string(phi2, precision=6, suppress_small=True))
+    if res.satisfied and res.restarts_used:  # the seesaw's value is a lower bound: it cannot rule a violation out
+        print("verdict: INCONCLUSIVE (lower bound only)")
+        return EXIT_INCONCLUSIVE
     verdict = "SATISFIED" if res.satisfied else "VIOLATED"
     if res.borderline:
         verdict += " (borderline)"
@@ -517,7 +522,7 @@ def main(argv=None) -> int:
     try:
         opts = resolve_options(args.command, args)
         return _COMMANDS[args.command](opts)
-    except (ChannelParseError, ValueError) as exc:  # InvalidInputError is a ValueError
+    except ValueError as exc:  # InvalidInputError, and so ChannelParseError, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QldpError as exc:

@@ -28,7 +28,7 @@ class InfeasibleError(QldpError):
     """No finite sample size exists for the requested privacy level (eps = delta = 0)."""
 
 
-class ChannelParseError(QldpError):
+class ChannelParseError(InvalidInputError):
     """A channel or matrix file could not be parsed; the message names the file and line."""
 
     def __init__(self, path: str, line: int, message: str):

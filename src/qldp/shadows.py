@@ -36,7 +36,6 @@ import numpy as np
 
 from . import qops
 from .channels import (
-    FiniteUnitaryGroup,
     QuantumChannel,
     compose,
     depolarizing,
@@ -94,11 +93,6 @@ def effective_depolarizing_q(p_hat: float, d: int) -> float:
     return 1.0 - (1.0 - p_hat) / (d + 1.0)
 
 
-def clifford_unitary_group(m: int) -> FiniteUnitaryGroup:
-    """Enumerated Clifford group packaged for twirling (m in {1, 2})."""
-    return FiniteUnitaryGroup(dim=2**m, elements=enumerate_cliffords(m))
-
-
 def _born_probs(rho: np.ndarray, u: np.ndarray, p_hat: float) -> np.ndarray:
     d = rho.shape[0]
     rot = u @ rho @ u.conj().T
@@ -153,36 +147,20 @@ def median_of_means_estimate(snapshots, obs: np.ndarray, ell: int) -> float:
     return float(np.median(batches))
 
 
-def _shadow_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget, demand: AccuracyDemand,
-                    s: float, source: str) -> int:
-    """ceil of (204 Tr[O^2]/beta^2) max{1, ((e^eps+d-1)/((e^eps-1+d delta) s))^2} ln(2/eta), at least 1.
+def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
+                            demand: AccuracyDemand) -> int:
+    """Snapshot count sufficient for the private shadow pipeline; its max is 1 iff e^eps + delta (d+1) >= 2.
 
-    The one shadow sample-size formula: private at s = d + 1, naive at s = 1.
+    ceil of (204 Tr[O^2]/beta^2) max{1, ((e^eps+d-1)/((e^eps-1+d delta)(d+1)))^2} ln(2/eta), at least 1.
     """
     denom = budget.gamma - 1.0 + d * budget.delta
     if denom <= 0:
         raise InfeasibleError(
             f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
-    ratio = (budget.gamma + d - 1.0) / (denom * s)
+    ratio = (budget.gamma + d - 1.0) / (denom * (d + 1.0))
     v = 204.0 * tr_obs_sq / (demand.beta * demand.beta) * max(1.0, ratio * ratio) \
         * math.log(2.0 / demand.eta)
-    return max(1, sample_count(v, f"{source}, Tr[O^2] = {tr_obs_sq:g}"))
-
-
-def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
-                            demand: AccuracyDemand) -> int:
-    """Snapshot count sufficient for the private shadow pipeline; its max is 1 iff e^eps + delta (d+1) >= 2."""
-    return _shadow_samples(tr_obs_sq, d, budget, demand, d + 1.0, "shadow bound")
-
-
-def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
-                                  demand: AccuracyDemand) -> int:
-    """Comparator: snapshot count when calibrating with the generic-utility noise level.
-
-    Uses p_hat = d(1-delta)/(e^eps+d-1) directly in the noisy-shadow bound, which picks
-    up an extra (d+1)^2 relative to :func:`shadow_required_samples`; the max is a no-op, as delta <= 1.
-    """
-    return _shadow_samples(tr_obs_sq, d, budget, demand, 1.0, "naive shadow bound")
+    return max(1, sample_count(v, f"shadow bound, Tr[O^2] = {tr_obs_sq:g}"))
 
 
 def default_batch_count(n: int, eta: float) -> int:
@@ -208,7 +186,7 @@ def composite_shadow_channel(p_hat: float, m: int = 1) -> QuantumChannel:
     if m != 1:
         raise InvalidInputError("exact composite enumeration is supported at m = 1 only")
     z_measurement = pauli_measurement_channel(pauli_matrix("Z"))
-    return twirl(compose(z_measurement, depolarizing(2, p_hat)), clifford_unitary_group(1))
+    return twirl(compose(z_measurement, depolarizing(2, p_hat)), enumerate_cliffords(1))
 
 
 def _snapshot_tables(rho: np.ndarray, obs: np.ndarray, p_hat: float, m: int):

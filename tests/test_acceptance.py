@@ -19,7 +19,7 @@ from qldp.estimate import (
     run_estimation_trials,
     threshold_test,
 )
-from qldp.pauli import decompose, pauli_matrix
+from qldp.pauli import decompose, enumerate_cliffords, pauli_matrix
 from qldp.privacy import (
     PrivacyBudget,
     SearchConfig,
@@ -35,7 +35,6 @@ from qldp.shadows import (
     run_shadow_trials,
     shadow_required_samples,
 )
-from qldp.shadows import clifford_unitary_group
 from qldp.utility import (
     optimal_fidelity_utility,
     optimal_trace_utility,
@@ -113,7 +112,7 @@ def test_criterion_03_private_channels_respect_ceiling():
 def test_criterion_04_twirl_properties():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
-    group = clifford_unitary_group(1)
+    group = enumerate_cliffords(1)
     b = PrivacyBudget(1.0, 0.0)
     cert_cfg = SearchConfig(restarts=24, local_steps=80, seed=40)
     util_cfg = SearchConfig(restarts=48, local_steps=150, seed=41)

@@ -11,10 +11,6 @@ from qldp.errors import InvalidInputError
 from qldp.pauli import enumerate_cliffords, pauli_matrix
 
 
-def qubit_clifford_group():
-    return ch.FiniteUnitaryGroup(dim=2, elements=list(enumerate_cliffords(1)))
-
-
 def vec(rho):
     """Column-stacking vectorization."""
     return rho.T.ravel()
@@ -93,18 +89,28 @@ def test_apply_dim_mismatch():
         ch.apply(ch.depolarizing(2, 0.5), np.eye(3) / 3)
 
 
+def conjugated(channel, u):
+    """The frame change rho -> U^dag N(U rho U^dag) U as a one-element twirl, checked against U^dag K_k U."""
+    out = ch.twirl(channel, u[None])
+    assert np.array_equal(out.kraus, np.einsum("ij,kjl,lm->kim", u.conj().T, channel.kraus, u))
+    return out
+
+
 def test_conjugated_depolarizing_is_unchanged():
     rng = np.random.default_rng(4)
     dep = ch.depolarizing(2, 0.4)
     u = qops.random_unitary(2, rng)
-    conj = ch.conjugated_channel(dep, u)
+    conj = conjugated(dep, u)
     assert np.abs(conj.superoperator - dep.superoperator).max() < 1e-10
 
 
 def test_conjugated_identity_is_identity():
     u = qops.random_unitary(3, np.random.default_rng(5))
-    conj = ch.conjugated_channel(ch.identity_channel(3), u)
+    conj = conjugated(ch.identity_channel(3), u)
     assert channels_close(conj, ch.identity_channel(3), tol=1e-10)
+    rng = np.random.default_rng(27)
+    for d, r in [(2, 2), (3, 4), (4, 3)]:
+        conjugated(ch.random_channel(d, r, rng), qops.random_unitary(d, rng))
 
 
 def test_conjugation_preserves_worst_case_divergence():
@@ -112,7 +118,7 @@ def test_conjugation_preserves_worst_case_divergence():
     rng = np.random.default_rng(6)
     n = ch.random_channel(2, 3, rng)
     u = qops.random_unitary(2, rng)
-    nu = ch.conjugated_channel(n, u)
+    nu = conjugated(n, u)
     gamma = np.e
 
     def sup_over_pairs(channel, pairs):
@@ -188,7 +194,7 @@ def test_composed_measurement_outcome_probability():
 
 
 def test_twirl_identity_and_depolarizing_fixed_points():
-    g = qubit_clifford_group()
+    g = enumerate_cliffords(1)
     assert channels_close(ch.twirl(ch.identity_channel(2), g), ch.identity_channel(2), tol=1e-10)
     dep = ch.depolarizing(2, 0.6)
     assert channels_close(ch.twirl(dep, g), dep, tol=1e-10)
@@ -196,7 +202,7 @@ def test_twirl_identity_and_depolarizing_fixed_points():
 
 def test_clifford_twirl_is_depolarizing():
     rng = np.random.default_rng(9)
-    g = qubit_clifford_group()
+    g = enumerate_cliffords(1)
     for _ in range(5):
         n = ch.random_channel(2, int(rng.integers(1, 5)), rng)
         twirled = ch.twirl(n, g)
@@ -210,7 +216,7 @@ def test_clifford_twirl_is_depolarizing():
 
 def test_twirl_idempotent():
     rng = np.random.default_rng(10)
-    g = qubit_clifford_group()
+    g = enumerate_cliffords(1)
     n = ch.random_channel(2, 3, rng)
     once = ch.twirl(n, g)
     twice = ch.twirl(once, g)
@@ -222,7 +228,7 @@ def test_twirl_does_not_hurt_utility():
     from qldp.utility import utility_report
 
     rng = np.random.default_rng(11)
-    g = qubit_clifford_group()
+    g = enumerate_cliffords(1)
     cfg = SearchConfig(restarts=32, local_steps=120, seed=17)
     for _ in range(3):
         n = ch.random_channel(2, int(rng.integers(1, 5)), rng)
@@ -237,10 +243,10 @@ def test_cptp_preservation_on_random_inputs():
     constructors = [
         ch.depolarizing(2, 0.3),
         ch.unitary_conjugate(qops.random_unitary(2, rng)),
-        ch.conjugated_channel(ch.random_channel(2, 2, rng), qops.random_unitary(2, rng)),
+        ch.twirl(ch.random_channel(2, 2, rng), qops.random_unitary(2, rng)[None]),
         ch.pauli_measurement_channel(pauli_matrix("X")),
         ch.compose(ch.depolarizing(2, 0.2), ch.random_channel(2, 3, rng)),
-        ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()),
+        ch.twirl(ch.random_channel(2, 2, rng), enumerate_cliffords(1)),
         ch.replacement_channel(qops.random_density(2, 2, rng)),
         ch.random_channel(2, 4, rng),
     ]
@@ -257,15 +263,16 @@ def test_channel_validation_rejects_non_trace_preserving():
 
 
 def test_group_validation_rejects_non_unitary():
-    with pytest.raises(InvalidInputError):
-        ch.FiniteUnitaryGroup(dim=2, elements=[np.array([[1, 1], [0, 1]], dtype=complex)])
+    with pytest.raises(InvalidInputError, match="not unitary"):
+        ch.twirl(ch.depolarizing(2, 0.3), [np.eye(2), np.array([[1, 1], [0, 1]], dtype=complex)])
 
 
+# twirl validates its stack: a group of several elements, and a conjugation as a one-element stack
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("build", [
-    lambda u: ch.FiniteUnitaryGroup(dim=2, elements=[u]),
+    lambda u: ch.twirl(ch.depolarizing(2, 0.3), [np.eye(2), u]),
     ch.unitary_conjugate,
-    lambda u: ch.conjugated_channel(ch.depolarizing(2, 0.3), u),
+    lambda u: ch.twirl(ch.depolarizing(2, 0.3), u[None]),
 ], ids=["group", "unitary_conjugate", "conjugated_channel"])
 def test_unitary_checks_reject_non_finite_entries(build, bad):
     # max |U^dag U - I| is NaN here, and NaN > tol is False: the guard must not pass it
@@ -279,9 +286,9 @@ def test_unitary_checks_reject_non_finite_entries(build, bad):
 
 @pytest.mark.parametrize("build, matrix", [
     (lambda m: ch.QuantumChannel(m[None]), [[1e200, 0], [0, 1]]),
-    (lambda m: ch.FiniteUnitaryGroup(dim=2, elements=[np.eye(2), m]), [[1e200, 0], [0, 1]]),
+    (lambda m: ch.twirl(ch.depolarizing(2, 0.3), [np.eye(2), m]), [[1e200, 0], [0, 1]]),
     (ch.unitary_conjugate, [[1e200, 0], [0, 1]]),
-    (lambda m: ch.conjugated_channel(ch.depolarizing(2, 0.3), m), [[1e200, 0], [0, 1]]),
+    (lambda m: ch.twirl(ch.depolarizing(2, 0.3), m[None]), [[1e200, 0], [0, 1]]),
     (ch.pauli_measurement_channel, [[1e200, 0], [0, 1]]),
     # P^2 has inf - inf = NaN off the diagonal; a NaN deviation must not pass as an involution
     (ch.pauli_measurement_channel, [[1e200, 1e200], [1e200, -1e200]]),
@@ -302,27 +309,30 @@ def test_depolarizing_needs_an_integer_dimension():
     assert ch.is_depolarizing(dep)
 
 
-def test_group_is_one_read_only_stack():
+def test_twirl_takes_one_validated_unitary_stack():
+    rng = np.random.default_rng(26)
     cliffords = enumerate_cliffords(1)
-    for elements in (cliffords, list(cliffords)):
-        g = ch.FiniteUnitaryGroup(dim=2, elements=elements)
-        assert g.elements.shape == (24, 2, 2) and g.elements.dtype == complex
-        assert not g.elements.flags.writeable and np.array_equal(g.elements, cliffords)
-    with pytest.raises(InvalidInputError, match="nonempty"):
-        ch.FiniteUnitaryGroup(dim=2, elements=[])
-    for elements in (cliffords, [np.eye(2), np.eye(4)]):
-        with pytest.raises(InvalidInputError, match="dim 4"):
-            ch.FiniteUnitaryGroup(dim=4, elements=elements)
+    paulis = np.array([pauli_matrix(a) for a in "IXYZ"])
+    for group in (cliffords, paulis):
+        n = ch.random_channel(2, 3, rng)
+        # the Kraus set {U_g^dag K_k U_g / sqrt(|G|)}, bit for bit, from an array or a list of elements
+        expected = np.einsum("gji,kjl,glm->gkim", group.conj(), n.kraus, group) * (1.0 / np.sqrt(len(group)))
+        for elements in (group, list(group)):
+            assert np.array_equal(ch.twirl(n, elements).kraus, expected.reshape(-1, 2, 2))
+    qubit = ch.depolarizing(2, 0.3)
+    with pytest.raises(InvalidInputError, match="got shape"):
+        ch.twirl(qubit, [])
+    with pytest.raises(InvalidInputError, match="got shape"):
+        ch.twirl(qubit, np.empty((0, 2, 2)))
+    with pytest.raises(InvalidInputError, match=r"\(G, 4, 4\) unitary stack"):
+        ch.twirl(ch.depolarizing(4, 0.3), cliffords)
+    with pytest.raises(InvalidInputError, match=r"\(G, 2, 2\) unitary stack, got shape \(2, 2\)"):
+        ch.twirl(qubit, np.eye(2))
+    with pytest.raises(ValueError):  # elements of different shapes
+        ch.twirl(qubit, [np.eye(2), np.eye(4)])
     writable = np.eye(2, dtype=complex)[None]
-    ch.FiniteUnitaryGroup(dim=2, elements=writable)
+    ch.twirl(qubit, writable)
     assert writable.flags.writeable
-
-
-def test_group_equality_and_hashing_are_by_identity():
-    a = ch.FiniteUnitaryGroup(dim=2, elements=enumerate_cliffords(1))
-    b = ch.FiniteUnitaryGroup(dim=2, elements=enumerate_cliffords(1))
-    assert a == a and a != b and not (a == b)
-    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_superoperator_composition_identity():
@@ -350,7 +360,7 @@ def test_superoperator_matches_kron_oracle():
         ch.pauli_measurement_channel(pauli_matrix("XZ")),  # 4 -> 2
         ch.replacement_channel(qops.random_density(3, 2, rng)),
         ch.compose(ch.random_channel(3, 2, rng), ch.random_channel(3, 3, rng)),
-        ch.twirl(ch.random_channel(2, 3, rng), qubit_clifford_group()),
+        ch.twirl(ch.random_channel(2, 3, rng), enumerate_cliffords(1)),
     ]
     for channel in cases:
         s = channel.superoperator
@@ -409,7 +419,7 @@ def _fit_depolarizing_oracle(channel):
 
 def test_lean_fit_matches_the_full_least_squares_oracle():
     rng = np.random.default_rng(18)
-    g = qubit_clifford_group()
+    g = enumerate_cliffords(1)
     cases = [ch.random_channel(d, r, rng) for d, r in [(2, 1), (2, 3), (3, 2), (4, 5), (8, 4)]]
     cases += [ch.depolarizing(d, p) for d, p in [(2, 0.0), (3, 0.45), (8, 1.0), (16, 0.7)]]
     cases += [ch.twirl(ch.random_channel(2, 2, rng), g)]
@@ -571,7 +581,7 @@ def test_output_spectrum_falls_back_to_the_full_eigen_solve():
              (ch.random_channel(3, 2, rng), 2, False, 1),
              (ch.pauli_measurement_channel(pauli_matrix("XZ")), 2, False, 1),  # 4 -> 2
              (ch.depolarizing(3, 0.4), 1, True, 1),  # 10 Kraus operators
-             (ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()), 2, False, 1)]  # 48 operators
+             (ch.twirl(ch.random_channel(2, 2, rng), enumerate_cliffords(1)), 2, False, 1)]  # 48 operators
     for channel, c, trace, sign in cases:
         frames = np.linalg.qr(rng.standard_normal((3, channel.dim_in, c))
                               + 1j * rng.standard_normal((3, channel.dim_in, c)))[0]
@@ -641,9 +651,9 @@ def within_fit_tolerance_kraus_sets():
     """Kraus sets whose depolarizing fit residual is at most SUPEROP_TOL."""
     rng = np.random.default_rng(23)
     kraus_sets = [ch.depolarizing(d, p).kraus for d, p in [(2, 0.0), (3, 0.45), (8, 1.0), (16, 0.7)]]
-    kraus_sets += [ch.conjugated_channel(ch.depolarizing(4, 0.3), qops.random_unitary(4, rng)).kraus,
+    kraus_sets += [ch.twirl(ch.depolarizing(4, 0.3), qops.random_unitary(4, rng)[None]).kraus,
                    ch.identity_channel(5).kraus,
-                   ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()).kraus]
+                   ch.twirl(ch.random_channel(2, 2, rng), enumerate_cliffords(1)).kraus]
     # a depolarizing channel mixed with a small weight t of a unitary that tips |0> towards |1>:
     # N(|0><0|) moves off (1-p)|0><0| + p I/d by t in two entries, and the fit
     # residual lands in (SUPEROP_TOL / 2, SUPEROP_TOL]
@@ -691,14 +701,14 @@ def test_kraus_channel_searches_never_build_the_superoperator(monkeypatch):
 
     monkeypatch.setattr(ch, "_kraus_superoperator", refuse)
     rng = np.random.default_rng(30)
-    pauli_group = ch.FiniteUnitaryGroup(dim=2, elements=[pauli_matrix(a) for a in "IXYZ"])
+    pauli_group = [pauli_matrix(a) for a in "IXYZ"]
     # stacks on both sides of d_out and of d_in d_out; the Pauli twirl (16 qubit operators),
     # the composition (9) and random_channel(3, 12) are long stacks that the searches reach
     searched = [ch.random_channel(d, r, rng) for d, r in [(2, 2), (4, 3), (4, 16), (8, 4), (16, 3), (3, 12)]]
     searched += [ch.twirl(ch.random_channel(2, 4, rng), pauli_group),
                  ch.compose(ch.random_channel(2, 3, rng), ch.random_channel(2, 3, rng))]
     # depolarizing long stacks, answered by the screen: a Clifford twirl (48) and the shadow channel (240)
-    screened = [ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()), shadows.composite_shadow_channel(0.3)]
+    screened = [ch.twirl(ch.random_channel(2, 2, rng), enumerate_cliffords(1)), shadows.composite_shadow_channel(0.3)]
     cfg = privacy.SearchConfig(restarts=4, local_steps=3)
     for channel in searched + screened:
         res = privacy.certify_qldp(channel, privacy.PrivacyBudget(1.0, 0.0), cfg)
@@ -729,7 +739,7 @@ def test_cached_superoperator_is_screened():
 def test_depolarizing_fit_reads_only_the_kraus_stack(monkeypatch):
     rng = np.random.default_rng(26)
     accepted = [ch.QuantumChannel(k) for k in within_fit_tolerance_kraus_sets()]
-    accepted.append(ch.twirl(ch.random_channel(2, 3, rng), qubit_clifford_group()))
+    accepted.append(ch.twirl(ch.random_channel(2, 3, rng), enumerate_cliffords(1)))
     rejected = [near_depolarizing_channel()] + [ch.random_channel(d, 2, rng) for d in (3, 8, 48)]
     # the oracle reads the d^4 superoperator of a copy; at d = 48 that is 85 MB, so it is skipped
     oracle = {id(c): _fit_depolarizing_oracle(ch.QuantumChannel(c.kraus)) for c in accepted + rejected[:-1]}
@@ -880,7 +890,7 @@ def test_fidelity_kernel_matches_the_output_overlap():
     rng = np.random.default_rng(29)
     # short and long stacks (a twirl has r = 24 r_0 > d^2), the trace-affine form
     cases = [ch.random_channel(16, 3, rng), ch.random_channel(3, 9, rng),
-             ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group()),
+             ch.twirl(ch.random_channel(2, 2, rng), enumerate_cliffords(1)),
              ch.depolarizing(5, 0.35), ch.replacement_channel(qops.random_density(4, 2, rng))]
     for channel in cases:
         d = channel.dim_in
@@ -898,7 +908,7 @@ def _gradient_kernel_cases(rng):
             ch.random_channel(4, 3, rng),  # k = 4 = d_out: full product
             ch.random_channel(3, 2, rng),
             ch.depolarizing(3, 0.4),  # its 10-operator Kraus stack
-            ch.twirl(ch.random_channel(2, 2, rng), qubit_clifford_group())]  # 48 operators
+            ch.twirl(ch.random_channel(2, 2, rng), enumerate_cliffords(1))]  # 48 operators
 
 
 @pytest.mark.parametrize("kernel", [fidelity_gradient, ch.trace_distance_gradient])
@@ -966,7 +976,7 @@ def test_depolarizing_channels_are_evaluated_once_without_the_search_kernels(mon
                 monkeypatch.setattr(module, name, refuse)
     budget = privacy.PrivacyBudget(0.7, 0.0)
     cfg = privacy.SearchConfig(restarts=4, local_steps=3)
-    twirled = ch.twirl(ch.random_channel(2, 2, np.random.default_rng(31)), qubit_clifford_group())  # p = 0.66
+    twirled = ch.twirl(ch.random_channel(2, 2, np.random.default_rng(31)), enumerate_cliffords(1))  # p = 0.66
     cases = [(ch.depolarizing(d, p), p) for d, p in [(2, 0.3), (16, 0.55), (128, 0.5)]]
     cases.append((twirled, ch.fit_depolarizing(twirled)[0]))
     for channel, p in cases:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qldp
 from qldp import cli, errors
 from qldp.cli import (
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REGIME,
     EXIT_USAGE,
@@ -25,6 +26,7 @@ from qldp.cli import (
 )
 from qldp.errors import ChannelParseError, InvalidInputError, QldpError
 from test_pauli import pauli_labels
+from test_privacy import bench_false_satisfied_member
 from qldp.utility import optimal_fidelity_utility
 from qldp.privacy import PrivacyBudget, depolarizing_privacy_profile
 
@@ -99,6 +101,26 @@ def test_certify_boundary_case(capsys):
     assert "SATISFIED" in out and "borderline" in out
 
 
+def test_certify_prints_no_satisfied_from_a_lower_bound(tmp_path, capsys):
+    # the seesaw's value is a lower bound: at seeds 2 and 3 it stays under delta, but seed 0's
+    # witness reaches 0.999923 > delta, so no seed may print SATISFIED
+    path = tmp_path / "member.txt"
+    kraus = bench_false_satisfied_member().kraus
+    lines = [f"dims {kraus.shape[1]} {kraus.shape[2]}"]
+    for op in kraus:
+        lines += ["kraus"] + [" ".join(repr(complex(x)) for x in row) for row in op]
+    path.write_text("\n".join(lines) + "\n")
+    for seed, code in [(0, EXIT_VIOLATED), (1, EXIT_VIOLATED), (2, EXIT_INCONCLUSIVE),
+                       (3, EXIT_INCONCLUSIVE), (4, EXIT_VIOLATED)]:
+        rc = main(["certify", "--channel", f"file:{path}", "--epsilon", "1", "--delta", "0.9995",
+                   "--seed", str(seed)])
+        out = capsys.readouterr().out
+        assert rc == code and "SATISFIED" not in out, (seed, out)
+        assert "witness phi1 =" in out and "witness phi2 =" in out
+        verdict = "VIOLATED" if code == EXIT_VIOLATED else "INCONCLUSIVE (lower bound only)"
+        assert out.endswith(f"verdict: {verdict}\n")
+
+
 def test_certify_kraus_file(tmp_path, capsys):
     path = tmp_path / "chan.txt"
     s = 1 / math.sqrt(2)
@@ -119,8 +141,9 @@ def test_certify_kraus_file(tmp_path, capsys):
 def test_kraus_file_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dims 2 2\nkraus\n1 0\n0 oops\n")
-    with pytest.raises(ChannelParseError, match="line 4"):
+    with pytest.raises(ChannelParseError, match="line 4") as exc:
         load_kraus_file(str(path))
+    assert exc.value.path == str(path) and exc.value.line == 4
 
 
 def test_kraus_file_requires_dims_header(tmp_path):
@@ -130,17 +153,29 @@ def test_kraus_file_requires_dims_header(tmp_path):
         load_kraus_file(str(path))
 
 
-@pytest.mark.parametrize("argv, text", [
-    (["certify", "--channel"], "dims 2 2\nkraus\n1 0\n0 oops\n"),
-    (["estimate", "--trials", "1", "--observable"], "# header\n1 0\n\n0 oops\n"),
-], ids=["channel", "observable"])
-def test_file_parse_errors_name_the_file_and_line(tmp_path, capsys, argv, text):
+_CERTIFY = ["certify", "--channel"]
+_ESTIMATE = ["estimate", "--trials", "1", "--observable"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (_CERTIFY, "dims 2 2\nkraus\n1 0\n0 oops\n", "{path}: line 4: bad complex literal"),
+    (_ESTIMATE, "# header\n1 0\n\n0 oops\n", "{path}: line 4: bad complex literal"),
+    (_CERTIFY, "# nothing but a comment\n", "{path}: line 1: empty channel file"),
+    (_CERTIFY, "dims 2 two\nkraus\n1 0\n0 1\n", "{path}: line 1: bad dimensions in 'dims 2 two'"),
+    (_CERTIFY, "dims 2 2\nkraus\n1 0\n0 1\nkrause\n", "{path}: line 5: expected 'kraus', got 'krause'"),
+    (_CERTIFY, "dims 2 2\nkraus\n1 0\n", "{path}: line 2: kraus block needs 2 rows"),
+    (_CERTIFY, "dims 2 2\n", "{path}: line 1: no kraus blocks found"),
+    (_CERTIFY, "dims 2 2\nkraus\n1 0\n0 0.5\n", "{path}: line 1: Kraus set is not trace preserving"),
+    (_ESTIMATE, "1 0 0\n0 1 0\n0 0 -1\n", "observable dimension 3 is not a power of two"),
+], ids=["channel", "observable", "empty", "dims-not-integer", "not-kraus", "short-block", "no-blocks",
+        "not-trace-preserving", "observable-3x3"])
+def test_file_parse_errors_name_the_file_and_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     rc = main(argv + [f"file:{path}"] + (["--output-dir", str(tmp_path / "out")] if argv[0] == "estimate" else []))
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
-    assert err.count("\n") == 1 and err.startswith(f"error: {path}: line 4: bad complex literal")
+    assert err.count("\n") == 1 and err.startswith("error: " + message.format(path=path))
 
 
 @pytest.mark.parametrize("spec, field", [("depolarizing 2 x", "P: could not convert string to float: 'x'"),
@@ -598,7 +633,9 @@ def test_every_package_error_maps_to_a_documented_exit_code(monkeypatch, capsys,
     monkeypatch.setitem(cli._COMMANDS, "cost-report", fail)
     rc = main(["cost-report"])
     err = capsys.readouterr().err
-    assert rc == (EXIT_USAGE if cls in (InvalidInputError, ChannelParseError) else EXIT_REGIME)
+    # a parse error is an invalid input: main maps every ValueError to the usage exit
+    assert issubclass(ChannelParseError, InvalidInputError)
+    assert rc == (EXIT_USAGE if issubclass(cls, InvalidInputError) else EXIT_REGIME)
     assert err.count("\n") == 1 and "boom" in err and "Traceback" not in err
 
 

@@ -26,6 +26,7 @@ from qldp.estimate import (
     required_samples_lower,
     required_samples_upper,
     run_estimation_trials,
+    sample_count,
     simulate_privatized_batch,
     threshold_test,
     trials_to_csv,
@@ -37,11 +38,28 @@ from qldp.pauli import (
     pauli_matrix,
 )
 from qldp.privacy import PrivacyBudget, optimal_depolarizing_p
-from qldp.shadows import _trial_estimates, naive_shadow_required_samples, shadow_required_samples
+from qldp.shadows import _trial_estimates, shadow_required_samples
 from test_pauli import pauli_labels, sampling_distribution
 
 Z = pauli_matrix("Z")
 ZERO = np.diag([1.0, 0.0]).astype(complex)
+
+
+def naive_shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
+                                  demand: AccuracyDemand) -> int:
+    """Comparator: snapshot count when calibrating with the generic-utility noise level.
+
+    Uses p_hat = d(1-delta)/(e^eps+d-1) directly in the noisy-shadow bound, which picks
+    up an extra (d+1)^2 relative to ``shadow_required_samples``; the max is a no-op, as delta <= 1.
+    """
+    denom = budget.gamma - 1.0 + d * budget.delta
+    if denom <= 0:
+        raise InfeasibleError(
+            f"epsilon = {budget.epsilon:g} and delta = {budget.delta:g} admit no finite sample size")
+    ratio = (budget.gamma + d - 1.0) / denom
+    v = 204.0 * tr_obs_sq / (demand.beta * demand.beta) * max(1.0, ratio * ratio) \
+        * math.log(2.0 / demand.eta)
+    return max(1, sample_count(v, f"naive shadow bound, Tr[O^2] = {tr_obs_sq:g}"))
 
 
 @dataclass(frozen=True)

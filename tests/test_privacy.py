@@ -217,7 +217,7 @@ def test_depolarizing_certificate_is_the_closed_form_without_search(d):
 
 
 def test_clifford_twirled_channel_is_certified_without_search():
-    g = ch.FiniteUnitaryGroup(dim=2, elements=list(enumerate_cliffords(1)))
+    g = enumerate_cliffords(1)
     damp = 0.5  # amplitude damping: Tr K_0 = 1 + sqrt(1 - damp), Tr K_1 = 0
     kraus = np.array([[[1, 0], [0, np.sqrt(1 - damp)]], [[0, np.sqrt(damp)], [0, 0]]], dtype=complex)
     p = 1 - ((1 + np.sqrt(1 - damp)) ** 2 - 1) / 3  # 1 - (sum_k |Tr K_k|^2 - 1)/(d^2 - 1)
@@ -296,7 +296,7 @@ def _assert_ascent_never_loses_to_the_hill_climb(rep, fref, tref, fidelity, trac
 def test_utility_ascent_never_loses_to_the_hill_climb_on_the_bench_pool():
     # the oracle is the hill climb over the full eigen-solve objectives, from the same seed
     rng = np.random.default_rng(42)
-    paulis = ch.FiniteUnitaryGroup(2, [pauli_matrix(c) for c in "IXYZ"])
+    paulis = [pauli_matrix(c) for c in "IXYZ"]
     pool = [ch.random_channel(d, r, rng) for d, r in [(2, 2), (4, 3), (8, 4), (16, 3)]]
     pool += [ch.twirl(ch.random_channel(2, 2, rng), paulis),  # a Pauli channel, not depolarizing
              ch.compose(ch.random_channel(4, 2, rng), ch.random_channel(4, 3, rng))]

@@ -8,7 +8,7 @@ from qldp import qops
 from qldp.channels import depolarizing
 from qldp.errors import DegenerateObservableError, InfeasibleError, InvalidInputError, NoninvertibleError
 from qldp.estimate import AccuracyDemand, required_samples_upper, run_estimation_trials
-from test_estimate import traced_peak_mb
+from test_estimate import naive_shadow_required_samples, traced_peak_mb
 from test_pauli import orbit_states, pauli_labels, per_label_sum
 from qldp.pauli import decompose, enumerate_cliffords, from_coeffs, pauli_matrix
 from qldp.privacy import PrivacyBudget, SearchConfig, certify_qldp
@@ -18,12 +18,10 @@ from qldp.shadows import (
     _snapshot_tables,
     _trial_estimates,
     ShadowSample,
-    clifford_unitary_group,
     composite_shadow_channel,
     default_batch_count,
     effective_depolarizing_q,
     median_of_means_estimate,
-    naive_shadow_required_samples,
     private_shadow_p_hat,
     run_shadow_trials,
     shadow_required_samples,
@@ -381,12 +379,6 @@ def test_run_shadow_trials_at_three_qubits():
     obs = pauli_matrix("ZII")
     est = run_shadow_trials(rho, decompose(obs, 3), 0.2, 6000, 1000, 4, seed=12)
     assert np.abs(est - np.trace(obs @ rho).real).max() < 0.25
-
-
-def test_clifford_unitary_group_wrapper():
-    g = clifford_unitary_group(1)
-    assert g.dim == 2 and len(g) == 24
-    assert np.array_equal(g.elements, enumerate_cliffords(1))
 
 
 def test_single_snapshot_trials_follow_the_grouped_table():

@@ -172,7 +172,7 @@ def test_depolarizing_utilities_are_the_closed_forms_at_one_point(d):
 
 
 def test_clifford_twirled_utilities_are_the_closed_forms():
-    g = ch.FiniteUnitaryGroup(dim=2, elements=list(enumerate_cliffords(1)))
+    g = enumerate_cliffords(1)
     u = np.array([[np.cos(0.4), -1j * np.sin(0.4)], [-1j * np.sin(0.4), np.cos(0.4)]])
     p = 4 * np.sin(0.4) ** 2 / 3  # 1 - (|Tr U|^2 - 1)/(d^2 - 1)
     rep = utility_report(ch.twirl(ch.unitary_conjugate(u), g), CFG)
@@ -249,7 +249,7 @@ def _assert_witnesses_attain(channel, rep):
 def test_searches_never_lose_to_the_adaptive_step_ascent():
     # the bench shapes, the bench's fixed member, a Pauli-twirled and a composed channel, at the default 64 x 200
     rng = np.random.default_rng(42)
-    paulis = ch.FiniteUnitaryGroup(2, [pauli_matrix(c) for c in "IXYZ"])
+    paulis = [pauli_matrix(c) for c in "IXYZ"]
     pool = [ch.random_channel(d, r, rng) for d, r in [(2, 2), (4, 3), (8, 4), (16, 3)]]
     pool += [ch.twirl(ch.random_channel(2, 2, rng), paulis),
              ch.compose(ch.random_channel(4, 2, rng), ch.random_channel(4, 3, rng)),
