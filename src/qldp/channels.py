@@ -130,7 +130,10 @@ def _kraus_superoperator(k: np.ndarray) -> np.ndarray:
 
 def _check_unitary(u) -> np.ndarray:
     """Validate a finite square unitary, or a stack of them (U^dag U = I within UNITARY_TOL), and return it."""
-    u = np.asarray(u, dtype=complex)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except ValueError:  # a list of matrices of different shapes
+        raise InvalidInputError("element shapes differ; a stack needs matrices of one shape") from None
     if u.ndim not in (2, 3) or 0 in u.shape or u.shape[-2] != u.shape[-1]:
         raise InvalidInputError(f"expected a square matrix or a stack of them, got shape {u.shape}")
     if not np.isfinite(u).all():
@@ -356,9 +359,8 @@ def twirl(ch: QuantumChannel, unitaries) -> QuantumChannel:
     if us.ndim != 3 or ch.dim_in != ch.dim_out or us.shape[1] != ch.dim_in:
         raise InvalidInputError(f"twirl needs a square channel and a (G, {ch.dim_in}, {ch.dim_in}) "
                                 f"unitary stack, got shape {us.shape}")
-    scale = 1.0 / np.sqrt(len(us))
     # Kraus set {U_g^dag K_k U_g / sqrt(|G|)}; rank is not minimized.
-    ops = np.einsum("gji,kjl,glm->gkim", us.conj(), ch.kraus, us) * scale
+    ops = np.einsum("gji,kjl,glm->gkim", us.conj(), ch.kraus, us) * (1.0 / np.sqrt(len(us)))
     return QuantumChannel(ops.reshape(-1, ch.dim_out, ch.dim_in))
 
 

@@ -147,8 +147,7 @@ def median_of_means_estimate(snapshots, obs: np.ndarray, ell: int) -> float:
     return float(np.median(batches))
 
 
-def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget,
-                            demand: AccuracyDemand) -> int:
+def shadow_required_samples(tr_obs_sq: float, d: int, budget: PrivacyBudget, demand: AccuracyDemand) -> int:
     """Snapshot count sufficient for the private shadow pipeline; its max is 1 iff e^eps + delta (d+1) >= 2.
 
     ceil of (204 Tr[O^2]/beta^2) max{1, ((e^eps+d-1)/((e^eps-1+d delta)(d+1)))^2} ln(2/eta), at least 1.

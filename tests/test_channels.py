@@ -267,7 +267,8 @@ def test_group_validation_rejects_non_unitary():
         ch.twirl(ch.depolarizing(2, 0.3), [np.eye(2), np.array([[1, 1], [0, 1]], dtype=complex)])
 
 
-# twirl validates its stack: a group of several elements, and a conjugation as a one-element stack
+# twirl validates its stack. The ids name the case, not a function: "group" is a twirl over a
+# two-element stack, "conjugated_channel" the frame change twirl(ch, u[None]) of a one-element stack.
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("build", [
     lambda u: ch.twirl(ch.depolarizing(2, 0.3), [np.eye(2), u]),
@@ -284,6 +285,7 @@ def test_unitary_checks_reject_non_finite_entries(build, bad):
         build(u)
 
 
+# ids as above: "group" and "conjugated_channel" are twirls over a two- and a one-element stack
 @pytest.mark.parametrize("build, matrix", [
     (lambda m: ch.QuantumChannel(m[None]), [[1e200, 0], [0, 1]]),
     (lambda m: ch.twirl(ch.depolarizing(2, 0.3), [np.eye(2), m]), [[1e200, 0], [0, 1]]),
@@ -328,8 +330,10 @@ def test_twirl_takes_one_validated_unitary_stack():
         ch.twirl(ch.depolarizing(4, 0.3), cliffords)
     with pytest.raises(InvalidInputError, match=r"\(G, 2, 2\) unitary stack, got shape \(2, 2\)"):
         ch.twirl(qubit, np.eye(2))
-    with pytest.raises(ValueError):  # elements of different shapes
+    with pytest.raises(InvalidInputError, match="element shapes differ"):
         ch.twirl(qubit, [np.eye(2), np.eye(4)])
+    with pytest.raises(InvalidInputError, match="element shapes differ"):  # rows of different lengths
+        ch.unitary_conjugate([[1, 0], [0]])
     writable = np.eye(2, dtype=complex)[None]
     ch.twirl(qubit, writable)
     assert writable.flags.writeable
